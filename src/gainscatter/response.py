@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair
+from .spectral import LineSpectrum, SpectralPair, _line_sum_blocks
 
 __all__ = [
     "PolarizabilityCurve",
@@ -51,11 +51,14 @@ def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: floa
     if line_omega.size == 0:
         out = np.zeros_like(zeta_arr)
     else:
-        z = zeta_arr[..., None]
-        out = (
-            line_weight / (line_omega - 1j * gamma - z)
-            - line_weight / (-line_omega - 1j * gamma - z)
-        ).sum(axis=-1)
+        pole = line_omega - 1j * gamma
+        mirror = -line_omega - 1j * gamma
+
+        def row_sum(points):
+            z = points[..., None]
+            return (line_weight / (pole - z) - line_weight / (mirror - z)).sum(axis=-1)
+
+        out = _line_sum_blocks(row_sum, zeta_arr, line_omega.size)
     if np.isscalar(zeta) or zeta_arr.ndim == 0:
         return complex(out)
     return out
@@ -187,9 +190,7 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
     edges = [lo, hi]
     if subtract:
         edges += [x0 - window, x0 + window]  # the subtracted window's jump points
-    edges = _panel_edges(lo, hi, centers, scales) if not edges else np.unique(
-        np.concatenate((_panel_edges(lo, hi, centers, scales), np.asarray(edges)))
-    )
+    edges = np.unique(np.concatenate((_panel_edges(lo, hi, centers, scales), edges)))
 
     def integrand(w):
         value = pair.difference_at(w) / (w - zeta)

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import alpha_boundary
+from .response import _alpha_line_sum
 from .scattering import scattering_amplitude
-from .spectral import DEFAULT_GAMMA, TargetLevels, broaden, line_spectrum
+from .spectral import DEFAULT_GAMMA, TargetLevels, line_spectrum
 
 __all__ = [
     "ScreenGrid",
@@ -264,13 +264,14 @@ def verify_optical_theorem(
     if r_max is None:
         r_max = PARAXIAL_RATIO * z
     _check_geometry(omega, z, r_max)
+    if not np.isfinite(omega):
+        raise ValueError("omega must be finite")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     lines = line_spectrum(target)
-    span = max(lines.max_abs_omega, abs(omega)) + 25.0 * gamma
-    grid = np.linspace(-span, span, int(np.ceil(8.0 * span / gamma)) + 1)
-    pair = broaden(lines, grid, gamma)
-    if not (pair.grid[0] <= omega <= pair.grid[-1]):
-        raise ValueError("omega lies outside the sampled response grid")
-    alpha = complex(alpha_boundary(pair, omega))
+    # alpha(omega + i0+) straight from the lines: the same sum alpha_boundary evaluates
+    zeta = np.asarray(omega, dtype=float) + 0.0j
+    alpha = complex(_alpha_line_sum(lines.omega, lines.weight, gamma, zeta))
     e = np.array([1.0, 0.0, 0.0])
     f_forward = scattering_amplitude(alpha, omega, e, e)
     if eps_schedule is None:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from gainscatter import TargetLevels, broaden, line_spectrum
+from gainscatter.spectral import LINE_BLOCK
 
 
 def random_ladder(rng, n_max=6, min_gap=0.3, max_gap=1.5):
@@ -33,3 +34,24 @@ def two_level_pair(p_excited, gamma=0.01, span=3.0, points=4801, d_sq=1.0, omega
     target = two_level(p_excited, d_sq=d_sq, omega_0=omega_0)
     grid = np.linspace(-span, span, points)
     return broaden(line_spectrum(target), grid, gamma)
+
+
+def thermal_ladder(levels, temperature=-1.0, seed=0, top=4.2):
+    """A ``levels``-level thermal ladder on [0, top] with random gaps and dipoles.
+
+    Every ordered pair of levels is a line, so it has levels * (levels - 1) lines.
+    """
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.5, 1.5, size=levels - 1)
+    energies = np.concatenate(([0.0], np.cumsum(gaps))) * (top / gaps.sum())
+    d2 = rng.uniform(0.0, 1.0, size=(levels, levels))
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, 0.0)
+    return TargetLevels.from_temperature(energies, d2, temperature)
+
+
+def block_spanning_grid(lines, gamma):
+    """A grid over the line set whose point count fills three line-sum blocks and part of a fourth."""
+    rows = LINE_BLOCK // lines.n_lines
+    span = lines.max_abs_omega + 25.0 * gamma
+    return np.linspace(-span, span, 3 * rows + rows // 2 + 1)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_target, two_level, two_level_pair
+from conftest import block_spanning_grid, random_target, thermal_ladder, two_level, two_level_pair
 from gainscatter import (
     LineSpectrum,
     PolarizabilityCurve,
@@ -15,6 +15,7 @@ from gainscatter import (
     polarizability_curve,
     polarizability_dispersion,
 )
+from gainscatter.response import _alpha_line_sum
 
 
 def brute_force_alpha(lines, gamma, zeta, span=400.0, points=4_000_001):
@@ -57,6 +58,31 @@ def test_closed_form_against_brute_force_quadrature():
 def test_closed_form_empty_lines():
     empty = LineSpectrum(np.empty(0), np.empty(0))
     assert closed_form_lorentzian(empty, 0.01, 1.0 + 1.0j) == 0.0
+
+
+def dense_alpha_line_sum(line_omega, line_weight, gamma, zeta):
+    """Reference: the whole points x lines pole matrix in one temporary."""
+    z = np.asarray(zeta, dtype=complex)[..., None]
+    return (
+        line_weight / (line_omega - 1j * gamma - z) - line_weight / (-line_omega - 1j * gamma - z)
+    ).sum(axis=-1)
+
+
+def test_blocked_alpha_sum_bitwise_equals_dense_reference():
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    args = (lines.omega, lines.weight, gamma)
+    grid = block_spanning_grid(lines, gamma)
+    for zeta in (grid + 0.0j, grid + 0.002j, np.stack((grid, grid[::-1] + 0.001)) + 0.0j):
+        assert np.array_equal(_alpha_line_sum(*args, zeta), dense_alpha_line_sum(*args, zeta))
+    pair = broaden(lines, grid, gamma)
+    assert np.array_equal(polarizability_curve(pair).alpha, dense_alpha_line_sum(*args, grid + 0.0j))
+    for zeta in (1.0 + 0.0j, np.complex128(-0.7 + 0.1j), np.array(0.3 + 0.0j)):
+        got = _alpha_line_sum(*args, zeta)
+        assert isinstance(got, complex)
+        assert got == complex(dense_alpha_line_sum(*args, zeta))
+    empty = np.empty(0)
+    assert np.array_equal(_alpha_line_sum(empty, empty, gamma, np.ones((2, 3), complex)), np.zeros((2, 3)))
 
 
 def test_closed_form_delta_limit():

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import two_level
+from conftest import two_level, two_level_pair
 from gainscatter import (
+    alpha_boundary,
     default_eps_schedule,
     extrapolate_missing_intensity,
     missing_intensity_sigma,
     optical_theorem_sigma,
+    scattering_amplitude,
     screen_grid,
     screen_intensity,
     verify_optical_theorem,
@@ -217,3 +219,20 @@ def test_verify_report_shape():
     ):
         assert key in report
     assert len(report["sigma_estimates"]) == len(report["eps_schedule"])
+
+
+def test_verify_amplitude_is_the_boundary_alpha():
+    # evaluated from the line set, equal to the boundary value of a broadened pair
+    report = verify_optical_theorem(two_level(1.0), 1.0)
+    e = np.array([1.0, 0.0, 0.0])
+    f = scattering_amplitude(alpha_boundary(two_level_pair(1.0), 1.0), 1.0, e, e)
+    assert report["forward_amplitude"] == [f.real, f.imag]
+
+
+def test_verify_rejects_bad_gamma_and_omega():
+    for gamma in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            verify_optical_theorem(two_level(1.0), 1.0, gamma=gamma)
+    for omega in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega"):
+            verify_optical_theorem(two_level(1.0), omega)

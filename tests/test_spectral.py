@@ -1,9 +1,18 @@
 """Spectral-function layer: lines, broadening, detailed balance, noise temperature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_ladder, random_target, two_level, two_level_pair
+from conftest import (
+    block_spanning_grid,
+    random_ladder,
+    random_target,
+    thermal_ladder,
+    two_level,
+    two_level_pair,
+)
 from gainscatter import (
     LineSpectrum,
     SpectralPair,
@@ -11,8 +20,10 @@ from gainscatter import (
     broaden,
     detailed_balance_residual,
     line_spectrum,
+    lorentzian,
     noise_temperature,
     noise_temperature_samples,
+    polarizability_curve,
     symmetric_spectrum,
     thermal_populations,
 )
@@ -156,6 +167,52 @@ def test_broaden_reflection_symmetry_of_samples():
     pair = two_level_pair(0.3)
     # symmetric grid: s_minus at -w equals s_plus at +w
     assert np.allclose(pair.s_minus[::-1], pair.s_plus, rtol=1e-12, atol=1e-300)
+
+
+def dense_broadened_sum(line_omega, line_weight, gamma, omega):
+    """Reference: the whole points x lines Lorentzian matrix in one temporary."""
+    x = np.asarray(omega, dtype=float)[..., None] - line_omega
+    return (lorentzian(x, gamma) * line_weight).sum(axis=-1)
+
+
+def test_blocked_line_sums_bitwise_equal_dense_reference():
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    grid = block_spanning_grid(lines, gamma)
+    pair = broaden(lines, grid, gamma)
+    assert np.array_equal(pair.s_plus, dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
+    assert np.array_equal(pair.s_minus, dense_broadened_sum(-lines.omega, lines.weight, gamma, grid))
+    two_rows = np.stack((grid, grid[::-1] + 0.001))
+    assert np.array_equal(pair.s_plus_at(two_rows), dense_broadened_sum(lines.omega, lines.weight, gamma, two_rows))
+    assert np.array_equal(pair.s_minus_at(two_rows), dense_broadened_sum(-lines.omega, lines.weight, gamma, two_rows))
+    for w in (1.0, np.float64(-0.7), np.array(0.3)):
+        got = pair.s_plus_at(w)
+        assert isinstance(got, float)
+        assert got == float(dense_broadened_sum(lines.omega, lines.weight, gamma, w))
+        assert pair.s_minus_at(w) == float(dense_broadened_sum(-lines.omega, lines.weight, gamma, w))
+
+
+def test_line_sums_of_empty_line_set():
+    empty = LineSpectrum(np.empty(0), np.empty(0))
+    pair = broaden(empty, np.linspace(-1.0, 1.0, 11), 0.01)
+    assert np.array_equal(pair.s_plus, np.zeros(11)) and np.array_equal(pair.s_minus, np.zeros(11))
+    assert np.array_equal(pair.s_plus_at(np.ones((2, 3))), np.zeros((2, 3)))
+    assert pair.s_minus_at(0.5) == 0.0
+
+
+def test_line_sum_memory_independent_of_line_count():
+    # 60 levels = 3540 lines on 7121 points: a dense points x lines temporary is 192 MiB
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(60))
+    span = 4.2 + 25.0 * gamma
+    grid = np.linspace(-span, span, 7121)
+    tracemalloc.start()
+    try:
+        polarizability_curve(broaden(lines, grid, gamma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_spectral_pair_rejects_negative_samples():
