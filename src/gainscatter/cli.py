@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import validate as validation_suite
 from .medium import extinction_dilute, intensity_profile, medium_response
 from .response import polarizability_curve
-from .scattering import amplifier_bands, cross_sections, sigma_total_optical
+from .scattering import amplifier_bands, cross_sections
 from .scenario import Scenario, ScenarioError, load_scenario
 from .screen import screen_intensity, verify_optical_theorem
 from .spectral import (
@@ -33,7 +34,7 @@ from .spectral import (
     symmetric_spectrum,
 )
 
-__all__ = ["main", "run"]
+__all__ = ["Pipeline", "main", "run"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,13 +75,34 @@ def write_json(path: Path, payload) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _spectral_pair(scenario: Scenario):
-    lines = line_spectrum(scenario.target)
-    return broaden(lines, scenario.grid(), scenario.gamma)
+class Pipeline:
+    """A scenario's stages, pair -> curve -> cross sections -> medium, each built on first use."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+
+    @cached_property
+    def pair(self):
+        scenario = self.scenario
+        return broaden(line_spectrum(scenario.target), scenario.grid(), scenario.gamma)
+
+    @cached_property
+    def curve(self):
+        return polarizability_curve(self.pair, eta=self.scenario.eta)
+
+    @cached_property
+    def xs(self):
+        return cross_sections(self.curve)
+
+    @cached_property
+    def medium(self):
+        if self.scenario.medium_density is None:
+            raise ScenarioError("medium.density_n is required for the medium pipeline")
+        return medium_response(self.curve, self.scenario.medium_density)
 
 
-def cmd_spectrum(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    pair = _spectral_pair(scenario)
+def cmd_spectrum(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
+    pair = pipeline.pair
     t_noise = noise_temperature_samples(pair)
     write_csv(
         out_dir / "spectrum.csv",
@@ -92,13 +114,8 @@ def cmd_spectrum(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _curve(scenario: Scenario):
-    pair = _spectral_pair(scenario)
-    return polarizability_curve(pair, eta=scenario.eta)
-
-
-def cmd_response(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    curve = _curve(scenario)
+def cmd_response(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
+    curve = pipeline.curve
     write_csv(
         out_dir / "response.csv",
         ["omega", "re_alpha", "im_alpha"],
@@ -109,28 +126,24 @@ def cmd_response(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_cross_sections(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    curve = _curve(scenario)
-    xs = cross_sections(curve)
+def cmd_cross_sections(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
+    xs = pipeline.xs
     write_csv(
         out_dir / "cross_sections.csv",
         ["omega", "sigma_el", "sigma_tot", "sigma_in", "band_flag"],
         [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, xs.band_flags],
     )
-    bands = amplifier_bands(curve)
+    bands = amplifier_bands(pipeline.curve)
     write_json(out_dir / "bands.json", [{"lo": lo, "hi": hi} for lo, hi in bands])
     if not quiet:
         print(f"wrote {out_dir / 'cross_sections.csv'} and bands.json ({len(bands)} band(s))")
     return EXIT_OK
 
 
-def cmd_medium(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    if scenario.medium_density is None:
-        raise ScenarioError("medium.density_n is required for the medium pipeline")
-    curve = _curve(scenario)
-    med = medium_response(curve, scenario.medium_density)
-    sigma_tot = sigma_total_optical(curve.alpha[curve.grid > 0.0], med.grid)
-    h_dilute = extinction_dilute(scenario.medium_density, sigma_tot, med.dilute_ok)
+def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
+    scenario = pipeline.scenario
+    med = pipeline.medium
+    h_dilute = extinction_dilute(scenario.medium_density, pipeline.xs.sigma_tot, med.dilute_ok)
     write_csv(
         out_dir / "medium.csv",
         ["omega", "re_eps", "im_eps", "re_k", "im_k", "h_exact", "h_dilute", "dilute_ok"],
@@ -162,10 +175,11 @@ def cmd_medium(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def cmd_verify(scenario: Scenario, out_dir: Path, quiet: bool) -> int:
-    omega = scenario.default_screen_omega()
-    z = scenario.screen_z
-    r_max = scenario.screen_r_max if scenario.screen_r_max is not None else z / 10.0
+def cmd_verify(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
+    scenario = pipeline.scenario
+    omega, z, r_max = scenario.screen_omega, scenario.screen_z, scenario.screen_r_max
+    if omega is None:
+        raise ScenarioError("screen.omega required: the target has no dipole lines")
     report = verify_optical_theorem(
         scenario.target,
         omega,
@@ -210,13 +224,6 @@ def run(argv=None) -> int:
         out_dir = Path(args.out) if args.out else Path("validate_out")
         return validation_suite.run_validation(out_dir, quiet=args.quiet)
 
-    try:
-        scenario = load_scenario(args.scenario, grid_points_override=args.grid_points)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    out_dir = Path(args.out) if args.out else Path(scenario.output_dir)
-
     handler = {
         "spectrum": cmd_spectrum,
         "response": cmd_response,
@@ -225,11 +232,10 @@ def run(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
-        return handler(scenario, out_dir, args.quiet)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+        scenario = load_scenario(args.scenario, grid_points_override=args.grid_points)
+        out_dir = Path(args.out) if args.out else Path(scenario.output_dir)
+        return handler(Pipeline(scenario), out_dir, args.quiet)
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -25,19 +25,22 @@ physics run.  Recognized keys:
     output_dir      = "out"               default output directory
 
 Validation is fail-fast: every referenced precondition is checked before
-any computation starts, and the first violated invariant is named.
+any computation starts, and the first violated invariant is named.  Scalars
+must be finite numbers, counts integers.  Defaults are resolved here.
 """
 
 from __future__ import annotations
 
 import ast
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .screen import FAR_FIELD_MIN, PARAXIAL_RATIO, TAPER_DECAY, default_eps_schedule
-from .spectral import BROADEN_MARGIN, TargetLevels, line_spectrum
+from .screen import DEFAULT_Z, check_screen, default_eps_schedule, default_r_max
+from .spectral import DEFAULT_GAMMA, TargetLevels, check_grid_span, line_spectrum
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -69,7 +72,11 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: target plus grid/medium/screen parameters."""
+    """Validated scenario: target plus grid/medium/screen parameters, defaults resolved.
+
+    ``screen_omega`` (and so the default eps schedule) is None only for a
+    target without lines and no ``screen.omega`` key.
+    """
 
     target: TargetLevels
     gamma: float
@@ -81,7 +88,7 @@ class Scenario:
     slab_z_max: float | None = None
     slab_points: int = 101
     slab_omega: float | None = None
-    screen_z: float = 1e4
+    screen_z: float = DEFAULT_Z
     screen_r_max: float | None = None
     screen_eps_schedule: tuple | None = None
     screen_omega: float | None = None
@@ -90,14 +97,17 @@ class Scenario:
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_min, self.grid_max, self.grid_points)
 
-    def default_screen_omega(self) -> float:
-        """Verification frequency: explicit key, else the strongest line."""
-        if self.screen_omega is not None:
-            return self.screen_omega
-        lines = line_spectrum(self.target)
-        if lines.n_lines == 0:
-            raise ScenarioError("screen.omega required: the target has no dipole lines")
-        return float(abs(lines.omega[np.argmax(lines.weight)]))
+
+def _number(key: str, value, source: str, integer: bool = False):
+    """``value`` as a finite float, or an int when ``integer``; else a ScenarioError."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf  # huge ints overflow
+    if not math.isfinite(number):
+        raise ScenarioError(f"{source}: {key} must be a finite number (got {value!r})")
+    if integer and not number.is_integer():
+        raise ScenarioError(f"{source}: {key} must be an integer (got {value!r})")
+    return int(value) if integer else number
 
 
 def _parse_lines(text: str, source: str) -> dict:
@@ -125,6 +135,9 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
     """Parse and validate scenario text (fail-fast, first violation named)."""
     values = _parse_lines(text, source)
 
+    def number(key, default=None, integer=False):
+        return _number(key, values[key], source, integer) if key in values else default
+
     for key in ("energies", "dipole_sq"):
         if key not in values:
             raise ScenarioError(f"{source}: missing required key {key!r}")
@@ -137,29 +150,29 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
 
     energies = values["energies"]
     dipole_sq = values["dipole_sq"]
+    temperature = number("temperature")
     try:
         if has_pop:
             target = TargetLevels(energies, dipole_sq, values["populations"])
         else:
-            target = TargetLevels.from_temperature(energies, dipole_sq, values["temperature"])
-    except ValueError as exc:
+            target = TargetLevels.from_temperature(energies, dipole_sq, temperature)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a string or an int beyond float
         raise ScenarioError(f"{source}: {exc}") from exc
 
-    gamma = float(values.get("gamma", 1e-2))
+    gamma = number("gamma", DEFAULT_GAMMA)
     if gamma <= 0.0:
         raise ScenarioError(f"{source}: gamma must be positive (got {gamma!r})")
-    eta = float(values.get("eta", 0.0))
+    eta = number("eta", 0.0)
     if eta < 0.0:
         raise ScenarioError(f"{source}: eta must be non-negative (got {eta!r})")
 
-    grid_min = float(values.get("grid.min", np.nan))
-    grid_max = float(values.get("grid.max", np.nan))
-    grid_points = int(values.get("grid.points", 0))
+    grid_min = number("grid.min")
+    grid_max = number("grid.max")
     if grid_points_override is not None:
         grid_points = int(grid_points_override)
-    if "grid.min" not in values or "grid.max" not in values or (
-        "grid.points" not in values and grid_points_override is None
-    ):
+    else:
+        grid_points = number("grid.points", integer=True)
+    if None in (grid_min, grid_max, grid_points):
         raise ScenarioError(f"{source}: grid.min, grid.max and grid.points are required")
     if not grid_min < grid_max:
         raise ScenarioError(f"{source}: grid.min must be below grid.max")
@@ -167,44 +180,47 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
         raise ScenarioError(f"{source}: grid.points must be at least 2")
 
     lines = line_spectrum(target)
-    if lines.n_lines:
-        need = lines.max_abs_omega + BROADEN_MARGIN * gamma
-        if grid_min > -need or grid_max < need:
-            raise ScenarioError(
-                f"{source}: grid [{grid_min:g}, {grid_max:g}] must span the line set "
-                f"by {BROADEN_MARGIN:g}*gamma: need [-{need:g}, {need:g}]"
-            )
+    try:
+        check_grid_span(lines, grid_min, grid_max, gamma)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
 
-    medium_density = values.get("medium.density_n")
-    if medium_density is not None:
-        medium_density = float(medium_density)
-        if medium_density <= 0.0:
-            raise ScenarioError(
-                f"{source}: medium.density_n must be positive (got {medium_density!r})"
-            )
+    medium_density = number("medium.density_n")
+    if medium_density is not None and medium_density <= 0.0:
+        raise ScenarioError(
+            f"{source}: medium.density_n must be positive (got {medium_density!r})"
+        )
 
-    slab_z_max = values.get("slab.z_max")
-    slab_z_max = float(slab_z_max) if slab_z_max is not None else None
+    slab_z_max = number("slab.z_max")
     if slab_z_max is not None and slab_z_max <= 0.0:
         raise ScenarioError(f"{source}: slab.z_max must be positive")
-    slab_points = int(values.get("slab.points", 101))
+    slab_points = number("slab.points", 101, integer=True)
     if slab_points < 2:
         raise ScenarioError(f"{source}: slab.points must be at least 2")
-    slab_omega = values.get("slab.omega")
-    slab_omega = float(slab_omega) if slab_omega is not None else None
+    slab_omega = number("slab.omega")
 
-    screen_z = float(values.get("screen.z", 1e4))
-    screen_r_max = values.get("screen.r_max")
-    screen_r_max = float(screen_r_max) if screen_r_max is not None else None
-    screen_omega = values.get("screen.omega")
-    screen_omega = float(screen_omega) if screen_omega is not None else None
+    screen_z = number("screen.z", DEFAULT_Z)
+    screen_r_max = number("screen.r_max", default_r_max(screen_z))
+    if screen_r_max <= 0.0:
+        raise ScenarioError(f"{source}: screen.r_max must be positive (default screen.z/10)")
+    screen_omega = number("screen.omega")
+    if screen_omega is None and lines.n_lines:
+        screen_omega = float(abs(lines.omega[np.argmax(lines.weight)]))  # strongest line
     eps_schedule = values.get("screen.eps_schedule")
     if eps_schedule is not None:
-        eps_schedule = tuple(float(e) for e in eps_schedule)
-        if any(e <= 0.0 for e in eps_schedule):
-            raise ScenarioError(f"{source}: screen.eps_schedule members must be positive")
+        if not isinstance(eps_schedule, (list, tuple)):
+            raise ScenarioError(f"{source}: screen.eps_schedule must be a list of numbers")
+        eps_schedule = tuple(_number("screen.eps_schedule", e, source) for e in eps_schedule)
+    if screen_omega is not None:  # else the screen pipeline is unused
+        if eps_schedule is None:
+            schedule = default_eps_schedule(screen_omega, screen_z, screen_r_max)
+            eps_schedule = tuple(schedule.tolist())
+        try:
+            check_screen(screen_omega, screen_z, screen_r_max, eps_schedule)
+        except ValueError as exc:
+            raise ScenarioError(f"{source}: {exc}") from exc
 
-    scenario = Scenario(
+    return Scenario(
         target=target,
         gamma=gamma,
         eta=eta,
@@ -221,43 +237,6 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
         screen_omega=screen_omega,
         output_dir=str(values.get("output_dir", "out")),
     )
-    _validate_screen(scenario, source)
-    return scenario
-
-
-def _validate_screen(scenario: Scenario, source: str) -> None:
-    """Joint feasibility of the screen geometry, checked before any run."""
-    omega = None
-    try:
-        omega = scenario.default_screen_omega()
-    except ScenarioError:
-        return  # no lines and no explicit frequency: screen pipeline unused
-    z = scenario.screen_z
-    r_max = scenario.screen_r_max if scenario.screen_r_max is not None else PARAXIAL_RATIO * z
-    if z < FAR_FIELD_MIN / omega:
-        raise ScenarioError(
-            f"{source}: screen.z = {z:g} violates the far-field condition "
-            f"z >= {FAR_FIELD_MIN:g}*c/omega = {FAR_FIELD_MIN / omega:g}"
-        )
-    if r_max > PARAXIAL_RATIO * z:
-        raise ScenarioError(
-            f"{source}: screen.r_max = {r_max:g} violates the paraxial condition "
-            f"r_max <= z/10 = {PARAXIAL_RATIO * z:g}"
-        )
-    schedule = (
-        np.asarray(scenario.screen_eps_schedule, dtype=float)
-        if scenario.screen_eps_schedule is not None
-        else default_eps_schedule(omega, z, r_max)
-    )
-    phase_max = omega * r_max * r_max / (2.0 * z)
-    worst = float(np.exp(-schedule.min() * phase_max))
-    if worst > TAPER_DECAY:
-        eps_min = np.log(1.0 / TAPER_DECAY) / phase_max
-        raise ScenarioError(
-            f"{source}: screen.eps_schedule member {schedule.min():g} violates the "
-            f"taper-decay condition exp(-eps*omega*r_max^2/(2 z)) <= {TAPER_DECAY:g}: "
-            f"need eps >= {eps_min:.6g}"
-        )
 
 
 def load_scenario(path, grid_points_override: int | None = None) -> Scenario:

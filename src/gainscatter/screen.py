@@ -46,6 +46,8 @@ __all__ = [
     "ScreenGrid",
     "screen_intensity",
     "screen_grid",
+    "check_screen",
+    "default_r_max",
     "missing_intensity_sigma",
     "default_eps_schedule",
     "extrapolate_missing_intensity",
@@ -64,7 +66,12 @@ _PHASE_PER_PANEL = np.pi / 8.0
 _GL_ORDER = 12
 
 
-def _check_geometry(omega: float, z: float, r_max: float) -> None:
+def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
+    """Raise ValueError naming the first violated screen-feasibility condition.
+
+    Far field z >= FAR_FIELD_MIN c/omega, paraxial r_max <= z/10, and a taper
+    below TAPER_DECAY at r_max for each scheduled taper_eps.
+    """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     if z < FAR_FIELD_MIN / omega:
@@ -74,8 +81,24 @@ def _check_geometry(omega: float, z: float, r_max: float) -> None:
         )
     if r_max > PARAXIAL_RATIO * z:
         raise ValueError(
-            f"paraxial condition violated: r_max = {r_max:g} > z/10 = {PARAXIAL_RATIO * z:g}"
+            f"paraxial condition violated: r_max = {r_max:g} exceeds z/10 = "
+            f"{PARAXIAL_RATIO * z:g} (need r_max <= z/10)"
         )
+    eps = np.asarray(eps_schedule, dtype=float)
+    if eps.size and eps.min() <= 0.0:
+        raise ValueError(f"taper_eps must be positive (got {eps.min():g})")
+    phase_max = omega * r_max * r_max / (2.0 * z)
+    if eps.size and np.exp(-eps.min() * phase_max) > TAPER_DECAY:
+        raise ValueError(
+            f"taper-decay condition violated: exp(-eps*omega*r_max^2/(2 z)) > {TAPER_DECAY:g} "
+            f"at r_max; need taper_eps >= {np.log(1.0 / TAPER_DECAY) / phase_max:.6g} "
+            f"(got {eps.min():g})"
+        )
+
+
+def default_r_max(z: float) -> float:
+    """Default screen radius: the paraxial bound z/10."""
+    return z / 10.0
 
 
 @dataclass(frozen=True)
@@ -96,11 +119,6 @@ class ScreenGrid:
         object.__setattr__(self, "intensity_ratio", ratio)
         if r.size and not np.all(np.diff(r) > 0.0):
             raise ValueError("r_perp samples must be ascending")
-        if r.size and r[-1] > PARAXIAL_RATIO * self.z:
-            raise ValueError(
-                f"paraxial condition violated: max r_perp = {r[-1]:g} > z/10 = "
-                f"{PARAXIAL_RATIO * self.z:g}"
-            )
 
 
 def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
@@ -109,8 +127,7 @@ def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
     Includes both the interference cross-term and the |F|^2 scattered term.
     """
     r = np.asarray(r_perp, dtype=float)
-    r_top = float(r.max()) if r.size else 0.0
-    _check_geometry(omega, z, r_top)
+    check_screen(omega, z, float(r.max()) if r.size else 0.0)
     r_dist = z + r * r / (2.0 * z)
     cross = 2.0 * (f_forward * np.exp(1j * omega * (r_dist - z))).real / r_dist
     ratio = 1.0 + cross + np.abs(f_forward) ** 2 / r_dist**2
@@ -118,7 +135,7 @@ def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
 
 
 def screen_grid(f_forward: complex, omega: float, z: float, r_perp) -> ScreenGrid:
-    """Build a ScreenGrid by sampling the intensity ratio."""
+    """Build a ScreenGrid by sampling the intensity ratio; screen_intensity checks the geometry."""
     ratio = screen_intensity(f_forward, omega, z, r_perp)
     return ScreenGrid(float(z), np.asarray(r_perp, dtype=float), np.atleast_1d(ratio), complex(f_forward))
 
@@ -157,24 +174,14 @@ def missing_intensity_sigma(
 
     ``taper_eps`` is dimensionless: the taper is exp(-eps omega r^2/(2 z)),
     i.e. eps in units of the local Fresnel phase.  Feasibility is enforced
-    jointly: r_max <= z/10, z in the far field, and the taper must have
-    decayed below TAPER_DECAY at r_max (otherwise the truncated oscillatory
-    tail pollutes the estimate).  By default only the interference form of
-    the deficit is integrated; ``include_scattered_term`` adds |F|^2/r_d^2
-    and switches the interference denominator to the true distance r_d.
+    jointly by ``check_screen``: r_max <= z/10, z in the far field, and the
+    taper must have decayed below TAPER_DECAY at r_max (otherwise the
+    truncated oscillatory tail pollutes the estimate).  By default only the
+    interference form of the deficit is integrated; ``include_scattered_term``
+    adds |F|^2/r_d^2 and switches the interference denominator to the true
+    distance r_d.
     """
-    _check_geometry(omega, z, r_max)
-    if taper_eps <= 0.0:
-        raise ValueError("taper_eps must be positive")
-    phase_max = omega * r_max * r_max / (2.0 * z)
-    taper_at_edge = np.exp(-taper_eps * phase_max)
-    if taper_at_edge > TAPER_DECAY:
-        eps_min = np.log(1.0 / TAPER_DECAY) / phase_max
-        raise ValueError(
-            f"taper has not decayed at r_max: exp(-eps*omega*r_max^2/(2 z)) = "
-            f"{taper_at_edge:.3e} > {TAPER_DECAY:g}; need taper_eps >= {eps_min:.6g} "
-            f"(got {taper_eps:g})"
-        )
+    check_screen(omega, z, r_max, [taper_eps])
     a = omega / z
     r, w = _radial_nodes(omega, z, taper_eps, r_max)
     phase = 0.5 * a * r * r
@@ -262,8 +269,8 @@ def verify_optical_theorem(
     is essentially zero.
     """
     if r_max is None:
-        r_max = PARAXIAL_RATIO * z
-    _check_geometry(omega, z, r_max)
+        r_max = default_r_max(z)
+    check_screen(omega, z, r_max)
     if not np.isfinite(omega):
         raise ValueError("omega must be finite")
     if not 0.0 < gamma < np.inf:

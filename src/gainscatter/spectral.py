@@ -27,6 +27,7 @@ __all__ = [
     "thermal_populations",
     "line_spectrum",
     "broaden",
+    "check_grid_span",
     "lorentzian",
     "detailed_balance_residual",
     "noise_temperature",
@@ -74,12 +75,12 @@ class TargetLevels:
     populations: np.ndarray
 
     def __post_init__(self):
-        energies = _frozen(self.energies)
-        dipole_sq = _frozen(self.dipole_sq)
-        populations = _frozen(self.populations)
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "dipole_sq", dipole_sq)
-        object.__setattr__(self, "populations", populations)
+        for name in ("energies", "dipole_sq", "populations"):
+            values = _frozen(getattr(self, name))
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, values)
+        energies, dipole_sq, populations = self.energies, self.dipole_sq, self.populations
 
         n = energies.size
         if n == 0:
@@ -313,28 +314,32 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
     return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 
+def check_grid_span(lines: LineSpectrum, grid_min: float, grid_max: float, gamma: float) -> None:
+    """Raise ValueError unless the grid spans the signed lines by BROADEN_MARGIN * gamma."""
+    if lines.n_lines:
+        m = lines.max_abs_omega
+        margin = BROADEN_MARGIN * gamma
+        lo_req, hi_req = -m - margin, m + margin
+        if grid_min > lo_req or grid_max < hi_req:
+            raise ValueError(
+                f"grid [{grid_min:g}, {grid_max:g}] does not cover the line set: need "
+                f"[{lo_req:g}, {hi_req:g}] to span max |line frequency| {m:g} by "
+                f"{BROADEN_MARGIN:g}*gamma"
+            )
+
+
 def broaden(lines: LineSpectrum, grid, gamma: float) -> SpectralPair:
     """Replace each delta line by a Lorentzian of half-width ``gamma``.
 
-    The grid must span the signed line set (both the S+ frequencies and
-    their reflections, since the pair holds both densities) by at least
-    ``BROADEN_MARGIN * gamma`` on each side.
+    The grid must span the signed line set by ``BROADEN_MARGIN * gamma``
+    (``check_grid_span``).
     """
     grid = np.asarray(grid, dtype=float)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be strictly ascending with at least two samples")
-    if lines.n_lines:
-        m = lines.max_abs_omega
-        margin = BROADEN_MARGIN * gamma
-        lo_req, hi_req = -m - margin, m + margin
-        if grid[0] > lo_req or grid[-1] < hi_req:
-            raise ValueError(
-                f"grid [{grid[0]:g}, {grid[-1]:g}] does not cover the line set: need "
-                f"[{lo_req:g}, {hi_req:g}] (max |line frequency| {m:g} plus "
-                f"{BROADEN_MARGIN:g}*gamma margin)"
-            )
+    check_grid_span(lines, grid[0], grid[-1], gamma)
     s_plus = _broadened_sum(lines.omega, lines.weight, gamma, grid)
     s_minus = _broadened_sum(-lines.omega, lines.weight, gamma, grid)
     return SpectralPair(grid, s_plus, s_minus, gamma, lines)
@@ -350,12 +355,13 @@ def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
     if temperature <= 0.0:
         raise ValueError("detailed balance is defined against a positive temperature")
     uniq, summed = lines.aggregated()
+    weight = dict(zip(uniq.tolist(), summed.tolist()))  # summed S+ weight per line frequency
     support = np.unique(np.abs(uniq))
     support = support[support > 0.0]
     worst = 0.0
     for w in support:
-        s_plus = lines.s_plus_weight_at(w)
-        s_minus = lines.s_minus_weight_at(w)
+        s_plus = weight.get(w, 0.0)
+        s_minus = weight.get(-w, 0.0)
         if s_plus == 0.0 and s_minus == 0.0:
             continue
         if s_plus == 0.0:

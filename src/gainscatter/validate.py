@@ -389,13 +389,13 @@ def _write_artifacts(out_dir: Path) -> None:
     from . import cli  # local import: cli imports this module
 
     for name, text in CANONICAL_SCENARIOS.items():
-        scenario = parse_scenario(text, source=f"<builtin:{name}>")
+        pipeline = cli.Pipeline(parse_scenario(text, source=f"<builtin:{name}>"))
         target_dir = out_dir / name
-        cli.cmd_spectrum(scenario, target_dir, quiet=True)
-        cli.cmd_response(scenario, target_dir, quiet=True)
-        cli.cmd_cross_sections(scenario, target_dir, quiet=True)
-        cli.cmd_medium(scenario, target_dir, quiet=True)
-        cli.cmd_verify(scenario, target_dir, quiet=True)
+        cli.cmd_spectrum(pipeline, target_dir, quiet=True)
+        cli.cmd_response(pipeline, target_dir, quiet=True)
+        cli.cmd_cross_sections(pipeline, target_dir, quiet=True)
+        cli.cmd_medium(pipeline, target_dir, quiet=True)
+        cli.cmd_verify(pipeline, target_dir, quiet=True)
 
 
 def check_artifact_determinism(out_dir: Path):

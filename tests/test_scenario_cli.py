@@ -2,12 +2,16 @@
 
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gainscatter import cli, scenario as scenario_module, validate
 from gainscatter.cli import run
 from gainscatter.scenario import ScenarioError, parse_scenario
+from gainscatter.screen import default_eps_schedule
 
 GROUND = """
 energies = [0.0, 1.0]
@@ -53,7 +57,17 @@ def test_parse_valid_scenario():
     assert scenario.target.n_levels == 2
     assert scenario.gamma == 0.01
     assert scenario.grid().size == 2401
-    assert scenario.default_screen_omega() == 1.0
+    assert scenario.screen_omega == 1.0
+    assert scenario.screen_r_max == 1e3
+    assert scenario.screen_eps_schedule == tuple(default_eps_schedule(1.0, 1e4, 1e3))
+
+
+def test_parse_builds_the_line_set_once(monkeypatch):
+    calls = []
+    real = scenario_module.line_spectrum
+    monkeypatch.setattr(scenario_module, "line_spectrum", lambda t: calls.append(t) or real(t))
+    parse_scenario(GROUND)
+    assert len(calls) == 1
 
 
 def test_parse_rejects_bad_population_sum():
@@ -89,6 +103,68 @@ def test_parse_rejects_infeasible_screen():
         parse_scenario(GROUND + "\nscreen.eps_schedule = [0.001]\n")
     with pytest.raises(ScenarioError, match="far-field"):
         parse_scenario(GROUND + "\nscreen.z = 500.0\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("gamma = 0.01", "gamma = [1]", "gamma"),
+        ("gamma = 0.01", 'gamma = "x"', "gamma"),
+        ("gamma = 0.01", "gamma = 0.01\neta = True", "eta"),
+        ("medium.density_n = 1e-6", "medium.density_n = 1e999", "medium.density_n"),
+        ("grid.points = 2401", "grid.points = 2401.7", "grid.points"),
+        ("populations = [1.0, 0.0]", "temperature = [1]", "temperature"),
+        ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]", "dipole_sq = [[0, 1e999], [1e999, 0]]", "dipole_sq"),
+        ("energies = [0.0, 1.0]", "energies = {0: 1}", "float"),
+        ("medium.density_n = 1e-6", "screen.eps_schedule = [20.0, 'x']", "screen.eps_schedule"),
+    ],
+    ids=[
+        "gamma-list",
+        "gamma-str",
+        "eta-bool",
+        "density-inf",
+        "points-fraction",
+        "temperature-list",
+        "dipole-inf",
+        "energies-dict",
+        "eps-str",
+    ],
+)
+def test_mistyped_or_non_finite_values_exit_2(tmp_path, capsys, old, new, named):
+    assert old in GROUND
+    path = write_scenario(tmp_path, GROUND.replace(old, new))
+    code = run(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+_SCALARS = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "x", "1.0", "inf"]),
+    st.complex_numbers(max_magnitude=10.0),
+)
+_LITERALS = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+    st.dictionaries(st.integers(0, 3), _SCALARS, max_size=2),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(scenario_module._KNOWN_KEYS)), _LITERALS, max_size=3))
+def test_parse_returns_a_scenario_or_raises_scenario_error(overrides):
+    # any literal for any key, over a valid base: a result or a named error, never a traceback
+    keys = {line.split(" = ")[0]: line for line in GROUND.strip().splitlines()}
+    keys.update({key: f"{key} = {value!r}" for key, value in overrides.items()})
+    try:
+        parse_scenario("\n".join(keys.values()))
+    except ScenarioError:
+        pass
 
 
 def test_parse_temperature_scenario():
@@ -227,6 +303,17 @@ def test_cmd_verify_amplifying(tmp_path):
     assert report["sigma_extrapolated"] < 0.0
 
 
+def test_cmd_verify_runs_the_schedule_parse_checked(tmp_path):
+    # z/10 and 0.1*z differ in the last bit at this z; parse and verify must agree
+    text = GROUND + "\nscreen.z = 18132.7\n"
+    scenario = parse_scenario(text)
+    out = tmp_path / "out"
+    assert run(["verify", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert report["r_max"] == scenario.screen_r_max == 18132.7 / 10.0
+    assert report["eps_schedule"] == list(scenario.screen_eps_schedule)
+
+
 def test_cmd_verify_infeasible_screen_named_inequality(tmp_path, capsys):
     path = write_scenario(tmp_path, GROUND + "\nscreen.r_max = 9999.0\n")
     code = run(["verify", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"])
@@ -281,3 +368,51 @@ def test_csv_format_17_significant_digits(tmp_path):
     first = line.split(",")[0]
     mantissa = first.split("e")[0].replace("-", "").replace(".", "")
     assert len(mantissa) == 17
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, GROUND)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run(["spectrum", "--scenario", str(path), "--out", str(blocker / "x"), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_target_without_lines(tmp_path, capsys):
+    path = write_scenario(tmp_path, GROUND.replace("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 0.0], [0.0, 0.0]]"))
+    out = tmp_path / "out"
+    for command in ("spectrum", "response", "cross-sections", "medium"):
+        assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+    assert run(["verify", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert "screen.omega required" in capsys.readouterr().err
+
+
+# --- the shared pipeline of the validation suite -------------------------------------
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIO_FILES = {"absorber": "absorber", "amplifier": "amplifier", "thermal": "thermal_three_level"}
+
+
+def test_shared_pipeline_matches_separate_runs_of_the_scenario_files(tmp_path):
+    # also pins validate.CANONICAL_SCENARIOS to the texts in scenarios/
+    assert sorted(validate.CANONICAL_SCENARIOS) == sorted(SCENARIO_FILES)
+    shared, separate = tmp_path / "shared", tmp_path / "separate"
+    validate._write_artifacts(shared)
+    for name, stem in SCENARIO_FILES.items():
+        argv = ["--scenario", str(SCENARIO_DIR / f"{stem}.txt"), "--out", str(separate / name), "--quiet"]
+        for command in ("spectrum", "response", "cross-sections", "medium", "verify"):
+            assert run([command, *argv]) == 0
+    files = sorted(p.relative_to(shared) for p in shared.rglob("*") if p.is_file())
+    assert len(files) == 24
+    assert files == sorted(p.relative_to(separate) for p in separate.rglob("*") if p.is_file())
+    for rel in files:
+        assert (shared / rel).read_bytes() == (separate / rel).read_bytes(), rel
+
+
+def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):
+    calls = []
+    real = cli.broaden
+    monkeypatch.setattr(cli, "broaden", lambda *a: calls.append(a) or real(*a))
+    validate._write_artifacts(tmp_path)
+    assert len(calls) == len(validate.CANONICAL_SCENARIOS) == 3

@@ -75,6 +75,12 @@ def test_target_invariants_enforced():
         TargetLevels([0.0, 1.0], [[0, 1], [1, 0]], [0.6, 0.5])  # populations sum
     with pytest.raises(ValueError):
         TargetLevels([0.0, 1.0], [[0, 1], [1, 0]], [1.1, -0.1])  # negative population
+    with pytest.raises(ValueError, match="energies must be finite"):
+        TargetLevels([0.0, np.inf], [[0, 1], [1, 0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="dipole_sq must be finite"):
+        TargetLevels([0.0, 1.0], [[0, np.inf], [np.inf, 0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="populations must be finite"):
+        TargetLevels([0.0, 1.0], [[0, 1], [1, 0]], [np.nan, 0.5])
 
 
 # --- line spectra -------------------------------------------------------------
@@ -255,6 +261,28 @@ def test_detailed_balance_property_random_ladders():
         t = 10.0 ** rng.uniform(-1, 2)
         lines = line_spectrum(TargetLevels.from_temperature(energies, d2, t))
         assert detailed_balance_residual(lines, t) <= 1e-12
+
+
+def test_detailed_balance_residual_on_coincident_lines(monkeypatch):
+    # equal spacing: the 0->1, 1->2, 2->3 and 3->4 lines coincide at omega = 1, and so on
+    rng = np.random.default_rng(4)
+    d2 = rng.uniform(0.1, 1.0, size=(5, 5))
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, 0.0)
+    t = 0.8
+    for populations in (thermal_populations(np.arange(5.0), t), rng.dirichlet(np.ones(5))):
+        lines = line_spectrum(TargetLevels(np.arange(5.0), d2, populations))
+        assert lines.aggregated()[0].size < lines.n_lines
+        want = 0.0
+        for w in np.unique(np.abs(lines.omega)):
+            ratio = lines.s_minus_weight_at(w) / lines.s_plus_weight_at(w)
+            want = max(want, abs(ratio - np.exp(-w / t)) / np.exp(-w / t))
+        calls = []
+        real = LineSpectrum.aggregated
+        monkeypatch.setattr(LineSpectrum, "aggregated", lambda self: calls.append(1) or real(self))
+        assert detailed_balance_residual(lines, t) == want  # the per-frequency lookups, exactly
+        monkeypatch.undo()
+        assert len(calls) == 1
 
 
 # --- noise temperature --------------------------------------------------------
