@@ -54,11 +54,17 @@ def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: floa
         pole = line_omega - 1j * gamma
         mirror = -line_omega - 1j * gamma
 
-        def row_sum(points):
-            z = points[..., None]
-            return (line_weight / (pole - z) - line_weight / (mirror - z)).sum(axis=-1)
+        def row_sum(points, out, near, far):
+            # (line_weight / (pole - z) - line_weight / (mirror - z)), in place
+            z = points[:, None]
+            np.subtract(pole, z, out=near)
+            np.divide(line_weight, near, out=near)
+            np.subtract(mirror, z, out=far)
+            np.divide(line_weight, far, out=far)
+            np.subtract(near, far, out=near)
+            near.sum(axis=-1, out=out)
 
-        out = _line_sum_blocks(row_sum, zeta_arr, line_omega.size)
+        out = _line_sum_blocks(row_sum, zeta_arr, line_omega.size, 2)
     if np.isscalar(zeta) or zeta_arr.ndim == 0:
         return complex(out)
     return out

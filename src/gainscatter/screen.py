@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import _alpha_line_sum
+from .response import _alpha_line_sum, _gl_nodes
 from .scattering import scattering_amplitude
 from .spectral import DEFAULT_GAMMA, TargetLevels, line_spectrum
 
@@ -153,7 +153,7 @@ def _radial_nodes(omega: float, z: float, eps: float, r_max: float):
     if r_taper < r_max:
         extra = np.arange(0.0, min(8.0 * r_taper, r_max), 0.5 * r_taper)
         edges = np.unique(np.concatenate((edges, extra)))
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes, weights = _gl_nodes(_GL_ORDER)
     a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)

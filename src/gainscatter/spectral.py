@@ -200,22 +200,11 @@ def line_spectrum(target: TargetLevels) -> LineSpectrum:
     signed frequency E_final - E_initial with weight p_initial *
     dipole_sq[initial, final] / 3.  Zero-weight lines are dropped.
     """
-    n = target.n_levels
-    omegas, weights = [], []
-    for i in range(n):
-        p = target.populations[i]
-        if p == 0.0:
-            continue
-        for f in range(n):
-            if f == i:
-                continue
-            d2 = target.dipole_sq[i, f]
-            if d2 == 0.0:
-                continue
-            omegas.append(target.energies[f] - target.energies[i])
-            weights.append(p * d2 / 3.0)
-    omegas = np.asarray(omegas, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    pairs = (target.populations[:, None] != 0.0) & (target.dipole_sq != 0.0)
+    np.fill_diagonal(pairs, False)
+    initial, final = np.nonzero(pairs)  # row-major order, which the stable sort keeps for ties
+    omegas = target.energies[final] - target.energies[initial]
+    weights = target.populations[initial] * target.dipole_sq[initial, final] / 3.0
     order = np.argsort(omegas, kind="stable")
     return LineSpectrum(omegas[order], weights[order])
 
@@ -281,22 +270,25 @@ class SpectralPair:
         return 0.5 * (self.s_plus_at(omega) + self.s_minus_at(omega))
 
 
-def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int) -> np.ndarray:
+def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int) -> np.ndarray:
     """``row_sum`` over ``points`` of any shape, a block of rows at a time.
 
-    ``row_sum`` maps points of any shape to their sums over the lines.  A
-    block holds at most ``LINE_BLOCK`` points x lines elements (one row when a
-    single row is larger).  Each row is reduced on its own, so the result is
-    bitwise identical to one call over all points.  A single (0-d) point is
-    one row and goes straight through.
+    ``row_sum(block, out, *work)`` sums each point of the flat ``block`` over
+    the lines into ``out``, using the ``n_work`` (rows, lines) arrays ``work``
+    of the points' dtype as scratch.  The work arrays are allocated once per
+    call and reused by every block: allocating them per block lets the heap
+    shrink and regrow around each block, which costs a page fault per page.
+    A block holds at most ``LINE_BLOCK`` points x lines elements (one row when
+    a single row is larger).  Each row is reduced on its own, so the result is
+    bitwise identical to one dense expression over all points.
     """
-    if points.ndim == 0:
-        return row_sum(points)
-    flat = points.ravel()
+    flat = points.reshape(-1)
     out = np.empty(flat.shape, dtype=points.dtype)
-    rows = max(1, LINE_BLOCK // n_lines)
+    rows = max(1, min(flat.size, LINE_BLOCK // n_lines))
+    work = np.empty((n_work, rows, n_lines), dtype=points.dtype)
     for start in range(0, flat.size, rows):
-        out[start : start + rows] = row_sum(flat[start : start + rows])
+        block = flat[start : start + rows]
+        row_sum(block, out[start : start + rows], *work[:, : block.size])
     return out.reshape(points.shape)
 
 
@@ -306,11 +298,16 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
         out = np.zeros_like(omega_arr)
         return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
-    def row_sum(points):
-        x = points[..., None] - line_omega
-        return (lorentzian(x, gamma) * line_weight).sum(axis=-1)
+    def row_sum(points, out, x):
+        # lorentzian(x, gamma) * line_weight, in place
+        np.subtract(points[:, None], line_omega, out=x)
+        np.multiply(x, x, out=x)
+        np.add(x, gamma * gamma, out=x)
+        np.divide(gamma / np.pi, x, out=x)
+        np.multiply(x, line_weight, out=x)
+        x.sum(axis=-1, out=out)
 
-    out = _line_sum_blocks(row_sum, omega_arr, line_omega.size)
+    out = _line_sum_blocks(row_sum, omega_arr, line_omega.size, 1)
     return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 

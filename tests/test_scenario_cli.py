@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,21 @@ def test_shared_pipeline_matches_separate_runs_of_the_scenario_files(tmp_path):
     assert files == sorted(p.relative_to(separate) for p in separate.rglob("*") if p.is_file())
     for rel in files:
         assert (shared / rel).read_bytes() == (separate / rel).read_bytes(), rel
+
+
+def test_scenario_files_reproduce_the_recorded_reference(tmp_path):
+    """The five subcommands on scenarios/*.txt write the recorded canonical artifacts byte for byte."""
+    with tarfile.open(SCENARIO_DIR.parent / "bench" / "reference" / "canonical.tar.xz", "r:xz") as archive:
+        want = {m.name: archive.extractfile(m).read() for m in archive.getmembers() if m.isfile()}
+    for path in sorted(SCENARIO_DIR.glob("*.txt")):
+        argv = ["--scenario", str(path), "--out", str(tmp_path / path.stem), "--quiet"]
+        for command in ("spectrum", "response", "cross-sections", "medium", "verify"):
+            assert run([command, *argv]) == 0
+    got = {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(want) == 24
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
 
 
 def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from gainscatter import (
     symmetric_spectrum,
     thermal_populations,
 )
+from gainscatter import response, spectral
 
 
 # --- targets and thermal populations -----------------------------------------
@@ -131,6 +132,45 @@ def test_line_spectrum_aggregates_coincident_frequencies():
     assert np.isclose(lines.s_plus_weight_at(1.0), want, rtol=1e-15, atol=0)
 
 
+def loop_line_spectrum(target):
+    """Reference: the per-pair double loop, one line per ordered pair in row-major order."""
+    omegas, weights = [], []
+    for i in range(target.n_levels):
+        p = target.populations[i]
+        if p == 0.0:
+            continue
+        for f in range(target.n_levels):
+            d2 = target.dipole_sq[i, f]
+            if f == i or d2 == 0.0:
+                continue
+            omegas.append(target.energies[f] - target.energies[i])
+            weights.append(p * d2 / 3.0)
+    omegas = np.asarray(omegas, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(omegas, kind="stable")
+    return omegas[order], weights[order]
+
+
+def test_line_spectrum_bitwise_equals_pair_loop():
+    rng = np.random.default_rng(5)
+    targets = [thermal_ladder(n, temperature=t) for n in (2, 10, 60) for t in (-1.0, 0.7)]
+    for _ in range(20):
+        energies, d2 = random_ladder(rng, n_max=8)
+        d2[rng.random(d2.shape) < 0.3] = 0.0  # zero dipoles
+        d2 = np.minimum(d2, d2.T)
+        np.fill_diagonal(d2, rng.uniform(0.0, 1.0, energies.size))  # ignored: no permanent dipoles
+        populations = rng.dirichlet(np.ones(energies.size))
+        populations[1:][rng.random(energies.size - 1) < 0.3] = 0.0  # zero populations
+        targets.append(TargetLevels(energies, d2, populations / populations.sum()))
+    # evenly spaced levels: coincident frequencies keep the loop's order under the stable sort
+    targets.append(TargetLevels([0.0, 1.0, 2.0, 3.0], 1.0 - np.eye(4), [0.4, 0.3, 0.2, 0.1]))
+    targets.append(TargetLevels([0.0, 1.0], np.zeros((2, 2)), [1.0, 0.0]))
+    for target in targets:
+        lines = line_spectrum(target)
+        omega, weight = loop_line_spectrum(target)
+        assert np.array_equal(lines.omega, omega) and np.array_equal(lines.weight, weight)
+
+
 # --- broadening ---------------------------------------------------------------
 
 
@@ -204,6 +244,34 @@ def test_line_sums_of_empty_line_set():
     assert np.array_equal(pair.s_plus, np.zeros(11)) and np.array_equal(pair.s_minus, np.zeros(11))
     assert np.array_equal(pair.s_plus_at(np.ones((2, 3))), np.zeros((2, 3)))
     assert pair.s_minus_at(0.5) == 0.0
+
+
+def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
+    calls = []
+    real = spectral._line_sum_blocks
+
+    def spying(row_sum, points, n_lines, n_work):
+        blocks = []
+
+        def spy(block, out, *work):
+            blocks.append(work)
+            row_sum(block, out, *work)
+
+        calls.append(blocks)
+        return real(spy, points, n_lines, n_work)
+
+    monkeypatch.setattr(spectral, "_line_sum_blocks", spying)
+    monkeypatch.setattr(response, "_line_sum_blocks", spying)
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    polarizability_curve(broaden(lines, block_spanning_grid(lines, gamma), gamma))
+    assert len(calls) == 3  # S+, S- and alpha
+    for blocks in calls:
+        assert len(blocks) == 4
+        first = blocks[0]
+        for work in blocks[1:]:
+            assert len(work) == len(first)
+            assert all(np.shares_memory(w, w0) for w, w0 in zip(work, first))
 
 
 def test_line_sum_memory_independent_of_line_count():

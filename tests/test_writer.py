@@ -1,0 +1,83 @@
+"""The CSV/JSON artifact writer: byte format, streaming and atomic replacement."""
+
+import numpy as np
+import pytest
+
+from gainscatter import cli
+from gainscatter.cli import CSV_BLOCK, run, write_csv
+
+
+def per_value_format(x) -> str:
+    """Reference: the per-value cell formatter the block writer replaced."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, str):
+        return x
+    if np.isnan(x):
+        return ""
+    return f"{x:.16e}"
+
+
+def per_value_csv(header, columns) -> str:
+    rows = [",".join(header)]
+    for values in zip(*columns):
+        rows.append(",".join(per_value_format(v) for v in values))
+    return "\n".join(rows) + "\n"
+
+
+SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.5e300, 1 / 3, np.pi]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 17])
+def test_write_csv_matches_per_value_format(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    floats[: len(SPECIAL)] = SPECIAL[:n_rows]
+    with_nan = rng.standard_normal(n_rows)
+    with_nan[rng.random(n_rows) < 0.2] = np.nan
+    flags = rng.random(n_rows) < 0.5
+    words = np.array(rng.choice(["amplifying", "absorbing", "neutral"], n_rows))
+    header = ["x", "maybe", "flag", "band"]
+    columns = [floats, with_nan, flags, words]
+    path = tmp_path / "out" / "table.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == per_value_csv(header, columns).encode()
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unequal_columns_exit_2_without_artifact(tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "energies = [0.0, 1.0]\ndipole_sq = [[0.0, 1.0], [1.0, 0.0]]\n"
+        "populations = [1.0, 0.0]\ngamma = 0.01\ngrid.min = -3.0\ngrid.max = 3.0\n"
+        "grid.points = 2401\n"
+    )
+    real = cli.noise_temperature_samples
+    monkeypatch.setattr(cli, "noise_temperature_samples", lambda pair: real(pair)[:-1])
+    out = tmp_path / "out"
+    assert run(["spectrum", "--scenario", str(scenario), "--out", str(out), "--quiet"]) == 2
+    assert "unequal lengths" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    real = cli._cells
+    calls = []
+
+    def failing(column):
+        calls.append(len(column))
+        if len(calls) > 2:  # the second block of the first column
+            raise RuntimeError("formatting failed")
+        return real(column)
+
+    monkeypatch.setattr(cli, "_cells", failing)
+    path = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_csv(path, ["a", "b"], [np.arange(3.0 * CSV_BLOCK), np.ones(3 * CSV_BLOCK)])
+    assert calls == [CSV_BLOCK, CSV_BLOCK, CSV_BLOCK]  # the first block was streamed
+    assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
