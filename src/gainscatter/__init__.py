@@ -20,7 +20,6 @@ from .medium import (
     MediumResponse,
     dielectric,
     extinction,
-    extinction_class,
     extinction_dilute,
     intensity_profile,
     medium_response,
@@ -48,12 +47,10 @@ from .scattering import (
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .screen import (
-    ScreenGrid,
     default_eps_schedule,
     extrapolate_missing_intensity,
     missing_intensity_sigma,
     optical_theorem_sigma,
-    screen_grid,
     screen_intensity,
     verify_optical_theorem,
 )

@@ -29,12 +29,7 @@ from .response import polarizability_curve
 from .scattering import amplifier_bands, cross_sections
 from .scenario import Scenario, ScenarioError, load_scenario
 from .screen import screen_intensity, verify_optical_theorem
-from .spectral import (
-    broaden,
-    line_spectrum,
-    noise_temperature_samples,
-    symmetric_spectrum,
-)
+from .spectral import broaden, noise_temperature_samples, symmetric_spectrum
 
 __all__ = ["Pipeline", "main", "run"]
 
@@ -99,7 +94,11 @@ def write_json(path: Path, payload) -> None:
 
 
 class Pipeline:
-    """A scenario's stages, pair -> curve -> cross sections -> medium, each built on first use."""
+    """A scenario's stages, pair -> curve -> cross sections -> medium, each built on first use.
+
+    The pair is the broadened model of the scenario's line set; its S+/S- grid
+    samples are summed only when read, and only ``spectrum`` reads them.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -107,7 +106,7 @@ class Pipeline:
     @cached_property
     def pair(self):
         scenario = self.scenario
-        return broaden(line_spectrum(scenario.target), scenario.grid(), scenario.gamma)
+        return broaden(scenario.lines, scenario.grid(), scenario.gamma)
 
     @cached_property
     def curve(self):

@@ -26,7 +26,6 @@ __all__ = [
     "dielectric",
     "wavevector",
     "extinction",
-    "extinction_class",
     "extinction_dilute",
     "intensity_profile",
     "medium_response",
@@ -67,12 +66,6 @@ def wavevector(epsilon, omega):
 def extinction(k):
     """Extinction coefficient h = 2 Im k (signed; h < 0 means gain)."""
     return 2.0 * np.asarray(k, dtype=complex).imag
-
-
-def extinction_class(h):
-    """Classify samples: absorbing (h > 0), amplifying (h < 0), neutral."""
-    h = np.asarray(h, dtype=float)
-    return np.where(h > 0.0, "absorbing", np.where(h < 0.0, "amplifying", "neutral"))
 
 
 def extinction_dilute(density_n: float, sigma_tot, dilute_flags=None):

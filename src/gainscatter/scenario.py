@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .screen import DEFAULT_Z, check_screen, default_eps_schedule, default_r_max
-from .spectral import DEFAULT_GAMMA, TargetLevels, check_grid_span, line_spectrum
+from .spectral import DEFAULT_GAMMA, LineSpectrum, TargetLevels, check_grid_span, line_spectrum
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -74,11 +74,13 @@ class ScenarioError(ValueError):
 class Scenario:
     """Validated scenario: target plus grid/medium/screen parameters, defaults resolved.
 
-    ``screen_omega`` (and so the default eps schedule) is None only for a
-    target without lines and no ``screen.omega`` key.
+    ``lines`` is the target's line set, built once at parse.  ``screen_omega``
+    (and so the default eps schedule) is None only for a target without lines
+    and no ``screen.omega`` key.
     """
 
     target: TargetLevels
+    lines: LineSpectrum
     gamma: float
     eta: float
     grid_min: float
@@ -222,6 +224,7 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
 
     return Scenario(
         target=target,
+        lines=lines,
         gamma=gamma,
         eta=eta,
         grid_min=grid_min,

@@ -34,8 +34,6 @@ interference form, which is what the missing-intensity argument integrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .response import _alpha_line_sum, _gl_nodes
@@ -43,9 +41,7 @@ from .scattering import scattering_amplitude
 from .spectral import DEFAULT_GAMMA, TargetLevels, line_spectrum
 
 __all__ = [
-    "ScreenGrid",
     "screen_intensity",
-    "screen_grid",
     "check_screen",
     "default_r_max",
     "missing_intensity_sigma",
@@ -101,26 +97,6 @@ def default_r_max(z: float) -> float:
     return z / 10.0
 
 
-@dataclass(frozen=True)
-class ScreenGrid:
-    """Sampled intensity ratio I/I0 on a screen at distance z."""
-
-    z: float
-    r_perp: np.ndarray
-    intensity_ratio: np.ndarray
-    forward_amplitude: complex
-
-    def __post_init__(self):
-        r = np.array(self.r_perp, dtype=float)
-        ratio = np.array(self.intensity_ratio, dtype=float)
-        r.setflags(write=False)
-        ratio.setflags(write=False)
-        object.__setattr__(self, "r_perp", r)
-        object.__setattr__(self, "intensity_ratio", ratio)
-        if r.size and not np.all(np.diff(r) > 0.0):
-            raise ValueError("r_perp samples must be ascending")
-
-
 def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
     """Intensity ratio I/I0 at transverse radius r_perp on the screen.
 
@@ -132,12 +108,6 @@ def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
     cross = 2.0 * (f_forward * np.exp(1j * omega * (r_dist - z))).real / r_dist
     ratio = 1.0 + cross + np.abs(f_forward) ** 2 / r_dist**2
     return float(ratio) if ratio.ndim == 0 else ratio
-
-
-def screen_grid(f_forward: complex, omega: float, z: float, r_perp) -> ScreenGrid:
-    """Build a ScreenGrid by sampling the intensity ratio; screen_intensity checks the geometry."""
-    ratio = screen_intensity(f_forward, omega, z, r_perp)
-    return ScreenGrid(float(z), np.asarray(r_perp, dtype=float), np.atleast_1d(ratio), complex(f_forward))
 
 
 def _radial_nodes(omega: float, z: float, eps: float, r_max: float):

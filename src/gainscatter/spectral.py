@@ -16,6 +16,7 @@ dipole squared, so spectral densities carry (dipole^2 / frequency).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "detailed_balance_residual",
     "noise_temperature",
     "noise_temperature_samples",
+    "noise_temperature_values",
     "symmetric_spectrum",
     "log_ratio",
     "DEFAULT_GAMMA",
@@ -215,39 +217,55 @@ def lorentzian(x, gamma: float):
     return (gamma / np.pi) / (x * x + gamma * gamma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpectralPair:
-    """Grid-sampled, Lorentzian-broadened spectral densities S+ and S-.
+    """Lorentzian-broadened spectral densities S+ and S- on a grid.
 
-    The generating line set is kept (when known) so operations that need
-    values between grid samples can evaluate the broadened model exactly
-    instead of interpolating.  The stored samples are the export/CSV view.
+    A line-backed pair (``lines`` given, samples None, as ``broaden`` builds
+    it) is the broadened line model: ``s_plus_at``/``s_minus_at`` evaluate it
+    exactly between grid samples, and the grid samples ``s_plus``/``s_minus``
+    (the export/CSV view) are summed on first read and cached.  Of the CLI
+    stages only ``spectrum`` reads them; the curve, the cross sections and the
+    medium need only ``grid``, ``gamma`` and ``lines``.  A sample-backed pair
+    (``lines`` None) stores its samples and interpolates between them.
     """
 
     grid: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
     gamma: float
-    lines: LineSpectrum | None = None
+    lines: LineSpectrum | None
 
-    def __post_init__(self):
-        grid = _frozen(self.grid)
-        s_plus = _frozen(self.s_plus)
-        s_minus = _frozen(self.s_minus)
+    def __init__(self, grid, s_plus, s_minus, gamma: float, lines: LineSpectrum | None = None):
+        grid = _frozen(grid)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "s_plus", s_plus)
-        object.__setattr__(self, "s_minus", s_minus)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", float(gamma))
+        object.__setattr__(self, "lines", lines)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least two samples")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("grid must be strictly ascending")
-        if s_plus.shape != grid.shape or s_minus.shape != grid.shape:
-            raise ValueError("spectral samples must match the grid shape")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
+        if s_plus is None and s_minus is None and lines is not None:
+            return  # samples are summed from the lines on first read
+        if s_plus is None or s_minus is None:
+            raise ValueError("a pair needs both spectral samples, or its lines")
+        s_plus, s_minus = _frozen(s_plus), _frozen(s_minus)
+        if s_plus.shape != grid.shape or s_minus.shape != grid.shape:
+            raise ValueError("spectral samples must match the grid shape")
         if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
             raise ValueError("spectral densities must be non-negative")
+        # Stored samples shadow the cached properties below.
+        self.__dict__.update(s_plus=s_plus, s_minus=s_minus)
+
+    @cached_property
+    def s_plus(self) -> np.ndarray:
+        """S+ on the grid, summed over the lines on first read."""
+        return _frozen(self.s_plus_at(self.grid))
+
+    @cached_property
+    def s_minus(self) -> np.ndarray:
+        """S- on the grid, summed over the lines on first read."""
+        return _frozen(self.s_minus_at(self.grid))
 
     def s_plus_at(self, omega):
         """S+ at arbitrary frequencies (exact line sums when lines are known)."""
@@ -329,17 +347,12 @@ def broaden(lines: LineSpectrum, grid, gamma: float) -> SpectralPair:
     """Replace each delta line by a Lorentzian of half-width ``gamma``.
 
     The grid must span the signed line set by ``BROADEN_MARGIN * gamma``
-    (``check_grid_span``).
+    (``check_grid_span``).  Every check runs here; the line sums over the grid
+    run only when the pair's ``s_plus``/``s_minus`` samples are first read.
     """
-    grid = np.asarray(grid, dtype=float)
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
-        raise ValueError("grid must be strictly ascending with at least two samples")
-    check_grid_span(lines, grid[0], grid[-1], gamma)
-    s_plus = _broadened_sum(lines.omega, lines.weight, gamma, grid)
-    s_minus = _broadened_sum(-lines.omega, lines.weight, gamma, grid)
-    return SpectralPair(grid, s_plus, s_minus, gamma, lines)
+    pair = SpectralPair(grid, None, None, gamma, lines)  # checks gamma and the grid
+    check_grid_span(lines, pair.grid[0], pair.grid[-1], gamma)
+    return pair
 
 
 def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
@@ -384,13 +397,29 @@ def log_ratio(s_plus, s_minus):
     return float(out) if out.ndim == 0 else out
 
 
+def noise_temperature_values(omega, s_plus, s_minus) -> np.ndarray:
+    """T_n = omega / ln(S+/S-) pointwise over arrays of equal shape.
+
+    NaN ("undefined") where either spectral value is below ``NOISE_FLOOR``,
+    where the log-ratio is within ``LOG_RATIO_FLOOR`` of zero (the crossover
+    where T_n diverges), and at omega = 0.  The one T_n rule: the scalar and
+    grid forms below both go through it.
+    """
+    omega, s_plus, s_minus = (np.asarray(a, dtype=float) for a in (omega, s_plus, s_minus))
+    out = np.full(omega.shape, np.nan)
+    ok = (np.minimum(s_plus, s_minus) >= NOISE_FLOOR) & (omega != 0.0)
+    ratio_log = np.asarray(log_ratio(np.where(ok, s_plus, 1.0), np.where(ok, s_minus, 1.0)))
+    ok &= np.abs(ratio_log) >= LOG_RATIO_FLOOR
+    out[ok] = omega[ok] / ratio_log[ok]
+    return out
+
+
 def noise_temperature(spectrum: Union[SpectralPair, LineSpectrum], omega: float):
     """Noise temperature T_n(omega) = omega / ln[S+(omega)/S-(omega)].
 
     Returns a signed float, negative wherever the populations are inverted
-    at this frequency.  Returns None ("undefined") when either spectral
-    value is below ``NOISE_FLOOR`` or the log-ratio is within
-    ``LOG_RATIO_FLOOR`` of zero (the crossover where T_n diverges).
+    at this frequency, or None where ``noise_temperature_values`` leaves it
+    undefined.
     """
     omega = float(omega)
     if omega == 0.0:
@@ -399,25 +428,15 @@ def noise_temperature(spectrum: Union[SpectralPair, LineSpectrum], omega: float)
         s_plus = spectrum.s_plus_weight_at(omega)
         s_minus = spectrum.s_minus_weight_at(omega)
     else:
-        s_plus = float(spectrum.s_plus_at(omega))
-        s_minus = float(spectrum.s_minus_at(omega))
-    if min(s_plus, s_minus) < NOISE_FLOOR:
-        return None
-    ratio_log = log_ratio(s_plus, s_minus)
-    if abs(ratio_log) < LOG_RATIO_FLOOR:
-        return None
-    return omega / ratio_log
+        s_plus = spectrum.s_plus_at(omega)
+        s_minus = spectrum.s_minus_at(omega)
+    value = float(noise_temperature_values(omega, s_plus, s_minus))
+    return None if np.isnan(value) else value
 
 
 def noise_temperature_samples(pair: SpectralPair) -> np.ndarray:
     """T_n over the pair's grid; NaN where undefined (and at omega = 0)."""
-    out = np.full(pair.grid.shape, np.nan)
-    s_plus, s_minus = pair.s_plus, pair.s_minus
-    ok = (np.minimum(s_plus, s_minus) >= NOISE_FLOOR) & (pair.grid != 0.0)
-    ratio_log = log_ratio(np.where(ok, s_plus, 1.0), np.where(ok, s_minus, 1.0))
-    ok &= np.abs(ratio_log) >= LOG_RATIO_FLOOR
-    out[ok] = pair.grid[ok] / ratio_log[ok]
-    return out
+    return noise_temperature_values(pair.grid, pair.s_plus, pair.s_minus)
 
 
 def symmetric_spectrum(pair: SpectralPair) -> np.ndarray:

@@ -48,6 +48,7 @@ from .spectral import (
     detailed_balance_residual,
     line_spectrum,
     noise_temperature,
+    noise_temperature_values,
     symmetric_spectrum,
     thermal_populations,
 )
@@ -260,12 +261,10 @@ def check_sign_theorem():
         _, pair = _two_level(p_e)
         omegas = np.linspace(0.2, 2.0, 181)
         sigma = sigma_total_spectral(pair, omegas)
-        for w, s in zip(omegas, sigma):
-            tn = noise_temperature(pair, float(w))
-            if tn is None or s == 0.0:
-                continue
-            if np.sign(s) != np.sign(tn):
-                return False, f"sign mismatch at ratio {r}, omega {w}"
+        tn = noise_temperature_values(omegas, pair.s_plus_at(omegas), pair.s_minus_at(omegas))
+        mismatch = ~np.isnan(tn) & (sigma != 0.0) & (np.sign(sigma) != np.sign(tn))
+        if np.any(mismatch):
+            return False, f"sign mismatch at ratio {r}, omega {omegas[np.argmax(mismatch)]}"
     return True, f"{len(ratios)} population ratios"
 
 

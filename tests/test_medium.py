@@ -8,7 +8,6 @@ from gainscatter import (
     alpha_boundary,
     dielectric,
     extinction,
-    extinction_class,
     extinction_dilute,
     intensity_profile,
     medium_response,
@@ -77,11 +76,6 @@ def test_wavevector_rejects_branch_point():
 def test_extinction_values():
     assert extinction(1.0 + 0.0j) == 0.0
     assert extinction(1.0 + 0.005j) == pytest.approx(0.01)
-    assert extinction_class(np.array([0.01, -0.01, 0.0])).tolist() == [
-        "absorbing",
-        "amplifying",
-        "neutral",
-    ]
 
 
 def test_extinction_dilute_values():

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import sys
 import tarfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gainscatter import cli, scenario as scenario_module, validate
+from gainscatter import cli, scenario as scenario_module, spectral, validate
 from gainscatter.cli import run
 from gainscatter.scenario import ScenarioError, parse_scenario
 from gainscatter.screen import default_eps_schedule
@@ -63,11 +64,27 @@ def test_parse_valid_scenario():
     assert scenario.screen_eps_schedule == tuple(default_eps_schedule(1.0, 1e4, 1e3))
 
 
-def test_parse_builds_the_line_set_once(monkeypatch):
+def count_line_spectrum_calls(monkeypatch) -> list:
+    """The targets of every later ``line_spectrum`` call, through any module that binds it."""
     calls = []
-    real = scenario_module.line_spectrum
-    monkeypatch.setattr(scenario_module, "line_spectrum", lambda t: calls.append(t) or real(t))
+    real = spectral.line_spectrum
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gainscatter" and getattr(module, "line_spectrum", None) is real:
+            monkeypatch.setattr(module, "line_spectrum", lambda t: calls.append(t) or real(t))
+    return calls
+
+
+def test_parse_builds_the_line_set_once(monkeypatch):
+    calls = count_line_spectrum_calls(monkeypatch)
     parse_scenario(GROUND)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium"])
+def test_subcommand_builds_the_line_set_once(tmp_path, monkeypatch, command):
+    path = write_scenario(tmp_path, GROUND)
+    calls = count_line_spectrum_calls(monkeypatch)
+    assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     assert len(calls) == 1
 
 

@@ -17,10 +17,13 @@ from gainscatter import (
     LineSpectrum,
     SpectralPair,
     TargetLevels,
+    amplifier_bands,
     broaden,
+    cross_sections,
     detailed_balance_residual,
     line_spectrum,
     lorentzian,
+    medium_response,
     noise_temperature,
     noise_temperature_samples,
     polarizability_curve,
@@ -203,6 +206,15 @@ def test_broaden_total_weight_trapezoid_oracle():
     assert np.isclose(integral_minus, lines.weight.sum(), rtol=1e-4)
 
 
+@pytest.mark.parametrize(
+    "grid, gamma",
+    [(np.linspace(-3.0, 3.0, 101), 0.0), (np.linspace(3.0, -3.0, 101), 0.01), (np.zeros(1), 0.01)],
+)
+def test_broaden_rejects_bad_gamma_or_grid(grid, gamma):
+    with pytest.raises(ValueError, match="gamma must be positive|grid must"):
+        broaden(line_spectrum(two_level(0.0)), grid, gamma)
+
+
 def test_broaden_rejects_uncovering_grid():
     lines = line_spectrum(two_level(0.0))
     with pytest.raises(ValueError, match="does not cover"):
@@ -246,6 +258,46 @@ def test_line_sums_of_empty_line_set():
     assert pair.s_minus_at(0.5) == 0.0
 
 
+def spy_line_sums(monkeypatch):
+    """The point count of every later ``spectral._broadened_sum`` call, in order."""
+    sizes = []
+    real = spectral._broadened_sum
+
+    def spying(line_omega, line_weight, gamma, omega):
+        sizes.append(np.size(omega))
+        return real(line_omega, line_weight, gamma, omega)
+
+    monkeypatch.setattr(spectral, "_broadened_sum", spying)
+    return sizes
+
+
+def test_curve_cross_sections_and_medium_sum_no_grid_samples(monkeypatch):
+    sizes = spy_line_sums(monkeypatch)
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    curve = polarizability_curve(broaden(lines, block_spanning_grid(lines, gamma), gamma))
+    cross_sections(curve)
+    amplifier_bands(curve)
+    medium_response(curve, 1e-6)
+    assert all(size == 1 for size in sizes)  # band-edge bisection may make scalar calls
+
+
+def test_samples_summed_once_on_first_read(monkeypatch):
+    sizes = spy_line_sums(monkeypatch)
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    grid = block_spanning_grid(lines, gamma)
+    pair = broaden(lines, grid, gamma)
+    assert sizes == []
+    first = pair.s_plus, pair.s_minus
+    second = pair.s_plus, pair.s_minus
+    assert sizes == [grid.size, grid.size]
+    assert first[0] is second[0] and first[1] is second[1]
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    assert np.array_equal(first[0], dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
+    assert np.array_equal(first[1], dense_broadened_sum(-lines.omega, lines.weight, gamma, grid))
+
+
 def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
     calls = []
     real = spectral._line_sum_blocks
@@ -264,7 +316,8 @@ def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
     monkeypatch.setattr(response, "_line_sum_blocks", spying)
     gamma = 0.01
     lines = line_spectrum(thermal_ladder(30))
-    polarizability_curve(broaden(lines, block_spanning_grid(lines, gamma), gamma))
+    pair = broaden(lines, block_spanning_grid(lines, gamma), gamma)
+    pair.s_plus, pair.s_minus, polarizability_curve(pair)
     assert len(calls) == 3  # S+, S- and alpha
     for blocks in calls:
         assert len(blocks) == 4
@@ -282,7 +335,8 @@ def test_line_sum_memory_independent_of_line_count():
     grid = np.linspace(-span, span, 7121)
     tracemalloc.start()
     try:
-        polarizability_curve(broaden(lines, grid, gamma))
+        pair = broaden(lines, grid, gamma)
+        pair.s_plus, pair.s_minus, polarizability_curve(pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -292,6 +346,11 @@ def test_line_sum_memory_independent_of_line_count():
 def test_spectral_pair_rejects_negative_samples():
     with pytest.raises(ValueError):
         SpectralPair(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([0.0, 0.0]), 0.01)
+
+
+def test_spectral_pair_needs_samples_or_lines():
+    with pytest.raises(ValueError, match="samples, or its lines"):
+        SpectralPair(np.array([0.0, 1.0]), None, None, 0.01)
 
 
 # --- detailed balance ---------------------------------------------------------
@@ -395,6 +454,23 @@ def test_noise_temperature_negative_iff_inverted_broadened():
     pair_gnd = two_level_pair(0.1)
     assert noise_temperature(pair_inv, 1.0) < 0.0
     assert noise_temperature(pair_gnd, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("crossover", [True, False], ids=["two-level crossover", "random ladder"])
+def test_noise_temperature_scalar_and_grid_forms_agree(crossover):
+    if crossover:
+        pair = two_level_pair(0.5 - 1e-12, points=801)  # |ln(S+/S-)| < LOG_RATIO_FLOOR near 0
+    else:
+        lines = line_spectrum(random_target(np.random.default_rng(7)))
+        span = lines.max_abs_omega + 0.5
+        pair = broaden(lines, np.linspace(-span, span, 801), 0.01)
+    nonzero = pair.grid != 0.0
+    samples = noise_temperature_samples(pair)[nonzero]
+    scalar = [noise_temperature(pair, w) for w in pair.grid[nonzero]]
+    undefined = np.array([t is None for t in scalar])
+    assert np.array_equal(np.isnan(samples), undefined)
+    assert np.any(~undefined) and (np.any(undefined) or not crossover)
+    assert np.array_equal(samples[~undefined], [t for t in scalar if t is not None])
 
 
 def test_noise_temperature_samples_blank_at_crossover():
