@@ -278,46 +278,50 @@ def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np
 
     Odd reflection about the singular point: over the symmetric window the
     integrand becomes [f(w+u) - f(w-u)]/u, smooth at u = 0 with limit
-    2 f'(w); the leftover one-sided stretch is an ordinary trapezoid.
-    Richardson (h, 2h) extrapolation removes the leading h^2 error.
+    2 f'(w); the leftover one-sided stretches are ordinary trapezoids.  On
+    the uniform grid the trapezoid pieces of a pass at stride s add up to
+    the discrete Hilbert sum s * sum f[k+q]/q over q != 0 divisible by s,
+    whatever the window, plus the u = 0 term from a 4th-order derivative
+    stencil.  The grid ends carry trapezoid weights, as fractions of the
+    interior weight: half for s = 1; for s = 2, half where the end is an
+    even number of steps from k, otherwise 3/4 on the last even point and
+    1/4 on the end itself (the last interval is a half step).  Both sums
+    are correlations of f with a fixed kernel, done by FFT at every index
+    at once.  Richardson (h, 2h) extrapolation
+    removes the leading h^2 error; points 4 to 7 steps from an end get the
+    stride-1 pass alone, and points closer than 4 steps get 0.
     """
     n = grid.size
-    h = float(grid[1] - grid[0])
+    k = np.asarray(eval_idx, dtype=np.intp)
+    reach = np.minimum(k, n - 1 - k)
+    out = np.zeros(k.size)
+    inner = reach >= 4
+    if not inner.any():
+        return out
+    k, reach = k[inner], reach[inner]
+    p = n - 1 - k  # steps to the right end
 
-    def transform(k: int, stride: int, m: int) -> float:
-        j = np.arange(stride, m + 1, stride)
-        diffs = f[k + j] - f[k - j]
-        terms = diffs / (j // stride).astype(float)
-        # trapezoid in u with g(0) from a 4th-order derivative stencil
-        hs = h * stride
-        g0 = (-f[k + 2 * stride] + 8 * f[k + stride] - 8 * f[k - stride] + f[k - 2 * stride]) / (6.0 * hs)
-        sym = hs * 0.5 * g0 + terms[:-1].sum() + 0.5 * terms[-1]
-        # remainders beyond the symmetric window, anchored at the window
-        # ends so both resolutions integrate the same intervals
-        rem = 0.0
-        if k - m > 0:
-            idx = np.arange(k - m, -1, -stride)[::-1]
-            if idx[0] != 0:
-                idx = np.concatenate(([0], idx))
-            rem += float(np.trapezoid(f[idx] / (grid[idx] - grid[k]), grid[idx]))
-        if k + m < n - 1:
-            idx = np.arange(k + m, n, stride)
-            if idx[-1] != n - 1:
-                idx = np.append(idx, n - 1)
-            rem += float(np.trapezoid(f[idx] / (grid[idx] - grid[k]), grid[idx]))
-        return sym + rem
+    # kernels K[q] = 1/q and 2/q on even q, stored circularly; a length of at
+    # least 2n - 1 keeps the correlation free of wrap-around
+    size = 1 << (2 * n - 2).bit_length()
+    q = np.arange(1, n)
+    kernels = np.zeros((2, size))
+    kernels[0, q], kernels[0, -q] = 1.0 / q, -1.0 / q
+    even = q[1::2]
+    kernels[1, even], kernels[1, -even] = 2.0 / even, -2.0 / even
+    # sum_q f[k+q] K[q] = -(f conv K)[k] because K is odd
+    spectrum = np.fft.rfft(f, size) * np.fft.rfft(kernels, axis=-1)
+    fine, coarse = -np.fft.irfft(spectrum, size)[:, k]
 
-    out = np.empty(eval_idx.size)
-    for a, k in enumerate(eval_idx):
-        k = int(k)
-        m = min(k, n - 1 - k)
-        m -= m % 4  # common window for the h and 2h passes
-        if m < 8:
-            out[a] = transform(k, 1, max(m, 2)) if m >= 2 else 0.0
-            continue
-        fine = transform(k, 1, m)
-        coarse = transform(k, 2, m)
-        out[a] = (4.0 * fine - coarse) / 3.0
+    # end weights: the sums above give every point the interior weight
+    fine += 0.5 * (f[0] / k - f[-1] / p)
+    odd_k, odd_p = k % 2 == 1, p % 2 == 1
+    coarse += np.where(odd_k, 0.5 * (f[1] / (k - 1) - f[0] / k), f[0] / k)
+    coarse += np.where(odd_p, 0.5 * (f[-1] / p - f[-2] / (p - 1)), -f[-1] / p)
+
+    fine += (-f[k + 2] + 8 * f[k + 1] - 8 * f[k - 1] + f[k - 2]) / 12.0
+    coarse += (-f[k + 4] + 8 * f[k + 2] - 8 * f[k - 2] + f[k - 4]) / 12.0
+    out[inner] = np.where(reach >= 8, (4.0 * fine - coarse) / 3.0, fine)
     return out / np.pi
 
 
@@ -328,7 +332,11 @@ def kramers_kronig_residual(curve: PolarizabilityCurve, max_eval_points: int = 1
     to the peak |Re alpha| there (pointwise ratios are meaningless where
     Re alpha crosses zero).  Requires a near-uniform grid whose edges have
     |Im alpha| below ``EDGE_DECAY_FRACTION`` of its peak, and a curve offset
-    eta at most gamma/10 when the generating pair is known.
+    eta at most gamma/10 when the generating pair is known.  The transform
+    is taken at up to ``max_eval_points`` evenly strided points; it treats
+    the grid as uniform and computes the principal-value sums at every index
+    as FFT correlations with trapezoid weights at the grid ends (see
+    ``_pv_reconstruct``).
     """
     grid = curve.grid
     spacing = np.diff(grid)

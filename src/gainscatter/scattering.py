@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import PolarizabilityCurve, im_alpha
-from .spectral import LOG_RATIO_FLOOR, NOISE_FLOOR, SpectralPair, log_ratio
+from .spectral import SpectralPair, _defined_log_ratio
 
 __all__ = [
     "TOL_BAND",
@@ -97,10 +97,8 @@ def sigma_total_spectral(pair: SpectralPair, omega):
     scalar = omega_arr.ndim == 0
     omega_arr, s_plus, s_minus = np.atleast_1d(omega_arr, s_plus, s_minus)
 
-    both = np.minimum(s_plus, s_minus) >= NOISE_FLOOR
-    # x = omega / T_n = ln(S+/S-)
-    x = np.asarray(log_ratio(np.where(both, s_plus, 1.0), np.where(both, s_minus, 1.0)))
-    defined = both & (np.abs(x) >= LOG_RATIO_FLOOR)
+    # x = omega / T_n = ln(S+/S-), kept exact rather than rebuilt from T_n
+    both, x, defined = _defined_log_ratio(s_plus, s_minus)
 
     prefactor = 4.0 * np.pi**2 * omega_arr
     sigma = np.zeros_like(omega_arr)

@@ -60,6 +60,9 @@ TAPER_DECAY = 1e-8        # feasibility: taper must be below this at r_max
 _SCHEDULE_DECAY = 1e-12   # default schedules push the truncation error to here
 _PHASE_PER_PANEL = np.pi / 8.0
 _GL_ORDER = 12
+# radial nodes per chunk of the missing-intensity sum: bounds its temporaries
+# (z = 1e6 has about 1.5e5 nodes); the default z = 1e4 fits in one chunk
+NODE_CHUNK = 1 << 14
 
 
 def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
@@ -153,16 +156,21 @@ def missing_intensity_sigma(
     """
     check_screen(omega, z, r_max, [taper_eps])
     a = omega / z
-    r, w = _radial_nodes(omega, z, taper_eps, r_max)
-    phase = 0.5 * a * r * r
-    taper = np.exp(-taper_eps * phase)
-    osc = (f_forward * np.exp(1j * phase)).real
-    if include_scattered_term:
-        r_dist = z + r * r / (2.0 * z)
-        deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
-    else:
-        deficit = -2.0 * osc / z
-    return float(2.0 * np.pi * np.sum(deficit * taper * r * w))
+    nodes, weights = _radial_nodes(omega, z, taper_eps, r_max)
+    parts = []
+    for lo in range(0, nodes.size, NODE_CHUNK):
+        r, w = nodes[lo : lo + NODE_CHUNK], weights[lo : lo + NODE_CHUNK]
+        phase = 0.5 * a * r * r
+        taper = np.exp(-taper_eps * phase)
+        osc = (f_forward * np.exp(1j * phase)).real
+        if include_scattered_term:
+            r_dist = z + r * r / (2.0 * z)
+            deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
+        else:
+            deficit = -2.0 * osc / z
+        parts.append(np.sum(deficit * taper * r * w))
+    # start from the first chunk's sum, so a single chunk is exactly one np.sum
+    return float(2.0 * np.pi * sum(parts[1:], parts[0]))
 
 
 def default_eps_schedule(

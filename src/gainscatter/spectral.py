@@ -397,20 +397,33 @@ def log_ratio(s_plus, s_minus):
     return float(out) if out.ndim == 0 else out
 
 
+def _defined_log_ratio(s_plus, s_minus):
+    """The T_n definedness rule: returns ``(both, x, defined)`` over equal-shape arrays.
+
+    ``both``: S+ and S- are both at least ``NOISE_FLOOR``.  ``x``: ln(S+/S-)
+    there (0 elsewhere), i.e. omega / T_n.  ``defined``: ``both`` and
+    |x| >= ``LOG_RATIO_FLOOR``, away from the inversion crossover.
+    """
+    s_plus, s_minus = np.asarray(s_plus, dtype=float), np.asarray(s_minus, dtype=float)
+    both = np.minimum(s_plus, s_minus) >= NOISE_FLOOR
+    x = np.asarray(log_ratio(np.where(both, s_plus, 1.0), np.where(both, s_minus, 1.0)))
+    return both, x, both & (np.abs(x) >= LOG_RATIO_FLOOR)
+
+
 def noise_temperature_values(omega, s_plus, s_minus) -> np.ndarray:
     """T_n = omega / ln(S+/S-) pointwise over arrays of equal shape.
 
     NaN ("undefined") where either spectral value is below ``NOISE_FLOOR``,
     where the log-ratio is within ``LOG_RATIO_FLOOR`` of zero (the crossover
-    where T_n diverges), and at omega = 0.  The one T_n rule: the scalar and
-    grid forms below both go through it.
+    where T_n diverges), and at omega = 0.  The scalar and grid forms below
+    both go through it; the floors live in ``_defined_log_ratio``, which the
+    spectral route to sigma_tot shares.
     """
-    omega, s_plus, s_minus = (np.asarray(a, dtype=float) for a in (omega, s_plus, s_minus))
+    omega = np.asarray(omega, dtype=float)
+    _, x, defined = _defined_log_ratio(s_plus, s_minus)
     out = np.full(omega.shape, np.nan)
-    ok = (np.minimum(s_plus, s_minus) >= NOISE_FLOOR) & (omega != 0.0)
-    ratio_log = np.asarray(log_ratio(np.where(ok, s_plus, 1.0), np.where(ok, s_minus, 1.0)))
-    ok &= np.abs(ratio_log) >= LOG_RATIO_FLOOR
-    out[ok] = omega[ok] / ratio_log[ok]
+    ok = defined & (omega != 0.0)
+    out[ok] = omega[ok] / x[ok]
     return out
 
 

@@ -449,6 +449,7 @@ def run_validation(out_dir: Path, quiet: bool = False) -> int:
         ("cli.artifact_determinism", lambda: check_artifact_determinism(out_dir)),
     ]
     failures = 0
+    timings = []
     start = time.perf_counter()
     for name, check in checks:
         t0 = time.perf_counter()
@@ -457,11 +458,14 @@ def run_validation(out_dir: Path, quiet: bool = False) -> int:
         except Exception as exc:  # a crashing check is a failing check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - t0
+        timings.append((elapsed, name))
         if not ok:
             failures += 1
         if not quiet:
             print(f"{'PASS' if ok else 'FAIL'}  {name:<40} {elapsed:6.2f}s  {detail}")
     total = time.perf_counter() - start
     if not quiet:
-        print(f"{len(checks) - failures}/{len(checks)} checks passed in {total:.1f}s")
+        slowest = ", ".join(f"{name} {t:.2f}s" for t, name in sorted(timings, reverse=True)[:2])
+        passed = len(checks) - failures
+        print(f"{passed}/{len(checks)} checks passed in {total:.1f}s (slowest: {slowest})")
     return 0 if failures == 0 else 2

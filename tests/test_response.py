@@ -15,7 +15,8 @@ from gainscatter import (
     polarizability_curve,
     polarizability_dispersion,
 )
-from gainscatter.response import _alpha_line_sum
+from gainscatter import response
+from gainscatter.response import _alpha_line_sum, _pv_reconstruct
 
 
 def brute_force_alpha(lines, gamma, zeta, span=400.0, points=4_000_001):
@@ -263,6 +264,74 @@ def test_kramers_kronig_inverted_line():
     # causality holds regardless of the sign of Im alpha
     pair = two_level_pair(1.0, span=8.0, points=16385)
     assert kramers_kronig_residual(polarizability_curve(pair)) <= 1e-3
+
+
+def looped_pv_reconstruct(grid, f, eval_idx):
+    """Reference: the per-point window + trapezoid-remainder loop the FFT sums replaced."""
+    n = grid.size
+    h = float(grid[1] - grid[0])
+
+    def transform(k, stride, m):
+        j = np.arange(stride, m + 1, stride)
+        terms = (f[k + j] - f[k - j]) / (j // stride).astype(float)
+        hs = h * stride
+        g0 = (-f[k + 2 * stride] + 8 * f[k + stride] - 8 * f[k - stride] + f[k - 2 * stride]) / (6.0 * hs)
+        total = hs * 0.5 * g0 + terms[:-1].sum() + 0.5 * terms[-1]
+        if k - m > 0:
+            idx = np.arange(k - m, -1, -stride)[::-1]
+            if idx[0] != 0:
+                idx = np.concatenate(([0], idx))
+            total += float(np.trapezoid(f[idx] / (grid[idx] - grid[k]), grid[idx]))
+        if k + m < n - 1:
+            idx = np.arange(k + m, n, stride)
+            if idx[-1] != n - 1:
+                idx = np.append(idx, n - 1)
+            total += float(np.trapezoid(f[idx] / (grid[idx] - grid[k]), grid[idx]))
+        return total
+
+    out = np.empty(len(eval_idx))
+    for a, k in enumerate(eval_idx):
+        k = int(k)
+        m = min(k, n - 1 - k)
+        m -= m % 4
+        if m < 8:
+            out[a] = transform(k, 1, 4) if m == 4 else 0.0
+        else:
+            out[a] = (4.0 * transform(k, 1, m) - transform(k, 2, m)) / 3.0
+    return out / np.pi
+
+
+# 9..16 points reach only the 0 and stride-1 branches; even and odd n put each
+# index at both parities relative to the two ends
+@pytest.mark.parametrize("n", [5, 9, 12, 16, 17, 18, 19, 20, 33, 50, 51, 201, 1000, 1001])
+def test_pv_reconstruct_matches_looped_reference(n):
+    rng = np.random.default_rng(n)
+    grid = np.linspace(-2.0, 3.0, n)
+    eval_idx = np.arange(n)
+    for f in (rng.standard_normal(n), np.exp(-((grid - 0.3) ** 2) * 4.0)):
+        want = looped_pv_reconstruct(grid, f, eval_idx)
+        got = _pv_reconstruct(grid, f, eval_idx)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+    # a strided subset and an index order the sums do not rely on
+    subset = eval_idx[::-3]
+    assert np.array_equal(_pv_reconstruct(grid, f, subset), got[subset])
+
+
+def test_pv_reconstruct_empty_eval_idx():
+    grid = np.linspace(-1.0, 1.0, 101)
+    out = _pv_reconstruct(grid, np.sin(grid), np.arange(0))
+    assert out.shape == (0,)
+
+
+def test_kramers_kronig_residual_matches_looped_reference(monkeypatch):
+    # the validate case: 16385 points, 1009 evaluation points
+    curve = polarizability_curve(two_level_pair(0.0, span=8.0, points=16385))
+    got = kramers_kronig_residual(curve)
+    monkeypatch.setattr(response, "_pv_reconstruct", looped_pv_reconstruct)
+    want = kramers_kronig_residual(curve)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(8.74e-5, rel=1e-3)
 
 
 def test_kramers_kronig_rejects_undecayed_edges():

@@ -4,6 +4,7 @@ import filecmp
 import json
 import sys
 import tarfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -449,3 +450,25 @@ def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "broaden", lambda *a: calls.append(a) or real(*a))
     validate._write_artifacts(tmp_path)
     assert len(calls) == len(validate.CANONICAL_SCENARIOS) == 3
+
+
+def test_validate_summary_names_the_two_slowest_checks(tmp_path, monkeypatch, capsys):
+    def stub(seconds):
+        def check(*args):
+            time.sleep(seconds)
+            return True, "stub"
+
+        return check
+
+    for name in vars(validate).copy():
+        if name.startswith("check_"):
+            monkeypatch.setattr(validate, name, stub(0.0))
+    monkeypatch.setattr(validate, "check_sign_rule", stub(0.05))
+    monkeypatch.setattr(validate, "check_linearity", stub(0.2))
+    assert run(["validate", "--out", str(tmp_path)]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("24/24 checks passed in ")
+    slowest = summary.split("(slowest: ")[1].rstrip(")").split(", ")
+    assert [entry.split()[0] for entry in slowest] == ["response.linearity", "response.sign_rule"]
+    assert run(["validate", "--out", str(tmp_path), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""

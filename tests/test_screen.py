@@ -1,5 +1,7 @@
 """Far-field screen layer: intensity pattern and the missing-intensity integral."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gainscatter import (
     screen_intensity,
     verify_optical_theorem,
 )
+from gainscatter.screen import NODE_CHUNK, _radial_nodes
 
 
 # --- screen intensity -----------------------------------------------------------
@@ -108,6 +111,52 @@ def test_missing_intensity_feasibility_errors():
         missing_intensity_sigma(1.0j, 1.0, 500.0, 1.0, 10.0)
     with pytest.raises(ValueError, match="positive"):
         missing_intensity_sigma(1.0j, 1.0, 1e4, -1.0, 1e3)
+
+
+def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, r_max, include_scattered_term):
+    """Reference: the missing-intensity sum over every radial node at once."""
+    a = omega / z
+    r, w = _radial_nodes(omega, z, taper_eps, r_max)
+    phase = 0.5 * a * r * r
+    taper = np.exp(-taper_eps * phase)
+    osc = (f_forward * np.exp(1j * phase)).real
+    if include_scattered_term:
+        r_dist = z + r * r / (2.0 * z)
+        deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
+    else:
+        deficit = -2.0 * osc / z
+    return float(2.0 * np.pi * np.sum(deficit * taper * r * w))
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_chunked_missing_intensity_matches_dense_sum(scattered):
+    f, omega = 1.0 + 0.8j, 1.0
+    for z, exact in ((1e4, True), (1e6, False)):
+        r_max = z / 10.0
+        for eps in default_eps_schedule(omega, z, r_max)[::2]:
+            assert (_radial_nodes(omega, z, eps, r_max)[0].size <= NODE_CHUNK) == exact
+            got = missing_intensity_sigma(f, omega, z, eps, r_max, scattered)
+            want = dense_missing_intensity_sigma(f, omega, z, eps, r_max, scattered)
+            if exact:  # one chunk: the same operations as the dense sum, bit for bit
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_missing_intensity_memory_bounded_by_chunk():
+    # z = 1e6 has about 153k radial nodes: the dense sum peaked at 9.3 MiB,
+    # of which the node and weight arrays themselves are 2.3 MiB
+    z, omega = 1e6, 1.0
+    r_max = z / 10.0
+    eps = default_eps_schedule(omega, z, r_max)[-1]  # the validate case's taper
+    missing_intensity_sigma(1.0 + 0.8j, omega, z, eps, r_max)  # warm the node cache
+    tracemalloc.start()
+    try:
+        missing_intensity_sigma(1.0 + 0.8j, omega, z, eps, r_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_optical_theorem_sigma_values():
