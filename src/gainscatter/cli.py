@@ -6,8 +6,10 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 Outputs are deterministic: numbers are written with 17 significant digits
 in scientific notation, lines end with \\n, and files are written to a
 temporary name and renamed into place so a failing run never leaves a
-partial artifact.  CSV files are formatted a column at a time over blocks
-of ``CSV_BLOCK`` rows and streamed block by block, so the writer's memory is
+partial artifact.  A non-finite number (NaN in JSON, +-inf anywhere) is a
+validation error, never an artifact; NaN in a CSV is the blank "undefined"
+cell.  CSV files are formatted a column at a time over blocks of
+``CSV_BLOCK`` rows and streamed block by block, so the writer's memory is
 O(block) whatever the row count.
 """
 
@@ -80,17 +82,29 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write ``columns`` under ``header``, formatted and written CSV_BLOCK rows at a time."""
+    """Write ``columns`` under ``header``, formatted and written CSV_BLOCK rows at a time.
+
+    A float column holding +-inf is a ValueError naming the file and the
+    column, and nothing is written; NaN is the blank "undefined" cell.
+    """
     columns = [np.asarray(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(
             f"{path}: columns have unequal lengths {[len(column) for column in columns]}"
         )
+    for name, column in zip(header, columns):
+        if column.dtype.kind == "f" and np.isinf(column).any():
+            raise ValueError(f"{path}: column {name} holds an infinite value")
     _atomic_write(path, _csv_chunks(header, columns))
 
 
 def write_json(path: Path, payload) -> None:
-    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    """Write ``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    _atomic_write(path, [text + "\n"])
 
 
 class Pipeline:

@@ -43,6 +43,7 @@ __all__ = [
 
 _GL_ORDER = 24
 EDGE_DECAY_FRACTION = 1e-3  # |Im alpha| at the grid edges must be below this times the peak
+KK_EVAL_POINTS = 1024  # at most this many points of the Kramers-Kronig check
 
 
 def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, zeta):
@@ -92,8 +93,6 @@ def alpha_boundary(pair: SpectralPair, omega):
     width acts as the retarded regulator, so no explicit offset is needed.
     Satisfies Im alpha = pi * (S+ - S-) identically.
     """
-    if pair.lines is None:
-        raise ValueError("boundary evaluation needs a line-backed spectral pair")
     return _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, np.asarray(omega, dtype=float) + 0.0j)
 
 
@@ -158,8 +157,6 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
     eta = zeta.imag
     if eta <= 0.0:
         raise ValueError("Im zeta must be positive (retarded response only)")
-    if pair.lines is None:
-        raise ValueError("dispersion quadrature needs a line-backed spectral pair")
     grid = pair.grid
     lo, hi = float(grid[0]), float(grid[-1])
     lines = pair.lines
@@ -214,20 +211,21 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
 
 @dataclass(frozen=True)
 class PolarizabilityCurve:
-    """Complex polarizability sampled on a real frequency grid.
+    """Complex polarizability of ``pair``'s line model, sampled on its grid.
 
     ``eta`` is the imaginary offset of the sample points zeta = omega +
     i*eta.  eta = 0 denotes the physical boundary value, evaluated
     analytically with the Lorentzian width as regulator (production
     default); eta > 0 curves are used where a genuine upper-half-plane
-    offset is wanted (dispersion-quadrature checks, Kramers-Kronig tests).
+    offset is wanted (crossing-symmetry and Kramers-Kronig checks).
     """
 
     grid: np.ndarray
     alpha: np.ndarray
     eta: float
-    provenance: str
-    pair: SpectralPair | None = None
+    pair: SpectralPair
+
+    provenance = "closed-form-lorentzian"  # how alpha was computed; bench/layers.py reads it
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -243,34 +241,16 @@ class PolarizabilityCurve:
             raise ValueError("alpha samples must match the grid")
         if self.eta < 0.0:
             raise ValueError("eta must be non-negative")
-        if self.provenance not in ("dispersion-integral", "closed-form-lorentzian"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
-def polarizability_curve(
-    pair: SpectralPair,
-    grid=None,
-    eta: float = 0.0,
-    provenance: str = "closed-form-lorentzian",
-) -> PolarizabilityCurve:
-    """Sample alpha(omega + i*eta) on a grid (defaults to the pair's grid).
+def polarizability_curve(pair: SpectralPair, eta: float = 0.0) -> PolarizabilityCurve:
+    """Sample alpha(omega + i*eta) on the pair's grid, in closed form.
 
-    With the default eta = 0 the boundary value is evaluated analytically.
-    The dispersion-integral provenance runs the quadrature per sample and
-    requires eta > 0.
+    With the default eta = 0 this is the boundary value alpha(omega + i0+).
     """
-    grid = pair.grid if grid is None else np.asarray(grid, dtype=float)
-    if provenance == "closed-form-lorentzian":
-        if pair.lines is None:
-            raise ValueError("closed-form curve needs a line-backed spectral pair")
-        alpha = _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, grid + 1j * eta)
-    elif provenance == "dispersion-integral":
-        if eta <= 0.0:
-            raise ValueError("dispersion-integral curves need eta > 0")
-        alpha = np.array([polarizability_dispersion(pair, w + 1j * eta) for w in grid])
-    else:
-        raise ValueError(f"unknown provenance {provenance!r}")
-    return PolarizabilityCurve(grid, alpha, eta, provenance, pair)
+    grid = pair.grid
+    alpha = _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, grid + 1j * eta)
+    return PolarizabilityCurve(grid, alpha, eta, pair)
 
 
 def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np.ndarray:
@@ -325,15 +305,15 @@ def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np
     return out / np.pi
 
 
-def kramers_kronig_residual(curve: PolarizabilityCurve, max_eval_points: int = 1024) -> float:
+def kramers_kronig_residual(curve: PolarizabilityCurve) -> float:
     """How well the stored Re alpha matches the Hilbert transform of Im alpha.
 
     Returns the maximum deviation over the central 80% of the grid, relative
     to the peak |Re alpha| there (pointwise ratios are meaningless where
     Re alpha crosses zero).  Requires a near-uniform grid whose edges have
     |Im alpha| below ``EDGE_DECAY_FRACTION`` of its peak, and a curve offset
-    eta at most gamma/10 when the generating pair is known.  The transform
-    is taken at up to ``max_eval_points`` evenly strided points; it treats
+    eta at most gamma/10 of the generating pair.  The transform is taken at
+    up to ``KK_EVAL_POINTS`` evenly strided points; it treats
     the grid as uniform and computes the principal-value sums at every index
     as FFT correlations with trapezoid weights at the grid ends (see
     ``_pv_reconstruct``).
@@ -342,7 +322,7 @@ def kramers_kronig_residual(curve: PolarizabilityCurve, max_eval_points: int = 1
     spacing = np.diff(grid)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("Kramers-Kronig check needs a uniform grid")
-    if curve.pair is not None and curve.eta > curve.pair.gamma / 10.0 + 1e-15:
+    if curve.eta > curve.pair.gamma / 10.0 + 1e-15:
         raise ValueError("curve offset eta must be at most gamma/10 for this check")
     im = curve.alpha.imag
     peak = float(np.abs(im).max())
@@ -356,8 +336,8 @@ def kramers_kronig_residual(curve: PolarizabilityCurve, max_eval_points: int = 1
     n = grid.size
     k_lo, k_hi = int(0.1 * n), int(0.9 * n)
     eval_idx = np.arange(k_lo, k_hi)
-    if eval_idx.size > max_eval_points:
-        stride = int(np.ceil(eval_idx.size / max_eval_points))
+    if eval_idx.size > KK_EVAL_POINTS:
+        stride = int(np.ceil(eval_idx.size / KK_EVAL_POINTS))
         eval_idx = eval_idx[::stride]
     reconstructed = _pv_reconstruct(grid, im, eval_idx)
     re = curve.alpha.real[eval_idx]

@@ -121,20 +121,20 @@ def sigma_total_spectral(pair: SpectralPair, omega):
     return float(sigma[0]) if scalar else sigma
 
 
-def amplifier_bands(curve: PolarizabilityCurve, tol_band: float = TOL_BAND):
-    """Maximal positive-frequency intervals where sigma_tot < -tol_band.
+def amplifier_bands(curve: PolarizabilityCurve):
+    """Maximal positive-frequency intervals where sigma_tot < -TOL_BAND.
 
     The curve should resolve the line shape (at least ~8 samples per
-    gamma).  When the generating pair is available, band edges are refined
-    by bisection on the sign of Im alpha to 1e-6; otherwise the sampled
-    boundaries are returned as-is.
+    gamma).  Band edges inside the grid are refined by bisection on the sign
+    of the pair's Im alpha to 1e-6; an edge at the end of the positive grid
+    stays the sample.
     """
     positive = curve.grid > 0.0
     grid = curve.grid[positive]
     sigma = sigma_total_optical(curve.alpha[positive], grid)
     if grid.size == 0:
         return []
-    amplifying = sigma < -tol_band
+    amplifying = sigma < -TOL_BAND
 
     def refine(lo: float, hi: float) -> float:
         # sign change of Im alpha bracketed in (lo, hi)
@@ -164,13 +164,8 @@ def amplifier_bands(curve: PolarizabilityCurve, tol_band: float = TOL_BAND):
         j = i
         while j + 1 < n and amplifying[j + 1]:
             j += 1
-        lo = float(grid[i]) if i == 0 else float(grid[i - 1])
-        hi = float(grid[j]) if j == n - 1 else float(grid[j + 1])
-        if curve.pair is not None:
-            if i > 0:
-                lo = refine(float(grid[i - 1]), float(grid[i]))
-            if j < n - 1:
-                hi = refine(float(grid[j]), float(grid[j + 1]))
+        lo = float(grid[i]) if i == 0 else refine(float(grid[i - 1]), float(grid[i]))
+        hi = float(grid[j]) if j == n - 1 else refine(float(grid[j]), float(grid[j + 1]))
         bands.append((lo, hi))
         i = j + 1
     return bands
@@ -182,7 +177,7 @@ class CrossSectionSet:
 
     sigma_in is stored as the sum-rule difference sigma_tot - sigma_el and
     may be negative; band_flags holds "amplifying" where sigma_tot <
-    -tol_band, "absorbing" where > +tol_band, "neutral" between.
+    -TOL_BAND, "absorbing" where > +TOL_BAND, "neutral" between.
     """
 
     grid: np.ndarray
@@ -190,7 +185,6 @@ class CrossSectionSet:
     sigma_tot: np.ndarray
     sigma_in: np.ndarray
     band_flags: np.ndarray
-    tol_band: float = TOL_BAND
 
     def __post_init__(self):
         for name in ("grid", "sigma_el", "sigma_tot", "sigma_in"):
@@ -206,7 +200,7 @@ class CrossSectionSet:
             raise ValueError("sigma_el must be non-negative")
 
 
-def cross_sections(curve: PolarizabilityCurve, tol_band: float = TOL_BAND) -> CrossSectionSet:
+def cross_sections(curve: PolarizabilityCurve) -> CrossSectionSet:
     """Tabulate sigma_el, sigma_tot, sigma_in over the curve's positive grid."""
     positive = curve.grid > 0.0
     grid = curve.grid[positive]
@@ -215,6 +209,6 @@ def cross_sections(curve: PolarizabilityCurve, tol_band: float = TOL_BAND) -> Cr
     sig_tot = sigma_total_optical(alpha, grid)
     sig_in = sig_tot - sig_el
     flags = np.where(
-        sig_tot < -tol_band, "amplifying", np.where(sig_tot > tol_band, "absorbing", "neutral")
+        sig_tot < -TOL_BAND, "amplifying", np.where(sig_tot > TOL_BAND, "absorbing", "neutral")
     )
-    return CrossSectionSet(grid, sig_el, sig_tot, sig_in, flags, tol_band)
+    return CrossSectionSet(grid, sig_el, sig_tot, sig_in, flags)

@@ -58,6 +58,8 @@ PARAXIAL_RATIO = 0.1      # r_perp may not exceed z/10
 FAR_FIELD_MIN = 1e3       # z must be at least this many wavelengths-over-2pi (c/omega)
 TAPER_DECAY = 1e-8        # feasibility: taper must be below this at r_max
 _SCHEDULE_DECAY = 1e-12   # default schedules push the truncation error to here
+EPS_SCHEDULE_STEPS = 6    # members of the default schedule
+EPS_SCHEDULE_RATIO = 0.5  # ratio of neighbouring members of the default schedule
 _PHASE_PER_PANEL = np.pi / 8.0
 _GL_ORDER = 12
 # radial nodes per chunk of the missing-intensity sum: bounds its temporaries
@@ -173,13 +175,7 @@ def missing_intensity_sigma(
     return float(2.0 * np.pi * sum(parts[1:], parts[0]))
 
 
-def default_eps_schedule(
-    omega: float,
-    z: float,
-    r_max: float,
-    steps: int = 6,
-    ratio: float = 0.5,
-) -> np.ndarray:
+def default_eps_schedule(omega: float, z: float, r_max: float) -> np.ndarray:
     """Geometric taper schedule, descending, all members feasible.
 
     The smallest member pushes the edge taper down to ~1e-12 so truncation
@@ -187,7 +183,7 @@ def default_eps_schedule(
     """
     phase_max = omega * r_max * r_max / (2.0 * z)
     eps_min = np.log(1.0 / _SCHEDULE_DECAY) / phase_max
-    return eps_min / ratio ** np.arange(steps - 1, -1, -1)
+    return eps_min / EPS_SCHEDULE_RATIO ** np.arange(EPS_SCHEDULE_STEPS - 1, -1, -1)
 
 
 def extrapolate_missing_intensity(

@@ -182,13 +182,15 @@ class LineSpectrum:
         np.add.at(summed, inverse, self.weight)
         return uniq, summed
 
+    @cached_property
+    def _weight_by_omega(self) -> dict[float, float]:
+        """Summed S+ weight per unique line frequency, aggregated on first use."""
+        uniq, summed = self.aggregated()
+        return dict(zip(uniq.tolist(), summed.tolist()))
+
     def s_plus_weight_at(self, omega: float) -> float:
         """Total S+ delta weight sitting exactly at ``omega`` (0 if none)."""
-        uniq, summed = self.aggregated()
-        i = np.searchsorted(uniq, omega)
-        if i < uniq.size and uniq[i] == omega:
-            return float(summed[i])
-        return 0.0
+        return self._weight_by_omega.get(float(omega), 0.0)
 
     def s_minus_weight_at(self, omega: float) -> float:
         """Total S- delta weight at ``omega``, i.e. the S+ weight at -omega."""
@@ -217,45 +219,33 @@ def lorentzian(x, gamma: float):
     return (gamma / np.pi) / (x * x + gamma * gamma)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SpectralPair:
-    """Lorentzian-broadened spectral densities S+ and S- on a grid.
+    """The broadened line model: Lorentzian S+ and S- of ``lines`` over a grid.
 
-    A line-backed pair (``lines`` given, samples None, as ``broaden`` builds
-    it) is the broadened line model: ``s_plus_at``/``s_minus_at`` evaluate it
-    exactly between grid samples, and the grid samples ``s_plus``/``s_minus``
-    (the export/CSV view) are summed on first read and cached.  Of the CLI
-    stages only ``spectrum`` reads them; the curve, the cross sections and the
-    medium need only ``grid``, ``gamma`` and ``lines``.  A sample-backed pair
-    (``lines`` None) stores its samples and interpolates between them.
+    ``s_plus_at``/``s_minus_at`` evaluate the model exactly at any frequency.
+    The grid samples ``s_plus``/``s_minus`` (the export/CSV view) are summed
+    on first read and cached; of the CLI stages only ``spectrum`` reads them,
+    while the curve, the cross sections and the medium need only ``grid``,
+    ``gamma`` and ``lines``.
     """
 
     grid: np.ndarray
     gamma: float
-    lines: LineSpectrum | None
+    lines: LineSpectrum
 
-    def __init__(self, grid, s_plus, s_minus, gamma: float, lines: LineSpectrum | None = None):
-        grid = _frozen(grid)
+    def __post_init__(self):
+        grid = _frozen(self.grid)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "gamma", float(gamma))
-        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "gamma", float(self.gamma))
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least two samples")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("grid must be strictly ascending")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if s_plus is None and s_minus is None and lines is not None:
-            return  # samples are summed from the lines on first read
-        if s_plus is None or s_minus is None:
-            raise ValueError("a pair needs both spectral samples, or its lines")
-        s_plus, s_minus = _frozen(s_plus), _frozen(s_minus)
-        if s_plus.shape != grid.shape or s_minus.shape != grid.shape:
-            raise ValueError("spectral samples must match the grid shape")
-        if np.any(s_plus < 0.0) or np.any(s_minus < 0.0):
-            raise ValueError("spectral densities must be non-negative")
-        # Stored samples shadow the cached properties below.
-        self.__dict__.update(s_plus=s_plus, s_minus=s_minus)
+        if not isinstance(self.lines, LineSpectrum):
+            raise ValueError("a spectral pair is built from its line set (a LineSpectrum)")
 
     @cached_property
     def s_plus(self) -> np.ndarray:
@@ -268,15 +258,11 @@ class SpectralPair:
         return _frozen(self.s_minus_at(self.grid))
 
     def s_plus_at(self, omega):
-        """S+ at arbitrary frequencies (exact line sums when lines are known)."""
-        if self.lines is None:
-            return np.interp(omega, self.grid, self.s_plus)
+        """S+ at arbitrary frequencies, summed exactly over the lines."""
         return _broadened_sum(self.lines.omega, self.lines.weight, self.gamma, omega)
 
     def s_minus_at(self, omega):
         """S- at arbitrary frequencies; equals S+ mirrored through omega = 0."""
-        if self.lines is None:
-            return np.interp(omega, self.grid, self.s_minus)
         return _broadened_sum(-self.lines.omega, self.lines.weight, self.gamma, omega)
 
     def difference_at(self, omega):
@@ -350,7 +336,7 @@ def broaden(lines: LineSpectrum, grid, gamma: float) -> SpectralPair:
     (``check_grid_span``).  Every check runs here; the line sums over the grid
     run only when the pair's ``s_plus``/``s_minus`` samples are first read.
     """
-    pair = SpectralPair(grid, None, None, gamma, lines)  # checks gamma and the grid
+    pair = SpectralPair(grid, gamma, lines)  # checks gamma and the grid
     check_grid_span(lines, pair.grid[0], pair.grid[-1], gamma)
     return pair
 
@@ -364,9 +350,8 @@ def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
     """
     if temperature <= 0.0:
         raise ValueError("detailed balance is defined against a positive temperature")
-    uniq, summed = lines.aggregated()
-    weight = dict(zip(uniq.tolist(), summed.tolist()))  # summed S+ weight per line frequency
-    support = np.unique(np.abs(uniq))
+    weight = lines._weight_by_omega
+    support = np.unique(np.abs(list(weight)))
     support = support[support > 0.0]
     worst = 0.0
     for w in support:

@@ -226,24 +226,21 @@ def test_curve_tail_decay():
     assert im[-1] < 1e-3 * im.max()
 
 
-def test_curve_dispersion_provenance_matches_closed_form():
+def test_dispersion_matches_closed_form_at_curve_points():
     # wide support: the quadrature truncates at the pair grid, so the grid
     # must carry the 1/omega^3 tails of the dissipative density
-    pair = dense_pair(line_spectrum(two_level(0.0)), 0.01, span=60.0)
-    grid = np.linspace(-2.0, 2.0, 9)
-    eta = 0.005
-    via_quad = polarizability_curve(pair, grid=grid, eta=eta, provenance="dispersion-integral")
-    via_closed = polarizability_curve(pair, grid=grid, eta=eta)
-    assert np.allclose(via_quad.alpha, via_closed.alpha, rtol=1e-6)
-    assert via_quad.provenance == "dispersion-integral"
+    lines = line_spectrum(two_level(0.0))
+    pair = dense_pair(lines, 0.01, span=60.0)
+    zeta = np.linspace(-2.0, 2.0, 9) + 0.005j
+    via_quad = np.array([polarizability_dispersion(pair, z) for z in zeta])
+    via_closed = closed_form_lorentzian(lines, pair.gamma, zeta)
+    assert np.allclose(via_quad, via_closed, rtol=1e-6)
 
 
 def test_curve_eta_validation():
     pair = two_level_pair(0.0)
     with pytest.raises(ValueError):
         polarizability_curve(pair, eta=-0.1)
-    with pytest.raises(ValueError):
-        polarizability_curve(pair, eta=0.0, provenance="dispersion-integral")
 
 
 # --- Kramers-Kronig ---------------------------------------------------------------
@@ -251,7 +248,8 @@ def test_curve_eta_validation():
 
 def test_kramers_kronig_zero_curve():
     grid = np.linspace(-1.0, 1.0, 201)
-    curve = PolarizabilityCurve(grid, np.zeros(201, complex), 0.0, "closed-form-lorentzian")
+    pair = broaden(LineSpectrum(np.empty(0), np.empty(0)), grid, 0.01)
+    curve = PolarizabilityCurve(grid, np.zeros(201, complex), 0.0, pair)
     assert kramers_kronig_residual(curve) == 0.0
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_target, two_level_pair
 from gainscatter import (
+    TOL_BAND,
     alpha_boundary,
     amplifier_bands,
     broaden,
@@ -28,6 +29,19 @@ def gl_solid_angle_integral(alpha, omega, order=40):
     theta = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * weights
     return 2.0 * np.pi * np.sum(differential_elastic(alpha, omega, theta) * np.sin(theta) * w)
+
+
+class ConstantDensities:
+    """Stub spectral pair with constant S+ and S-, so one side can be exactly 0."""
+
+    def __init__(self, s_plus: float, s_minus: float):
+        self.s_plus, self.s_minus = s_plus, s_minus
+
+    def s_plus_at(self, omega):
+        return np.full(np.shape(omega), self.s_plus)
+
+    def s_minus_at(self, omega):
+        return np.full(np.shape(omega), self.s_minus)
 
 
 # --- amplitude -----------------------------------------------------------------
@@ -123,15 +137,12 @@ def test_sigma_total_spectral_trivial_cases():
     assert sigma_total_spectral(pair, 1.0) == 0.0  # S+ = S-
 
     # one-sided S+: sigma = 4 pi^2 omega S+ (the exp factor saturates to 0)
-    from gainscatter.spectral import SpectralPair
-
-    grid = np.array([-2.0, 0.0, 2.0])
     w = 0.4
-    one_sided = SpectralPair(grid, np.full(3, w), np.zeros(3), 0.01)
+    one_sided = ConstantDensities(w, 0.0)
     got = sigma_total_spectral(one_sided, 2.0)
     assert got == pytest.approx(4.0 * np.pi**2 * 2.0 * w, rel=1e-12)
     # and the mirror case: S+ = 0 gives the negative limit
-    mirrored = SpectralPair(grid, np.zeros(3), np.full(3, w), 0.01)
+    mirrored = ConstantDensities(0.0, w)
     assert sigma_total_spectral(mirrored, 2.0) == pytest.approx(
         -4.0 * np.pi**2 * 2.0 * w, rel=1e-12
     )
@@ -259,8 +270,8 @@ def test_cross_section_set_invariants():
     assert np.array_equal(xs.sigma_in, xs.sigma_tot - xs.sigma_el)
     amplifying = xs.band_flags == "amplifying"
     absorbing = xs.band_flags == "absorbing"
-    assert np.all(xs.sigma_tot[amplifying] < -xs.tol_band)
-    assert np.all(xs.sigma_tot[absorbing] > xs.tol_band)
+    assert np.all(xs.sigma_tot[amplifying] < -TOL_BAND)
+    assert np.all(xs.sigma_tot[absorbing] > TOL_BAND)
     assert np.any(amplifying)  # p_e = 0.9 inverts the line
 
 

@@ -343,14 +343,14 @@ def test_line_sum_memory_independent_of_line_count():
     assert peak < 32 * 2**20
 
 
-def test_spectral_pair_rejects_negative_samples():
-    with pytest.raises(ValueError):
-        SpectralPair(np.array([0.0, 1.0]), np.array([-1.0, 0.0]), np.array([0.0, 0.0]), 0.01)
+def test_line_spectrum_rejects_negative_weight():
+    with pytest.raises(ValueError, match="non-negative"):
+        LineSpectrum(np.array([-1.0, 1.0]), np.array([0.5, -0.5]))
 
 
-def test_spectral_pair_needs_samples_or_lines():
-    with pytest.raises(ValueError, match="samples, or its lines"):
-        SpectralPair(np.array([0.0, 1.0]), None, None, 0.01)
+def test_spectral_pair_needs_line_set():
+    with pytest.raises(ValueError, match="line set"):
+        SpectralPair(np.array([0.0, 1.0]), 0.01, None)
 
 
 # --- detailed balance ---------------------------------------------------------
@@ -401,8 +401,9 @@ def test_detailed_balance_residual_on_coincident_lines(monkeypatch):
         lines = line_spectrum(TargetLevels(np.arange(5.0), d2, populations))
         assert lines.aggregated()[0].size < lines.n_lines
         want = 0.0
+        reference = LineSpectrum(lines.omega, lines.weight)  # its own weight table
         for w in np.unique(np.abs(lines.omega)):
-            ratio = lines.s_minus_weight_at(w) / lines.s_plus_weight_at(w)
+            ratio = reference.s_minus_weight_at(w) / reference.s_plus_weight_at(w)
             want = max(want, abs(ratio - np.exp(-w / t)) / np.exp(-w / t))
         calls = []
         real = LineSpectrum.aggregated
@@ -410,6 +411,16 @@ def test_detailed_balance_residual_on_coincident_lines(monkeypatch):
         assert detailed_balance_residual(lines, t) == want  # the per-frequency lookups, exactly
         monkeypatch.undo()
         assert len(calls) == 1
+
+
+def test_line_weights_aggregated_once_per_line_set(monkeypatch):
+    calls = []
+    real = LineSpectrum.aggregated
+    monkeypatch.setattr(LineSpectrum, "aggregated", lambda self: calls.append(1) or real(self))
+    lines = line_spectrum(two_level(0.3))
+    first = noise_temperature(lines, 1.0)
+    assert noise_temperature(lines, 1.0) == first > 0.0  # p_e = 0.3: not inverted
+    assert len(calls) == 1
 
 
 # --- noise temperature --------------------------------------------------------
@@ -484,12 +495,15 @@ def test_noise_temperature_samples_blank_at_crossover():
 
 
 def test_symmetric_spectrum_values():
-    grid = np.array([-1.0, 0.0, 1.0])
-    w = 0.3
-    pair = SpectralPair(grid, np.full(3, w), np.full(3, w), 0.01)
-    assert np.allclose(symmetric_spectrum(pair), w)
-    pair2 = SpectralPair(grid, np.full(3, w), np.zeros(3), 0.01)
-    assert np.allclose(symmetric_spectrum(pair2), w / 2.0)
+    # equal populations: the S+ and S- line sets coincide, so the mean is S+
+    balanced = two_level_pair(0.5)
+    assert np.allclose(symmetric_spectrum(balanced), balanced.s_plus, rtol=1e-12, atol=0.0)
+    # ground state: at the line S- is only the far tail of the mirror line
+    ground = two_level_pair(0.0)
+    at_line = int(np.argmin(np.abs(ground.grid - 1.0)))
+    assert symmetric_spectrum(ground)[at_line] == pytest.approx(
+        ground.s_plus[at_line] / 2.0, rel=1e-4
+    )
 
 
 def test_symmetric_spectrum_inverted_peak():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gainscatter import cli
-from gainscatter.cli import CSV_BLOCK, run, write_csv
+from gainscatter.cli import CSV_BLOCK, run, write_csv, write_json
 
 
 def per_value_format(x) -> str:
@@ -25,7 +25,8 @@ def per_value_csv(header, columns) -> str:
     return "\n".join(rows) + "\n"
 
 
-SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.5e300, 1 / 3, np.pi]
+# +-inf is not here: the writer rejects it (test_write_csv_rejects_infinite_values)
+SPECIAL = [np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.5e300, 1 / 3, np.pi]
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 17])
@@ -81,3 +82,46 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
         write_csv(path, ["a", "b"], [np.arange(3.0 * CSV_BLOCK), np.ones(3 * CSV_BLOCK)])
     assert calls == [CSV_BLOCK, CSV_BLOCK, CSV_BLOCK]  # the first block was streamed
     assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_write_csv_rejects_infinite_values(tmp_path, value):
+    column = np.array([1.0, np.nan, value, 2.0])
+    with pytest.raises(ValueError, match="t.csv: column b holds an infinite value"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(4), column])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_json_rejects_non_finite_values(tmp_path, value):
+    with pytest.raises(ValueError, match="t.json: Out of range float"):
+        write_json(tmp_path / "t.json", {"sigma": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
+
+
+TWO_LEVEL = (
+    "energies = [0.0, 1.0]\npopulations = [1.0, 0.0]\n"
+    "grid.min = -3.0\ngrid.max = 3.0\ngrid.points = 4801\n"
+)
+
+
+@pytest.mark.parametrize(
+    "scenario, command, bad_file",
+    [
+        # gamma**2 underflows to 0, so S+ at the grid point on the line is inf
+        ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]\ngamma = 1e-300\n", "spectrum", "spectrum.csv"),
+        # sigma_el ~ omega^4 |alpha|^2 ~ (d^2 / gamma)^2 overflows
+        ("dipole_sq = [[0.0, 1e305], [1e305, 0.0]]\n", "cross-sections", "cross_sections.csv"),
+        # the screen integral of the same target: NaN and inf in the report
+        ("dipole_sq = [[0.0, 1e305], [1e305, 0.0]]\n", "verify", "verify.json"),
+    ],
+    ids=["tiny-gamma-spectrum", "huge-dipole-cross-sections", "huge-dipole-verify"],
+)
+def test_non_finite_artifact_exits_2_without_file(tmp_path, capsys, scenario, command, bad_file):
+    path = tmp_path / "scenario.txt"
+    path.write_text(TWO_LEVEL + scenario)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):  # the overflow is the point here
+        assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / bad_file}: ")
+    assert not out.exists() or list(out.iterdir()) == []
