@@ -13,8 +13,11 @@ import numpy as np
 
 from gainscatter import (
     TargetLevels,
+    alpha_boundary,
+    broaden,
     default_eps_schedule,
     extrapolate_missing_intensity,
+    line_spectrum,
     optical_theorem_sigma,
     screen_intensity,
     verify_optical_theorem,
@@ -37,9 +40,17 @@ for f in (0.5 + 1.2j, 0.5 - 1.2j, -0.8 + 0.3j):
 print()
 print("=== full pipeline on physical targets ===")
 dipole_sq = [[0.0, 1.0], [1.0, 0.0]]
-for name, populations in [("absorber", [1.0, 0.0]), ("amplifier", [0.0, 1.0])]:
+grid, gamma = np.linspace(-3.0, 3.0, 4801), 0.01
+
+
+def boundary_alpha(populations):
+    """alpha(omega + i0+) of a broadened two-level target: all the screen needs of it."""
     target = TargetLevels([0.0, 1.0], dipole_sq, populations)
-    report = verify_optical_theorem(target, omega, z=z)
+    return alpha_boundary(broaden(line_spectrum(target), grid, gamma), omega)
+
+
+for name, populations in [("absorber", [1.0, 0.0]), ("amplifier", [0.0, 1.0])]:
+    report = verify_optical_theorem(boundary_alpha(populations), omega, z=z)
     print(
         f"  {name:9s}: sigma_screen = {report['sigma_extrapolated']:+.5e}, "
         f"sigma_optical = {report['sigma_closed_form']:+.5e}, "
@@ -48,8 +59,7 @@ for name, populations in [("absorber", [1.0, 0.0]), ("amplifier", [0.0, 1.0])]:
 
 print()
 print("=== what the screen actually sees (amplifier) ===")
-target = TargetLevels([0.0, 1.0], dipole_sq, [0.0, 1.0])
-report = verify_optical_theorem(target, omega, z=z)
+report = verify_optical_theorem(boundary_alpha([0.0, 1.0]), omega, z=z)
 f_forward = complex(*report["forward_amplitude"])
 for r in (0.0, 250.0, 500.0, 750.0):
     ratio = screen_intensity(f_forward, omega, z, r)

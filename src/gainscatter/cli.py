@@ -27,7 +27,7 @@ import numpy as np
 
 from . import validate as validation_suite
 from .medium import extinction_dilute, intensity_profile, medium_response
-from .response import polarizability_curve
+from .response import alpha_boundary, polarizability_curve
 from .scattering import amplifier_bands, cross_sections
 from .scenario import Scenario, ScenarioError, load_scenario
 from .screen import screen_intensity, verify_optical_theorem
@@ -112,6 +112,8 @@ class Pipeline:
 
     The pair is the broadened model of the scenario's line set; its S+/S- grid
     samples are summed only when read, and only ``spectrum`` reads them.
+    ``verify`` reads the pair's boundary polarizability at the screen
+    frequency and nothing else.
     """
 
     def __init__(self, scenario: Scenario):
@@ -217,11 +219,10 @@ def cmd_verify(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     if omega is None:
         raise ScenarioError("screen.omega required: the target has no dipole lines")
     report = verify_optical_theorem(
-        scenario.target,
+        alpha_boundary(pipeline.pair, omega),
         omega,
         z=z,
         eps_schedule=scenario.screen_eps_schedule,
-        gamma=scenario.gamma,
         r_max=r_max,
     )
     write_json(out_dir / "verify.json", report)

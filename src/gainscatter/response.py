@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair, _line_sum_blocks
+from .spectral import LineSpectrum, SpectralPair, _check_gamma, _line_sum_blocks
 
 __all__ = [
     "PolarizabilityCurve",
@@ -78,8 +78,7 @@ def closed_form_lorentzian(lines: LineSpectrum, gamma: float, zeta):
     the reflected line; see the module docstring for the contour derivation.
     Requires Im zeta > 0 like the dispersion route it checks.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     zeta_arr = np.asarray(zeta, dtype=complex)
     if np.any(zeta_arr.imag <= 0.0):
         raise ValueError("Im zeta must be positive (retarded response only)")
@@ -150,8 +149,9 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
     Requires Im zeta > 0.  When Re zeta lies inside the grid the integrand's
     near-pole part is subtracted analytically (the constant D(Re zeta) over
     a symmetric window integrates to a logarithm), so accuracy is uniform
-    down to vanishing Im zeta.  The stored grid must resolve the integrand
-    near Re zeta: local spacing above max(gamma, Im zeta)/4 is rejected.
+    down to vanishing Im zeta.  The pair's grid spans its lines (``SpectralPair``
+    checks that) and must resolve the integrand near Re zeta: local spacing
+    above max(gamma, Im zeta)/4 is rejected.
     """
     zeta = complex(zeta)
     eta = zeta.imag
@@ -161,12 +161,6 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
     lo, hi = float(grid[0]), float(grid[-1])
     lines = pair.lines
     gamma = pair.gamma
-    if lines.n_lines:
-        m = lines.max_abs_omega
-        if lo > -m or hi < m:
-            raise ValueError(
-                f"pair grid [{lo:g}, {hi:g}] does not cover the spectral support +-{m:g}"
-            )
     x0 = zeta.real
     if lo < x0 < hi:
         i = int(np.searchsorted(grid, x0))
@@ -211,7 +205,7 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
 
 @dataclass(frozen=True)
 class PolarizabilityCurve:
-    """Complex polarizability of ``pair``'s line model, sampled on its grid.
+    """Complex polarizability of ``pair``'s line model, sampled on ``pair.grid``.
 
     ``eta`` is the imaginary offset of the sample points zeta = omega +
     i*eta.  eta = 0 denotes the physical boundary value, evaluated
@@ -220,7 +214,6 @@ class PolarizabilityCurve:
     offset is wanted (crossing-symmetry and Kramers-Kronig checks).
     """
 
-    grid: np.ndarray
     alpha: np.ndarray
     eta: float
     pair: SpectralPair
@@ -228,19 +221,19 @@ class PolarizabilityCurve:
     provenance = "closed-form-lorentzian"  # how alpha was computed; bench/layers.py reads it
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
         alpha = np.array(self.alpha, dtype=complex)
-        grid.setflags(write=False)
         alpha.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "eta", float(self.eta))
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
-            raise ValueError("curve grid must be strictly ascending")
-        if alpha.shape != grid.shape:
+        if alpha.shape != self.grid.shape:
             raise ValueError("alpha samples must match the grid")
         if self.eta < 0.0:
             raise ValueError("eta must be non-negative")
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The sample frequencies: the pair's grid."""
+        return self.pair.grid
 
 
 def polarizability_curve(pair: SpectralPair, eta: float = 0.0) -> PolarizabilityCurve:
@@ -248,9 +241,8 @@ def polarizability_curve(pair: SpectralPair, eta: float = 0.0) -> Polarizability
 
     With the default eta = 0 this is the boundary value alpha(omega + i0+).
     """
-    grid = pair.grid
-    alpha = _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, grid + 1j * eta)
-    return PolarizabilityCurve(grid, alpha, eta, pair)
+    alpha = _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, pair.grid + 1j * eta)
+    return PolarizabilityCurve(alpha, eta, pair)
 
 
 def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np.ndarray:

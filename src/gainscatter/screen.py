@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .response import _alpha_line_sum, _gl_nodes
+from .response import _gl_nodes
 from .scattering import scattering_amplitude
-from .spectral import DEFAULT_GAMMA, TargetLevels, line_spectrum
 
 __all__ = [
     "screen_intensity",
@@ -226,33 +225,27 @@ def optical_theorem_sigma(f_forward: complex, omega: float) -> float:
 
 
 def verify_optical_theorem(
-    target: TargetLevels,
+    alpha: complex,
     omega: float,
     z: float = DEFAULT_Z,
     eps_schedule=None,
-    gamma: float = DEFAULT_GAMMA,
     r_max: float | None = None,
 ) -> dict:
-    """Full pipeline check: screen integral versus closed-form optical theorem.
+    """Screen integral versus closed-form optical theorem for a polarizability.
 
-    Builds the target's response, forms the forward amplitude at ``omega``,
-    runs the tapered screen integral over the eps schedule (both with and
-    without the scattered |F|^2 term) and extrapolates.  ``converged`` is
-    true when the interference-form extrapolation matches (4 pi/omega) Im F
-    within 1e-3 relative, or within 1e-9 of the amplitude scale when sigma
-    is essentially zero.
+    ``alpha`` is the target's boundary polarizability at ``omega`` (e.g.
+    ``alpha_boundary(pair, omega)``); the forward amplitude F = omega^2 alpha
+    is all the screen sees of the target.  Runs the tapered screen integral
+    over the eps schedule (both with and without the scattered |F|^2 term)
+    and extrapolates.  ``converged`` is true when the interference-form
+    extrapolation matches (4 pi/omega) Im F within 1e-3 relative, or within
+    1e-9 of the amplitude scale when sigma is essentially zero.
     """
     if r_max is None:
         r_max = default_r_max(z)
     check_screen(omega, z, r_max)
     if not np.isfinite(omega):
         raise ValueError("omega must be finite")
-    if not 0.0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
-    lines = line_spectrum(target)
-    # alpha(omega + i0+) straight from the lines: the same sum alpha_boundary evaluates
-    zeta = np.asarray(omega, dtype=float) + 0.0j
-    alpha = complex(_alpha_line_sum(lines.omega, lines.weight, gamma, zeta))
     e = np.array([1.0, 0.0, 0.0])
     f_forward = scattering_amplitude(alpha, omega, e, e)
     if eps_schedule is None:

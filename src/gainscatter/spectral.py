@@ -223,6 +223,8 @@ def lorentzian(x, gamma: float):
 class SpectralPair:
     """The broadened line model: Lorentzian S+ and S- of ``lines`` over a grid.
 
+    Construction checks a strictly ascending grid spanning the lines
+    (``check_grid_span``) and a positive, finite gamma.
     ``s_plus_at``/``s_minus_at`` evaluate the model exactly at any frequency.
     The grid samples ``s_plus``/``s_minus`` (the export/CSV view) are summed
     on first read and cached; of the CLI stages only ``spectrum`` reads them,
@@ -242,10 +244,10 @@ class SpectralPair:
             raise ValueError("grid must hold at least two samples")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("grid must be strictly ascending")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        _check_gamma(self.gamma)
         if not isinstance(self.lines, LineSpectrum):
             raise ValueError("a spectral pair is built from its line set (a LineSpectrum)")
+        check_grid_span(self.lines, grid[0], grid[-1], self.gamma)
 
     @cached_property
     def s_plus(self) -> np.ndarray:
@@ -315,6 +317,12 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
     return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 
+def _check_gamma(gamma: float) -> None:
+    """Raise ValueError unless the Lorentzian half-width is positive and finite."""
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite (got {gamma!r})")
+
+
 def check_grid_span(lines: LineSpectrum, grid_min: float, grid_max: float, gamma: float) -> None:
     """Raise ValueError unless the grid spans the signed lines by BROADEN_MARGIN * gamma."""
     if lines.n_lines:
@@ -332,13 +340,10 @@ def check_grid_span(lines: LineSpectrum, grid_min: float, grid_max: float, gamma
 def broaden(lines: LineSpectrum, grid, gamma: float) -> SpectralPair:
     """Replace each delta line by a Lorentzian of half-width ``gamma``.
 
-    The grid must span the signed line set by ``BROADEN_MARGIN * gamma``
-    (``check_grid_span``).  Every check runs here; the line sums over the grid
-    run only when the pair's ``s_plus``/``s_minus`` samples are first read.
+    ``SpectralPair`` checks the grid, its span and gamma; the line sums over
+    the grid run only when the pair's ``s_plus``/``s_minus`` are first read.
     """
-    pair = SpectralPair(grid, gamma, lines)  # checks gamma and the grid
-    check_grid_span(lines, pair.grid[0], pair.grid[-1], gamma)
-    return pair
+    return SpectralPair(grid, gamma, lines)
 
 
 def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:

@@ -4,16 +4,12 @@ import numpy as np
 
 from gainscatter import TargetLevels, broaden, line_spectrum
 from gainscatter.spectral import LINE_BLOCK
+from gainscatter.validate import _random_ladder
 
 
-def random_ladder(rng, n_max=6, min_gap=0.3, max_gap=1.5):
-    """Strictly ascending level energies plus a random symmetric dipole matrix."""
-    n = int(rng.integers(2, n_max + 1))
-    energies = np.concatenate(([0.0], np.cumsum(rng.uniform(min_gap, max_gap, size=n - 1))))
-    d2 = rng.uniform(0.0, 1.0, size=(n, n))
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    return energies, d2
+def random_ladder(rng, n_max=6):
+    """The validation suite's random ladder, with level gaps drawn from [0.3, 1.5]."""
+    return _random_ladder(rng, n_max, gaps=(0.3, 1.5))
 
 
 def random_target(rng, n_max=6):

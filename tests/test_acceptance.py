@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_ladder, random_target, two_level, two_level_pair
+from conftest import random_ladder, random_target, two_level_pair
 from gainscatter import (
     LineSpectrum,
     alpha_boundary,
@@ -47,12 +47,11 @@ def test_criterion_1_negative_total_cross_section():
     # mutual agreement within 1e-3 relative, under 5 s
     start = time.perf_counter()
     gamma, omega0 = 0.01, 1.0
-    target = two_level(1.0)
     pair = two_level_pair(1.0, gamma=gamma)
 
     sigma_optical = float(sigma_total_optical(alpha_boundary(pair, omega0), omega0))
     sigma_spectral = float(sigma_total_spectral(pair, omega0))
-    screen = verify_optical_theorem(target, omega0, gamma=gamma)
+    screen = verify_optical_theorem(alpha_boundary(pair, omega0), omega0)
     sigma_screen = screen["sigma_extrapolated"]
 
     values = [sigma_optical, sigma_spectral, sigma_screen]

@@ -30,6 +30,6 @@ def test_tracer_counts_on_the_canonical_scenarios(tmp_path):
                 assert run(argv + ["--quiet"]) == 0
     metrics = layers.layer_metrics(tracer.spans, batches=1, overhead_s=0.0)
     assert metrics["response.line_evals"] == 288_048
-    assert metrics["spectral.broaden_calls"] == 12
-    # one pair per run of spectrum, response, cross-sections and medium; verify builds none
-    assert metrics["spectral.pair_builds_per_scenario"] == 4
+    assert metrics["spectral.broaden_calls"] == 15
+    # one pair per subcommand run, verify included
+    assert metrics["spectral.pair_builds_per_scenario"] == 5

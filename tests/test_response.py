@@ -101,6 +101,13 @@ def test_closed_form_rejects_lower_half_plane():
         closed_form_lorentzian(lines, 0.01, 1.0 - 0.1j)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.01, np.nan, np.inf, -np.inf])
+def test_closed_form_rejects_bad_gamma(gamma):
+    lines = LineSpectrum(np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        closed_form_lorentzian(lines, gamma, 1.0 + 0.1j)
+
+
 # --- dispersion quadrature ------------------------------------------------------
 
 
@@ -249,7 +256,7 @@ def test_curve_eta_validation():
 def test_kramers_kronig_zero_curve():
     grid = np.linspace(-1.0, 1.0, 201)
     pair = broaden(LineSpectrum(np.empty(0), np.empty(0)), grid, 0.01)
-    curve = PolarizabilityCurve(grid, np.zeros(201, complex), 0.0, pair)
+    curve = PolarizabilityCurve(np.zeros(201, complex), 0.0, pair)
     assert kramers_kronig_residual(curve) == 0.0
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gainscatter import cli, scenario as scenario_module, spectral, validate
+from gainscatter import alpha_boundary, cli, scenario as scenario_module, spectral, validate
 from gainscatter.cli import run
 from gainscatter.scenario import ScenarioError, parse_scenario
 from gainscatter.screen import default_eps_schedule
@@ -81,7 +81,7 @@ def test_parse_builds_the_line_set_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium"])
+@pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium", "verify"])
 def test_subcommand_builds_the_line_set_once(tmp_path, monkeypatch, command):
     path = write_scenario(tmp_path, GROUND)
     calls = count_line_spectrum_calls(monkeypatch)
@@ -320,6 +320,16 @@ def test_cmd_verify_amplifying(tmp_path):
     assert report["converged"] is True
     assert report["sigma_closed_form"] < 0.0
     assert report["sigma_extrapolated"] < 0.0
+
+
+def test_cmd_verify_amplitude_is_the_boundary_alpha(tmp_path):
+    # F = omega^2 alpha(omega + i0+) of the scenario's broadened pair, bit for bit
+    text = INVERTED + "\nscreen.omega = 1.25\n"
+    out = tmp_path / "out"
+    assert run(["verify", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    f = 1.25**2 * alpha_boundary(cli.Pipeline(parse_scenario(text)).pair, 1.25)
+    assert report["forward_amplitude"] == [f.real, f.imag]
 
 
 def test_cmd_verify_runs_the_schedule_parse_checked(tmp_path):

@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import two_level, two_level_pair
+from conftest import two_level_pair
 from gainscatter import (
     alpha_boundary,
     default_eps_schedule,
     extrapolate_missing_intensity,
     missing_intensity_sigma,
     optical_theorem_sigma,
-    scattering_amplitude,
     screen_intensity,
     verify_optical_theorem,
 )
@@ -220,7 +219,7 @@ def test_scattered_term_variant_converges_too():
 
 
 def test_verify_absorbing_target():
-    report = verify_optical_theorem(two_level(0.0), 1.0)
+    report = verify_optical_theorem(alpha_boundary(two_level_pair(0.0), 1.0), 1.0)
     assert report["converged"]
     assert report["sigma_closed_form"] > 0.0
     assert report["sigma_extrapolated"] > 0.0
@@ -229,14 +228,14 @@ def test_verify_absorbing_target():
 
 
 def test_verify_amplifying_target():
-    report = verify_optical_theorem(two_level(1.0), 1.0)
+    report = verify_optical_theorem(alpha_boundary(two_level_pair(1.0), 1.0), 1.0)
     assert report["converged"]
     assert report["sigma_closed_form"] < 0.0
     assert report["sigma_extrapolated"] < 0.0
 
 
 def test_verify_equal_populations_null():
-    report = verify_optical_theorem(two_level(0.5), 1.0)
+    report = verify_optical_theorem(alpha_boundary(two_level_pair(0.5), 1.0), 1.0)
     f = complex(*report["forward_amplitude"])
     scale = 4.0 * np.pi * max(abs(f), 1e-30)
     assert abs(report["sigma_closed_form"]) <= 1e-9 * max(scale, 1.0)
@@ -246,14 +245,14 @@ def test_verify_equal_populations_null():
 
 def test_verify_energy_bookkeeping():
     # amplifying target: integrated screen intensity exceeds the free beam
-    report = verify_optical_theorem(two_level(1.0), 1.0)
+    report = verify_optical_theorem(alpha_boundary(two_level_pair(1.0), 1.0), 1.0)
     assert report["sigma_extrapolated"] < 0.0
     surplus = -np.asarray(report["sigma_estimates"])
     assert np.all(surplus > 0.0)
 
 
 def test_verify_report_shape():
-    report = verify_optical_theorem(two_level(0.0), 1.0)
+    report = verify_optical_theorem(alpha_boundary(two_level_pair(0.0), 1.0), 1.0)
     for key in (
         "omega",
         "sigma_closed_form",
@@ -268,18 +267,8 @@ def test_verify_report_shape():
     assert len(report["sigma_estimates"]) == len(report["eps_schedule"])
 
 
-def test_verify_amplitude_is_the_boundary_alpha():
-    # evaluated from the line set, equal to the boundary value of a broadened pair
-    report = verify_optical_theorem(two_level(1.0), 1.0)
-    e = np.array([1.0, 0.0, 0.0])
-    f = scattering_amplitude(alpha_boundary(two_level_pair(1.0), 1.0), 1.0, e, e)
-    assert report["forward_amplitude"] == [f.real, f.imag]
-
-
-def test_verify_rejects_bad_gamma_and_omega():
-    for gamma in (0.0, -0.01, np.nan, np.inf):
-        with pytest.raises(ValueError, match="gamma"):
-            verify_optical_theorem(two_level(1.0), 1.0, gamma=gamma)
+def test_verify_rejects_bad_omega():
+    alpha = alpha_boundary(two_level_pair(1.0), 1.0)
     for omega in (np.nan, np.inf):
         with pytest.raises(ValueError, match="omega"):
-            verify_optical_theorem(two_level(1.0), omega)
+            verify_optical_theorem(alpha, omega)

@@ -208,7 +208,8 @@ def test_broaden_total_weight_trapezoid_oracle():
 
 @pytest.mark.parametrize(
     "grid, gamma",
-    [(np.linspace(-3.0, 3.0, 101), 0.0), (np.linspace(3.0, -3.0, 101), 0.01), (np.zeros(1), 0.01)],
+    [(np.linspace(-3.0, 3.0, 101), 0.0), (np.linspace(3.0, -3.0, 101), 0.01), (np.zeros(1), 0.01)]
+    + [(np.linspace(-3.0, 3.0, 101), gamma) for gamma in (-0.01, np.nan, np.inf, -np.inf)],
 )
 def test_broaden_rejects_bad_gamma_or_grid(grid, gamma):
     with pytest.raises(ValueError, match="gamma must be positive|grid must"):
