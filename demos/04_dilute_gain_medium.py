@@ -40,7 +40,7 @@ for name, populations in [("absorbing gas", [1.0, 0.0]), ("amplifying gas", [0.0
     print(f"  h dilute = {h_dilute:+.6e}   (n sigma_tot, first order)")
     print(f"  first-order gap  = {abs(h_exact - h_dilute)/abs(h_dilute):.2e} relative")
     z = np.linspace(0.0, 2.0 / abs(h_exact), 5)
-    ratio = intensity_profile(2.0, h_exact, z)
+    ratio = intensity_profile(h_exact, z)
     trend = "decays" if h_exact > 0 else "grows"
     print(f"  slab intensity {trend}: " + ", ".join(f"{v:.3f}" for v in ratio))
     print()

@@ -206,8 +206,7 @@ def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
         2.0 / abs(h) if h != 0.0 else 1.0
     )
     z = np.linspace(0.0, z_max, scenario.slab_points)
-    profile = intensity_profile(2.0, h, z)  # |E0|^2 = 2 so the ratio starts at 1
-    write_csv(out_dir / "slab.csv", ["z", "intensity_ratio"], [z, profile])
+    write_csv(out_dir / "slab.csv", ["z", "intensity_ratio"], [z, intensity_profile(h, z)])
     if not quiet:
         print(f"wrote {out_dir / 'medium.csv'} and slab.csv (h = {h:g} at omega = {med.grid[idx]:g})")
     return EXIT_OK

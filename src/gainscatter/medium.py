@@ -87,14 +87,14 @@ def extinction_dilute(density_n: float, sigma_tot, dilute_flags=None):
     return density_n * np.asarray(sigma_tot, dtype=float)
 
 
-def intensity_profile(e0_sq: float, h: float, z_samples):
-    """Mean squared field (1/2)|E0|^2 exp(-h z) along the propagation axis."""
+def intensity_profile(h: float, z_samples):
+    """Intensity ratio I(z)/I(0) = exp(-h z) along the propagation axis."""
     z = np.asarray(z_samples, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("z samples must be non-negative")
     if z.size > 1 and not np.all(np.diff(z) > 0.0):
         raise ValueError("z samples must be ascending")
-    return 0.5 * e0_sq * np.exp(-h * z)
+    return np.exp(-h * z)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ physics run.  Recognized keys:
     medium.density_n = 1e-6               enables the medium pipeline
     slab.z_max      = 100.0               slab profile extent (optional)
     slab.points     = 101
-    slab.omega      = 1.0                 profile frequency (default: max |h|)
+    slab.omega      = 1.0                 profile frequency in (0, grid.max]
+                                          (default: that of max |h|)
     screen.z        = 1e4                 enables/configures verification
     screen.r_max    = 1e3                 default z/10
     screen.eps_schedule = [17.7, ...]     default geometric, 6 steps
@@ -27,6 +28,12 @@ physics run.  Recognized keys:
 Validation is fail-fast: every referenced precondition is checked before
 any computation starts, and the first violated invariant is named.  Scalars
 must be finite numbers, counts integers.  Defaults are resolved here.
+The target (levels, dipoles, populations) is checked and reduced to its
+line set; the scenario keeps the lines, not the levels.
+
+The canonical scenarios (a ground-state absorber, a fully inverted
+amplifier, a thermal three-level ladder) ship with the package as
+``gainscatter/scenarios/*.txt``; ``validate`` runs them from there.
 """
 
 from __future__ import annotations
@@ -40,7 +47,14 @@ from pathlib import Path
 import numpy as np
 
 from .screen import DEFAULT_Z, check_screen, default_eps_schedule, default_r_max
-from .spectral import DEFAULT_GAMMA, LineSpectrum, TargetLevels, check_grid_span, line_spectrum
+from .spectral import (
+    DEFAULT_GAMMA,
+    LineSpectrum,
+    TargetLevels,
+    _check_gamma,
+    check_grid_span,
+    line_spectrum,
+)
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -72,14 +86,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: target plus grid/medium/screen parameters, defaults resolved.
+    """Validated scenario: line set plus grid/medium/screen parameters, defaults resolved.
 
     ``lines`` is the target's line set, built once at parse.  ``screen_omega``
     (and so the default eps schedule) is None only for a target without lines
     and no ``screen.omega`` key.
     """
 
-    target: TargetLevels
     lines: LineSpectrum
     gamma: float
     eta: float
@@ -162,8 +175,10 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
         raise ScenarioError(f"{source}: {exc}") from exc
 
     gamma = number("gamma", DEFAULT_GAMMA)
-    if gamma <= 0.0:
-        raise ScenarioError(f"{source}: gamma must be positive (got {gamma!r})")
+    try:
+        _check_gamma(gamma)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
     eta = number("eta", 0.0)
     if eta < 0.0:
         raise ScenarioError(f"{source}: eta must be non-negative (got {eta!r})")
@@ -200,6 +215,10 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
     if slab_points < 2:
         raise ScenarioError(f"{source}: slab.points must be at least 2")
     slab_omega = number("slab.omega")
+    if slab_omega is not None and not 0.0 < slab_omega <= grid_max:
+        raise ScenarioError(
+            f"{source}: slab.omega must lie in (0, grid.max = {grid_max!r}] (got {slab_omega!r})"
+        )
 
     screen_z = number("screen.z", DEFAULT_Z)
     screen_r_max = number("screen.r_max", default_r_max(screen_z))
@@ -223,7 +242,6 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
             raise ScenarioError(f"{source}: {exc}") from exc
 
     return Scenario(
-        target=target,
         lines=lines,
         gamma=gamma,
         eta=eta,

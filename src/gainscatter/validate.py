@@ -1,10 +1,12 @@
 """Built-in validation suite: canonical scenarios plus invariant checks.
 
-Runs a fast, deterministic battery covering every module on built-in
-scenarios (a ground-state absorber, a fully inverted amplifier, a thermal
-three-level ladder), writes their CSV/JSON artifacts, and re-runs the
-writers to confirm byte-identical output.  Both signs of the total cross
-section are exercised.  The pytest suite runs the same physics at larger
+Runs a fast, deterministic battery of invariant checks covering every
+module, then runs the five scenario subcommands on each canonical scenario
+file shipped with the package (``gainscatter/scenarios/*.txt``: a
+ground-state absorber, a fully inverted amplifier, a thermal three-level
+ladder), writes their CSV/JSON artifacts under ``artifacts/<file stem>/``,
+and re-runs the writers to confirm byte-identical output.  Both signs of
+the total cross section are exercised.  The pytest suite runs the same physics at larger
 sample counts; this command is the quick self-check.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import filecmp
 import shutil
 import time
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -53,40 +56,7 @@ from .spectral import (
     thermal_populations,
 )
 
-__all__ = ["run_validation", "CANONICAL_SCENARIOS"]
-
-CANONICAL_SCENARIOS = {
-    "absorber": """
-energies = [0.0, 1.0]
-dipole_sq = [[0.0, 1.0], [1.0, 0.0]]
-populations = [1.0, 0.0]
-gamma = 0.01
-grid.min = -3.0
-grid.max = 3.0
-grid.points = 4801
-medium.density_n = 1e-6
-""",
-    "amplifier": """
-energies = [0.0, 1.0]
-dipole_sq = [[0.0, 1.0], [1.0, 0.0]]
-populations = [0.0, 1.0]
-gamma = 0.01
-grid.min = -3.0
-grid.max = 3.0
-grid.points = 4801
-medium.density_n = 1e-6
-""",
-    "thermal": """
-energies = [0.0, 1.0, 2.5]
-dipole_sq = [[0.0, 1.0, 0.4], [1.0, 0.0, 0.7], [0.4, 0.7, 0.0]]
-temperature = 1.0
-gamma = 0.01
-grid.min = -4.0
-grid.max = 4.0
-grid.points = 6401
-medium.density_n = 1e-6
-""",
-}
+__all__ = ["run_validation"]
 
 
 def _random_ladder(rng, n_max=6, gaps=(0.4, 1.4)):
@@ -385,12 +355,19 @@ def check_energy_bookkeeping():
     return -deficit > 0.0, f"screen surplus {-deficit:.3e} (sigma_tot < 0)"
 
 
+def _scenario_files() -> list:
+    """The canonical scenario files shipped with the package, sorted by name."""
+    found = files(__package__).joinpath("scenarios").iterdir()
+    return sorted((f for f in found if f.name.endswith(".txt")), key=lambda f: f.name)
+
+
 def _write_artifacts(out_dir: Path) -> None:
+    """The five subcommands' artifacts of each canonical scenario, under ``out_dir/<file stem>``."""
     from . import cli  # local import: cli imports this module
 
-    for name, text in CANONICAL_SCENARIOS.items():
-        pipeline = cli.Pipeline(parse_scenario(text, source=f"<builtin:{name}>"))
-        target_dir = out_dir / name
+    for resource in _scenario_files():
+        pipeline = cli.Pipeline(parse_scenario(resource.read_text(), source=str(resource)))
+        target_dir = out_dir / resource.name.removesuffix(".txt")
         cli.cmd_spectrum(pipeline, target_dir, quiet=True)
         cli.cmd_response(pipeline, target_dir, quiet=True)
         cli.cmd_cross_sections(pipeline, target_dir, quiet=True)

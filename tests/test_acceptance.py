@@ -257,7 +257,7 @@ def test_criterion_8_dilute_medium_law():
 
     h = -0.37
     z = np.linspace(0.0, 5.0, 64)
-    profile = intensity_profile(2.0, h, z)
+    profile = intensity_profile(h, z)
     assert np.allclose(profile, np.exp(abs(h) * z), rtol=1e-12, atol=0.0)
     report(8, f"slopes within [0.8, 1.2]; slab gain profile exact to 1e-12")
 

@@ -146,34 +146,34 @@ def test_gain_loss_duality():
 
 def test_intensity_profile_constant_without_extinction():
     z = np.linspace(0.0, 10.0, 11)
-    profile = intensity_profile(2.0, 0.0, z)
+    profile = intensity_profile(0.0, z)
     assert np.allclose(profile, 1.0, rtol=0, atol=0)
 
 
 def test_intensity_profile_halving_length():
     h = 0.2
     z_half = np.log(2.0) / h
-    profile = intensity_profile(2.0, h, np.array([0.0, z_half]))
+    profile = intensity_profile(h, np.array([0.0, z_half]))
     assert profile[1] == pytest.approx(profile[0] / 2.0, rel=1e-12)
 
 
 def test_intensity_profile_gain_e_fold():
     h = -0.37
-    profile = intensity_profile(2.0, h, np.array([0.0, 1.0 / abs(h)]))
+    profile = intensity_profile(h, np.array([0.0, 1.0 / abs(h)]))
     assert profile[1] == pytest.approx(np.e * profile[0], rel=1e-12)
 
 
 def test_intensity_profile_monotonicity():
     z = np.linspace(0.0, 5.0, 101)
-    assert np.all(np.diff(intensity_profile(1.0, 0.3, z)) < 0.0)
-    assert np.all(np.diff(intensity_profile(1.0, -0.3, z)) > 0.0)
+    assert np.all(np.diff(intensity_profile(0.3, z)) < 0.0)
+    assert np.all(np.diff(intensity_profile(-0.3, z)) > 0.0)
 
 
 def test_intensity_profile_rejects_bad_z():
     with pytest.raises(ValueError):
-        intensity_profile(1.0, 0.1, np.array([-1.0, 0.0]))
+        intensity_profile(0.1, np.array([-1.0, 0.0]))
     with pytest.raises(ValueError):
-        intensity_profile(1.0, 0.1, np.array([1.0, 0.5]))
+        intensity_profile(0.1, np.array([1.0, 0.5]))
 
 
 # --- medium response composition ---------------------------------------------------

@@ -57,7 +57,7 @@ def as_floats(column):
 
 def test_parse_valid_scenario():
     scenario = parse_scenario(GROUND)
-    assert scenario.target.n_levels == 2
+    assert scenario.lines.omega.tolist() == [1.0]  # the ground state only absorbs
     assert scenario.gamma == 0.01
     assert scenario.grid().size == 2401
     assert scenario.screen_omega == 1.0
@@ -129,6 +129,8 @@ def test_parse_rejects_infeasible_screen():
     [
         ("gamma = 0.01", "gamma = [1]", "gamma"),
         ("gamma = 0.01", 'gamma = "x"', "gamma"),
+        ("gamma = 0.01", "gamma = 0.0", "gamma"),
+        ("gamma = 0.01", "gamma = -0.01", "gamma"),
         ("gamma = 0.01", "gamma = 0.01\neta = True", "eta"),
         ("medium.density_n = 1e-6", "medium.density_n = 1e999", "medium.density_n"),
         ("grid.points = 2401", "grid.points = 2401.7", "grid.points"),
@@ -140,6 +142,8 @@ def test_parse_rejects_infeasible_screen():
     ids=[
         "gamma-list",
         "gamma-str",
+        "gamma-zero",
+        "gamma-negative",
         "eta-bool",
         "density-inf",
         "points-fraction",
@@ -187,10 +191,12 @@ def test_parse_returns_a_scenario_or_raises_scenario_error(overrides):
 
 
 def test_parse_temperature_scenario():
-    scenario = parse_scenario(THERMAL)
-    p = scenario.target.populations
-    assert p[0] > p[1]
-    assert abs(p.sum() - 1.0) <= 1e-12
+    lines = parse_scenario(THERMAL).lines
+    # S+ weights are p_initial |d|^2 / 3, so emission / absorption is the Boltzmann factor
+    absorb = lines.weight[lines.omega > 0.0].sum()
+    emit = lines.weight[lines.omega < 0.0].sum()
+    assert emit / absorb == pytest.approx(np.exp(-1.0 / 0.75), rel=1e-12)
+    assert abs(3.0 * (absorb + emit) - 1.0) <= 1e-12
 
 
 # --- spectrum command ------------------------------------------------------------
@@ -289,6 +295,16 @@ def test_cmd_medium_inverted_gain(tmp_path):
     slab = read_csv(out / "slab.csv")
     intensity = as_floats(slab["intensity_ratio"])
     assert np.all(np.diff(intensity) > 0.0)  # gain: strictly increasing
+
+
+@pytest.mark.parametrize("slab_omega", [-1.0, 0.0, 50.0])
+def test_cmd_medium_rejects_slab_omega_off_the_grid(tmp_path, capsys, slab_omega):
+    path = write_scenario(tmp_path, INVERTED + f"slab.omega = {slab_omega!r}\n")
+    out = tmp_path / "out"
+    assert run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "slab.omega" in err
+    assert not out.exists()
 
 
 def test_cmd_medium_requires_density(tmp_path):
@@ -419,39 +435,26 @@ def test_target_without_lines(tmp_path, capsys):
 
 # --- the shared pipeline of the validation suite -------------------------------------
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
-SCENARIO_FILES = {"absorber": "absorber", "amplifier": "amplifier", "thermal": "thermal_three_level"}
-
-
-def test_shared_pipeline_matches_separate_runs_of_the_scenario_files(tmp_path):
-    # also pins validate.CANONICAL_SCENARIOS to the texts in scenarios/
-    assert sorted(validate.CANONICAL_SCENARIOS) == sorted(SCENARIO_FILES)
-    shared, separate = tmp_path / "shared", tmp_path / "separate"
-    validate._write_artifacts(shared)
-    for name, stem in SCENARIO_FILES.items():
-        argv = ["--scenario", str(SCENARIO_DIR / f"{stem}.txt"), "--out", str(separate / name), "--quiet"]
-        for command in ("spectrum", "response", "cross-sections", "medium", "verify"):
-            assert run([command, *argv]) == 0
-    files = sorted(p.relative_to(shared) for p in shared.rglob("*") if p.is_file())
-    assert len(files) == 24
-    assert files == sorted(p.relative_to(separate) for p in separate.rglob("*") if p.is_file())
-    for rel in files:
-        assert (shared / rel).read_bytes() == (separate / rel).read_bytes(), rel
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "canonical.tar.xz"
 
 
 def test_scenario_files_reproduce_the_recorded_reference(tmp_path):
-    """The five subcommands on scenarios/*.txt write the recorded canonical artifacts byte for byte."""
-    with tarfile.open(SCENARIO_DIR.parent / "bench" / "reference" / "canonical.tar.xz", "r:xz") as archive:
+    """validate and the five subcommands on each package scenario file both write the archive."""
+    with tarfile.open(REFERENCE, "r:xz") as archive:
         want = {m.name: archive.extractfile(m).read() for m in archive.getmembers() if m.isfile()}
-    for path in sorted(SCENARIO_DIR.glob("*.txt")):
-        argv = ["--scenario", str(path), "--out", str(tmp_path / path.stem), "--quiet"]
+    assert len(want) == 24
+    shared, separate = tmp_path / "shared", tmp_path / "separate"
+    validate._write_artifacts(shared)
+    for resource in validate._scenario_files():
+        out = separate / resource.name.removesuffix(".txt")
+        argv = ["--scenario", str(resource), "--out", str(out), "--quiet"]
         for command in ("spectrum", "response", "cross-sections", "medium", "verify"):
             assert run([command, *argv]) == 0
-    got = {p.relative_to(tmp_path).as_posix(): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    assert len(want) == 24
-    assert sorted(got) == sorted(want)
-    for name in want:
-        assert got[name] == want[name], name
+    for root in (shared, separate):
+        got = {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        assert sorted(got) == sorted(want), root.name
+        for name in want:
+            assert got[name] == want[name], (root.name, name)
 
 
 def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):
@@ -459,7 +462,7 @@ def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):
     real = cli.broaden
     monkeypatch.setattr(cli, "broaden", lambda *a: calls.append(a) or real(*a))
     validate._write_artifacts(tmp_path)
-    assert len(calls) == len(validate.CANONICAL_SCENARIOS) == 3
+    assert len(calls) == len(validate._scenario_files()) == 3
 
 
 def test_validate_summary_names_the_two_slowest_checks(tmp_path, monkeypatch, capsys):
