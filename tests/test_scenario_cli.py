@@ -438,23 +438,39 @@ def test_target_without_lines(tmp_path, capsys):
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "canonical.tar.xz"
 
 
-def test_scenario_files_reproduce_the_recorded_reference(tmp_path):
-    """validate and the five subcommands on each package scenario file both write the archive."""
-    with tarfile.open(REFERENCE, "r:xz") as archive:
-        want = {m.name: archive.extractfile(m).read() for m in archive.getmembers() if m.isfile()}
-    assert len(want) == 24
-    shared, separate = tmp_path / "shared", tmp_path / "separate"
-    validate._write_artifacts(shared)
+def run_scenario_files(out):
+    """Run the five subcommands on each package scenario file, each under its file stem."""
     for resource in validate._scenario_files():
-        out = separate / resource.name.removesuffix(".txt")
-        argv = ["--scenario", str(resource), "--out", str(out), "--quiet"]
+        argv = ["--scenario", str(resource), "--out", str(out / resource.name.removesuffix(".txt")), "--quiet"]
         for command in ("spectrum", "response", "cross-sections", "medium", "verify"):
             assert run([command, *argv]) == 0
-    for root in (shared, separate):
-        got = {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-        assert sorted(got) == sorted(want), root.name
-        for name in want:
-            assert got[name] == want[name], (root.name, name)
+
+
+def read_tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_shared_pipeline_matches_separate_runs_of_the_scenario_files(tmp_path):
+    shared, separate = tmp_path / "shared", tmp_path / "separate"
+    validate._write_artifacts(shared)
+    run_scenario_files(separate)
+    got, want = read_tree(shared), read_tree(separate)
+    assert len(got) == 24
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def test_scenario_files_reproduce_the_recorded_reference(tmp_path):
+    """The five subcommands on the package scenario files write the recorded canonical artifacts byte for byte."""
+    with tarfile.open(REFERENCE, "r:xz") as archive:
+        want = {m.name: archive.extractfile(m).read() for m in archive.getmembers() if m.isfile()}
+    run_scenario_files(tmp_path)
+    got = read_tree(tmp_path)
+    assert len(want) == 24
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], name
 
 
 def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):
