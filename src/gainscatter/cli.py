@@ -111,7 +111,9 @@ class Pipeline:
     """A scenario's stages, pair -> curve -> cross sections -> medium, each built on first use.
 
     The pair is the broadened model of the scenario's line set; its S+/S- grid
-    samples are summed only when read, and only ``spectrum`` reads them.
+    samples are summed only when read, and only ``spectrum`` reads them.  So
+    is the curve's alpha: ``response`` reads all of it, the cross sections and
+    the medium only its omega > 0 half, and no row is summed twice.
     ``verify`` reads the pair's boundary polarizability at the screen
     frequency and nothing else.
     """
@@ -166,12 +168,10 @@ def cmd_response(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
 
 def cmd_cross_sections(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     xs = pipeline.xs
-    write_csv(
-        out_dir / "cross_sections.csv",
-        ["omega", "sigma_el", "sigma_tot", "sigma_in", "band_flag"],
-        [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, xs.band_flags],
-    )
     bands = amplifier_bands(pipeline.curve)
+    header = ["omega", "sigma_el", "sigma_tot", "sigma_in", "band_flag"]
+    columns = [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, xs.band_flags]
+    write_csv(out_dir / "cross_sections.csv", header, columns)
     write_json(out_dir / "bands.json", [{"lo": lo, "hi": hi} for lo, hi in bands])
     if not quiet:
         print(f"wrote {out_dir / 'cross_sections.csv'} and bands.json ({len(bands)} band(s))")
@@ -182,31 +182,20 @@ def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     scenario = pipeline.scenario
     med = pipeline.medium
     h_dilute = extinction_dilute(scenario.medium_density, pipeline.xs.sigma_tot, med.dilute_ok)
-    write_csv(
-        out_dir / "medium.csv",
-        ["omega", "re_eps", "im_eps", "re_k", "im_k", "h_exact", "h_dilute", "dilute_ok"],
-        [
-            med.grid,
-            med.epsilon.real,
-            med.epsilon.imag,
-            med.k.real,
-            med.k.imag,
-            med.h,
-            h_dilute,
-            med.dilute_ok,
-        ],
-    )
     # Slab profile at the frequency of strongest extinction unless pinned.
     if scenario.slab_omega is not None:
         idx = int(np.argmin(np.abs(med.grid - scenario.slab_omega)))
     else:
         idx = int(np.argmax(np.abs(med.h)))
     h = float(med.h[idx])
-    z_max = scenario.slab_z_max if scenario.slab_z_max is not None else (
-        2.0 / abs(h) if h != 0.0 else 1.0
-    )
+    z_max = scenario.slab_z_max or (2.0 / abs(h) if h != 0.0 else 1.0)  # slab.z_max > 0 if set
     z = np.linspace(0.0, z_max, scenario.slab_points)
-    write_csv(out_dir / "slab.csv", ["z", "intensity_ratio"], [z, intensity_profile(h, z)])
+    profile = intensity_profile(h, z)
+    header = ["omega", "re_eps", "im_eps", "re_k", "im_k", "h_exact", "h_dilute", "dilute_ok"]
+    eps, k = med.epsilon, med.k
+    columns = [med.grid, eps.real, eps.imag, k.real, k.imag, med.h, h_dilute, med.dilute_ok]
+    write_csv(out_dir / "medium.csv", header, columns)
+    write_csv(out_dir / "slab.csv", ["z", "intensity_ratio"], [z, profile])
     if not quiet:
         print(f"wrote {out_dir / 'medium.csv'} and slab.csv (h = {h:g} at omega = {med.grid[idx]:g})")
     return EXIT_OK
@@ -224,14 +213,10 @@ def cmd_verify(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
         eps_schedule=scenario.screen_eps_schedule,
         r_max=r_max,
     )
-    write_json(out_dir / "verify.json", report)
     r_perp = np.linspace(0.0, r_max, 512)
-    f_forward = complex(*report["forward_amplitude"])
-    write_csv(
-        out_dir / "screen.csv",
-        ["r_perp", "intensity_ratio"],
-        [r_perp, screen_intensity(f_forward, omega, z, r_perp)],
-    )
+    intensity = screen_intensity(complex(*report["forward_amplitude"]), omega, z, r_perp)
+    write_json(out_dir / "verify.json", report)
+    write_csv(out_dir / "screen.csv", ["r_perp", "intensity_ratio"], [r_perp, intensity])
     if not quiet:
         print(
             f"wrote {out_dir / 'verify.json'}: sigma_screen = {report['sigma_extrapolated']:.6e}, "
@@ -270,7 +255,9 @@ def run(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario, grid_points_override=args.grid_points)
         out_dir = Path(args.out) if args.out else Path(scenario.output_dir)
-        return handler(Pipeline(scenario), out_dir, args.quiet)
+        # a non-finite result is named by the writers' own checks, not by numpy warnings
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return handler(Pipeline(scenario), out_dir, args.quiet)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -125,11 +125,9 @@ def medium_response(curve: PolarizabilityCurve, density_n: float) -> MediumRespo
     """Compose dielectric -> wavevector -> extinction over a response curve.
 
     Restricted to the curve's positive frequencies (the wavevector needs
-    omega > 0).
+    omega > 0), so only ``curve.positive_alpha`` is summed.
     """
-    positive = curve.grid > 0.0
-    grid = curve.grid[positive]
-    alpha = curve.alpha[positive]
+    grid, alpha = curve.positive_grid, curve.positive_alpha
     eps = dielectric(alpha, density_n)
     k = wavevector(eps, grid)
     return MediumResponse(

@@ -25,11 +25,11 @@ quadrature is exactly linear in the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair, _check_gamma, _line_sum_blocks
+from .spectral import LineSpectrum, SpectralPair, _check_gamma, _frozen, _line_sum_blocks
 
 __all__ = [
     "PolarizabilityCurve",
@@ -205,28 +205,25 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
 
 @dataclass(frozen=True)
 class PolarizabilityCurve:
-    """Complex polarizability of ``pair``'s line model, sampled on ``pair.grid``.
+    """Complex polarizability of ``pair``'s line model on ``pair.grid``, summed on first read.
 
     ``eta`` is the imaginary offset of the sample points zeta = omega +
     i*eta.  eta = 0 denotes the physical boundary value, evaluated
     analytically with the Lorentzian width as regulator (production
     default); eta > 0 curves are used where a genuine upper-half-plane
     offset is wanted (crossing-symmetry and Kramers-Kronig checks).
+    ``positive_alpha`` sums the lines over ``positive_grid`` only, the part
+    cross sections and media tabulate; ``alpha`` adds the omega <= 0 rows to
+    it.  Either is cached, so each row is summed at most once.
     """
 
-    alpha: np.ndarray
     eta: float
     pair: SpectralPair
 
     provenance = "closed-form-lorentzian"  # how alpha was computed; bench/layers.py reads it
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=complex)
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "eta", float(self.eta))
-        if alpha.shape != self.grid.shape:
-            raise ValueError("alpha samples must match the grid")
         if self.eta < 0.0:
             raise ValueError("eta must be non-negative")
 
@@ -235,14 +232,33 @@ class PolarizabilityCurve:
         """The sample frequencies: the pair's grid."""
         return self.pair.grid
 
+    @property
+    def positive_grid(self) -> np.ndarray:
+        """The grid's omega > 0 samples, a view of its ascending tail."""
+        return self.grid[np.searchsorted(self.grid, 0.0, side="right") :]
+
+    def _alpha_at(self, omega: np.ndarray) -> np.ndarray:
+        lines = self.pair.lines
+        return _alpha_line_sum(lines.omega, lines.weight, self.pair.gamma, omega + 1j * self.eta)
+
+    @cached_property
+    def positive_alpha(self) -> np.ndarray:
+        """alpha(omega + i*eta) on ``positive_grid``, summed on first read."""
+        return _frozen(self._alpha_at(self.positive_grid), complex)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """alpha(omega + i*eta) on the whole grid; the omega > 0 rows are ``positive_alpha``."""
+        rest = self.grid[: self.grid.size - self.positive_grid.size]
+        return _frozen(np.concatenate((self._alpha_at(rest), self.positive_alpha)), complex)
+
 
 def polarizability_curve(pair: SpectralPair, eta: float = 0.0) -> PolarizabilityCurve:
-    """Sample alpha(omega + i*eta) on the pair's grid, in closed form.
+    """alpha(omega + i*eta) on the pair's grid, in closed form, summed when first read.
 
     With the default eta = 0 this is the boundary value alpha(omega + i0+).
     """
-    alpha = _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, pair.grid + 1j * eta)
-    return PolarizabilityCurve(alpha, eta, pair)
+    return PolarizabilityCurve(eta, pair)
 
 
 def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np.ndarray:

@@ -129,11 +129,8 @@ def amplifier_bands(curve: PolarizabilityCurve):
     of the pair's Im alpha to 1e-6; an edge at the end of the positive grid
     stays the sample.
     """
-    positive = curve.grid > 0.0
-    grid = curve.grid[positive]
-    sigma = sigma_total_optical(curve.alpha[positive], grid)
-    if grid.size == 0:
-        return []
+    grid = curve.positive_grid
+    sigma = sigma_total_optical(curve.positive_alpha, grid)
     amplifying = sigma < -TOL_BAND
 
     def refine(lo: float, hi: float) -> float:
@@ -201,10 +198,8 @@ class CrossSectionSet:
 
 
 def cross_sections(curve: PolarizabilityCurve) -> CrossSectionSet:
-    """Tabulate sigma_el, sigma_tot, sigma_in over the curve's positive grid."""
-    positive = curve.grid > 0.0
-    grid = curve.grid[positive]
-    alpha = curve.alpha[positive]
+    """Tabulate sigma_el, sigma_tot, sigma_in from the curve's omega > 0 half alone."""
+    grid, alpha = curve.positive_grid, curve.positive_alpha
     sig_el = sigma_elastic(alpha, grid)
     sig_tot = sigma_total_optical(alpha, grid)
     sig_in = sig_tot - sig_el

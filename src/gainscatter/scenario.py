@@ -15,6 +15,7 @@ physics run.  Recognized keys:
     grid.max        = 3.0
     grid.points     = 2001
     medium.density_n = 1e-6               enables the medium pipeline
+                                          (needs grid.max > 0)
     slab.z_max      = 100.0               slab profile extent (optional)
     slab.points     = 101
     slab.omega      = 1.0                 profile frequency in (0, grid.max]
@@ -207,6 +208,8 @@ def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: 
         raise ScenarioError(
             f"{source}: medium.density_n must be positive (got {medium_density!r})"
         )
+    if medium_density is not None and grid_max <= 0.0:
+        raise ScenarioError(f"{source}: medium.density_n needs grid.max > 0 (got {grid_max!r})")
 
     slab_z_max = number("slab.z_max")
     if slab_z_max is not None and slab_z_max <= 0.0:

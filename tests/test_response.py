@@ -6,7 +6,6 @@ import pytest
 from conftest import block_spanning_grid, random_target, thermal_ladder, two_level, two_level_pair
 from gainscatter import (
     LineSpectrum,
-    PolarizabilityCurve,
     broaden,
     closed_form_lorentzian,
     im_alpha,
@@ -19,15 +18,19 @@ from gainscatter import response
 from gainscatter.response import _alpha_line_sum, _pv_reconstruct
 
 
-def brute_force_alpha(lines, gamma, zeta, span=400.0, points=4_000_001):
-    """Independent oracle: dense trapezoid of the broadened dispersion integrand."""
+def brute_force_alpha(lines, gamma, zetas, span=400.0, points=4_000_001):
+    """Independent oracle: dense trapezoid of the broadened dispersion integrand at each zeta.
+
+    S+ - S- does not depend on zeta, so it is built once for all of ``zetas``.
+    """
     w = np.linspace(-span, span, points)
     s_plus = np.zeros_like(w)
     s_minus = np.zeros_like(w)
     for w0, wt in zip(lines.omega, lines.weight):
         s_plus += wt * (gamma / np.pi) / ((w - w0) ** 2 + gamma**2)
         s_minus += wt * (gamma / np.pi) / ((w + w0) ** 2 + gamma**2)
-    return np.trapezoid((s_plus - s_minus) / (w - zeta), w)
+    difference = s_plus - s_minus
+    return [np.trapezoid(difference / (w - zeta), w) for zeta in zetas]
 
 
 def random_lines(rng, n_max=3):
@@ -49,9 +52,8 @@ def test_closed_form_against_brute_force_quadrature():
     rng = np.random.default_rng(10)
     gamma = 0.02
     lines = random_lines(rng)
-    for _ in range(10):
-        zeta = complex(rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-1.5, 0.5))
-        want = brute_force_alpha(lines, gamma, zeta)
+    zetas = [complex(rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-1.5, 0.5)) for _ in range(10)]
+    for zeta, want in zip(zetas, brute_force_alpha(lines, gamma, zetas)):
         got = closed_form_lorentzian(lines, gamma, zeta)
         assert abs(got - want) / abs(want) <= 1e-5
 
@@ -84,6 +86,25 @@ def test_blocked_alpha_sum_bitwise_equals_dense_reference():
         assert got == complex(dense_alpha_line_sum(*args, zeta))
     empty = np.empty(0)
     assert np.array_equal(_alpha_line_sum(empty, empty, gamma, np.ones((2, 3), complex)), np.zeros((2, 3)))
+
+
+def test_positive_half_bitwise_equals_the_dense_reference_across_a_block_boundary_at_zero():
+    # the grid's four line-sum blocks put 0 inside the second, so the old whole-grid
+    # sum reduced rows of both signs in one block; the halves are summed apart now
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    grid = block_spanning_grid(lines, gamma)
+    positive = grid > 0.0
+    pair = broaden(lines, grid, gamma)
+    for eta in (0.0, 0.002):
+        want = dense_alpha_line_sum(lines.omega, lines.weight, gamma, grid + 1j * eta)
+        half_first, whole_first = polarizability_curve(pair, eta), polarizability_curve(pair, eta)
+        assert np.array_equal(half_first.positive_alpha, want[positive])
+        assert np.array_equal(half_first.alpha, want)
+        assert np.array_equal(whole_first.alpha, want)
+        assert np.array_equal(whole_first.positive_alpha, whole_first.alpha[positive])
+        assert np.array_equal(whole_first.positive_grid, grid[positive])
+        assert not half_first.alpha.flags.writeable and not half_first.positive_alpha.flags.writeable
 
 
 def test_closed_form_delta_limit():
@@ -255,8 +276,8 @@ def test_curve_eta_validation():
 
 def test_kramers_kronig_zero_curve():
     grid = np.linspace(-1.0, 1.0, 201)
-    pair = broaden(LineSpectrum(np.empty(0), np.empty(0)), grid, 0.01)
-    curve = PolarizabilityCurve(np.zeros(201, complex), 0.0, pair)
+    curve = polarizability_curve(broaden(LineSpectrum(np.empty(0), np.empty(0)), grid, 0.01))
+    assert np.array_equal(curve.alpha, np.zeros(201, complex))
     assert kramers_kronig_residual(curve) == 0.0
 
 

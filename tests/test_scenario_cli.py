@@ -2,6 +2,8 @@
 
 import filecmp
 import json
+import os
+import subprocess
 import sys
 import tarfile
 import time
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gainscatter import alpha_boundary, cli, scenario as scenario_module, spectral, validate
+from conftest import thermal_ladder
+from gainscatter import alpha_boundary, cli, response, scenario as scenario_module, spectral, validate
 from gainscatter.cli import run
 from gainscatter.scenario import ScenarioError, parse_scenario
 from gainscatter.screen import default_eps_schedule
@@ -307,6 +310,19 @@ def test_cmd_medium_rejects_slab_omega_off_the_grid(tmp_path, capsys, slab_omega
     assert not out.exists()
 
 
+def test_cmd_medium_rejects_a_grid_without_positive_frequencies(tmp_path, capsys):
+    text = GROUND.replace("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 0.0], [0.0, 0.0]]")
+    text = text.replace("grid.max = 3.0", "grid.max = -1.0")
+    path = write_scenario(tmp_path, text)
+    out = tmp_path / "out"
+    assert run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid.max" in err
+    assert not out.exists()
+    path = write_scenario(tmp_path, text.replace("medium.density_n = 1e-6\n", ""))
+    assert run(["spectrum", "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+
+
 def test_cmd_medium_requires_density(tmp_path):
     text = GROUND.replace("medium.density_n = 1e-6\n", "")
     path = write_scenario(tmp_path, text)
@@ -433,6 +449,34 @@ def test_target_without_lines(tmp_path, capsys):
     assert "screen.omega required" in capsys.readouterr().err
 
 
+def test_non_finite_run_reports_its_error_before_any_numpy_warning(tmp_path):
+    # gamma = 1e-300 squares to 0, so S+ divides by zero at the line; a separate
+    # process shows what reaches stderr (pytest would capture the warning itself)
+    path = write_scenario(tmp_path, GROUND.replace("gamma = 0.01", "gamma = 1e-300"))
+    argv = ["spectrum", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "gainscatter", *argv], env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "infinite" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, last_stage",
+    [("cross-sections", "amplifier_bands"), ("medium", "intensity_profile"), ("verify", "screen_intensity")],
+)
+def test_failing_last_stage_leaves_no_artifact(tmp_path, monkeypatch, capsys, command, last_stage):
+    def fail(*args, **kwargs):
+        raise ValueError(f"{last_stage} failed")
+
+    monkeypatch.setattr(cli, last_stage, fail)
+    path = write_scenario(tmp_path, INVERTED)
+    out = tmp_path / "out"
+    assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {last_stage} failed\n"
+    assert not out.exists()
+
+
 # --- the shared pipeline of the validation suite -------------------------------------
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "canonical.tar.xz"
@@ -479,6 +523,39 @@ def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "broaden", lambda *a: calls.append(a) or real(*a))
     validate._write_artifacts(tmp_path)
     assert len(calls) == len(validate._scenario_files()) == 3
+
+
+def count_alpha_rows(monkeypatch):
+    """The number of points of each alpha line sum from now on."""
+    rows = []
+    real = response._line_sum_blocks
+    monkeypatch.setattr(
+        response, "_line_sum_blocks", lambda row_sum, points, *a: rows.append(points.size) or real(row_sum, points, *a)
+    )
+    return rows
+
+
+@pytest.mark.parametrize("command", ["cross-sections", "medium"])
+def test_positive_frequency_commands_sum_only_positive_alpha_rows(tmp_path, monkeypatch, command):
+    target = thermal_ladder(10)
+    text = (
+        f"energies = {target.energies.tolist()!r}\n"
+        f"dipole_sq = {target.dipole_sq.tolist()!r}\n"
+        "temperature = -1.0\ngamma = 0.01\ngrid.min = -4.45\ngrid.max = 4.45\ngrid.points = 1781\n"
+        "medium.density_n = 1e-6\n"
+    )
+    path = write_scenario(tmp_path, text)
+    rows = count_alpha_rows(monkeypatch)
+    assert run([command, "--scenario", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert sum(rows) == (parse_scenario(text).grid() > 0.0).sum() == 890
+
+
+def test_write_artifacts_sums_each_alpha_row_once(tmp_path, monkeypatch):
+    rows = count_alpha_rows(monkeypatch)
+    validate._write_artifacts(tmp_path)
+    files = validate._scenario_files()
+    grid_rows = sum(parse_scenario(f.read_text()).grid_points for f in files)
+    assert sum(rows) == grid_rows + len(files)  # each curve's grid, plus verify's screen frequency
 
 
 def test_validate_summary_names_the_two_slowest_checks(tmp_path, monkeypatch, capsys):
