@@ -6,11 +6,13 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 Outputs are deterministic: numbers are written with 17 significant digits
 in scientific notation, lines end with \\n, and files are written to a
 temporary name and renamed into place so a failing run never leaves a
-partial artifact.  A non-finite number (NaN in JSON, +-inf anywhere) is a
-validation error, never an artifact; NaN in a CSV is the blank "undefined"
-cell.  CSV files are formatted a column at a time over blocks of
-``CSV_BLOCK`` rows and streamed block by block, so the writer's memory is
-O(block) whatever the row count.
+partial artifact.  A file's mode is 0o666 less the umask, as for any file
+the process creates.  A non-finite number (NaN in JSON, +-inf anywhere) is
+a validation error, never an artifact; NaN in a CSV is the blank
+"undefined" cell.  A command checks every one of its outputs before it
+writes the first, so a failing check leaves none of them.  CSV files are
+formatted a column at a time over blocks of ``CSV_BLOCK`` rows and streamed
+block by block, so the writer's memory is O(block) whatever the row count.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ def _atomic_write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        # mkstemp creates the file 0o600; give it the mode open() would: 0o666 less the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="\n") as handle:
             for chunk in chunks:
                 handle.write(chunk)
@@ -81,12 +87,8 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write ``columns`` under ``header``, formatted and written CSV_BLOCK rows at a time.
-
-    A float column holding +-inf is a ValueError naming the file and the
-    column, and nothing is written; NaN is the blank "undefined" cell.
-    """
+def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:
+    """The columns as arrays; unequal lengths or a float column holding +-inf is a ValueError."""
     columns = [np.asarray(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(
@@ -95,16 +97,41 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     for name, column in zip(header, columns):
         if column.dtype.kind == "f" and np.isinf(column).any():
             raise ValueError(f"{path}: column {name} holds an infinite value")
-    _atomic_write(path, _csv_chunks(header, columns))
+    return columns
+
+
+def _json_text(path: Path, payload) -> str:
+    """``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError naming ``path``."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write ``columns`` under ``header``, formatted and written CSV_BLOCK rows at a time.
+
+    A float column holding +-inf is a ValueError naming the file and the
+    column, and nothing is written; NaN is the blank "undefined" cell.
+    """
+    _atomic_write(path, _csv_chunks(header, _checked_columns(path, header, columns)))
 
 
 def write_json(path: Path, payload) -> None:
     """Write ``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    _atomic_write(path, [text + "\n"])
+    _atomic_write(path, [_json_text(path, payload)])
+
+
+def _write_all(*artifacts) -> None:
+    """Write each artifact in order: a CSV ``(path, header, columns)`` or a JSON ``(path, payload)``.
+
+    Every one is checked before the first is written, so a check that fails
+    on any of them leaves none of them.
+    """
+    for artifact in artifacts:
+        (_checked_columns if len(artifact) == 3 else _json_text)(*artifact)
+    for artifact in artifacts:
+        (write_csv if len(artifact) == 3 else write_json)(*artifact)
 
 
 class Pipeline:
@@ -171,8 +198,10 @@ def cmd_cross_sections(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     bands = amplifier_bands(pipeline.curve)
     header = ["omega", "sigma_el", "sigma_tot", "sigma_in", "band_flag"]
     columns = [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, xs.band_flags]
-    write_csv(out_dir / "cross_sections.csv", header, columns)
-    write_json(out_dir / "bands.json", [{"lo": lo, "hi": hi} for lo, hi in bands])
+    _write_all(
+        (out_dir / "cross_sections.csv", header, columns),
+        (out_dir / "bands.json", [{"lo": lo, "hi": hi} for lo, hi in bands]),
+    )
     if not quiet:
         print(f"wrote {out_dir / 'cross_sections.csv'} and bands.json ({len(bands)} band(s))")
     return EXIT_OK
@@ -194,8 +223,10 @@ def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     header = ["omega", "re_eps", "im_eps", "re_k", "im_k", "h_exact", "h_dilute", "dilute_ok"]
     eps, k = med.epsilon, med.k
     columns = [med.grid, eps.real, eps.imag, k.real, k.imag, med.h, h_dilute, med.dilute_ok]
-    write_csv(out_dir / "medium.csv", header, columns)
-    write_csv(out_dir / "slab.csv", ["z", "intensity_ratio"], [z, profile])
+    _write_all(
+        (out_dir / "medium.csv", header, columns),
+        (out_dir / "slab.csv", ["z", "intensity_ratio"], [z, profile]),
+    )
     if not quiet:
         print(f"wrote {out_dir / 'medium.csv'} and slab.csv (h = {h:g} at omega = {med.grid[idx]:g})")
     return EXIT_OK
@@ -215,8 +246,10 @@ def cmd_verify(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     )
     r_perp = np.linspace(0.0, r_max, 512)
     intensity = screen_intensity(complex(*report["forward_amplitude"]), omega, z, r_perp)
-    write_json(out_dir / "verify.json", report)
-    write_csv(out_dir / "screen.csv", ["r_perp", "intensity_ratio"], [r_perp, intensity])
+    _write_all(
+        (out_dir / "verify.json", report),
+        (out_dir / "screen.csv", ["r_perp", "intensity_ratio"], [r_perp, intensity]),
+    )
     if not quiet:
         print(
             f"wrote {out_dir / 'verify.json'}: sigma_screen = {report['sigma_extrapolated']:.6e}, "

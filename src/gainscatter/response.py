@@ -54,14 +54,15 @@ def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: floa
     else:
         pole = line_omega - 1j * gamma
         mirror = -line_omega - 1j * gamma
+        weight = line_weight.astype(complex)  # cast once, not in every block's divide
 
         def row_sum(points, out, near, far):
-            # (line_weight / (pole - z) - line_weight / (mirror - z)), in place
+            # (weight / (pole - z) - weight / (mirror - z)), in place
             z = points[:, None]
             np.subtract(pole, z, out=near)
-            np.divide(line_weight, near, out=near)
+            np.divide(weight, near, out=near)
             np.subtract(mirror, z, out=far)
-            np.divide(line_weight, far, out=far)
+            np.divide(weight, far, out=far)
             np.subtract(near, far, out=near)
             near.sum(axis=-1, out=out)
 

@@ -15,6 +15,8 @@ dipole squared, so spectral densities carry (dipole^2 / frequency).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -46,11 +48,15 @@ DEFAULT_GAMMA = 1e-2      # default Lorentzian half-width
 NOISE_FLOOR = 1e-300      # spectral value below this -> noise temperature undefined
 LOG_RATIO_FLOOR = 1e-12   # |ln(S+/S-)| below this -> inversion crossover, undefined
 BROADEN_MARGIN = 20.0     # grid must span the line set by this many gamma
-# Elements per points x lines block of a line sum, so memory stays
-# O(points + block) whatever the line count.  The complex alpha sum keeps about
-# four such temporaries live (256 KiB each at 16 bytes), which stay in a 2 MiB
-# L2 cache; at 1 << 15 they spill and that sum runs about 3x slower.
-LINE_BLOCK = 1 << 14
+# Bytes of scratch per line sum, split evenly across the usable CPUs, so memory
+# stays O(points + budget) whatever the line count.  On two CPUs a worker's
+# 1 MiB holds 32768 points x lines elements of the complex alpha sum's two
+# 16-byte arrays, or 131072 of the one 8-byte S+/S- array.  A worker that finds
+# the GIL held when its ufunc returns sleeps until it is free, so blocks must
+# be large next to that hand-off: on a 2-vCPU VM (numpy 2.4.6), two workers
+# sharing 512 KiB were no faster than one on the 30-level ladder's alpha sum,
+# while sharing 2 MiB they were 15-45% faster, as host load allowed.
+LINE_SUM_BYTES = 1 << 21
 
 POPULATION_SUM_TOL = 1e-12
 
@@ -276,25 +282,69 @@ class SpectralPair:
         return 0.5 * (self.s_plus_at(omega) + self.s_minus_at(omega))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int) -> np.ndarray:
-    """``row_sum`` over ``points`` of any shape, a block of rows at a time.
+    """``row_sum`` over ``points`` of any shape, a block of rows at a time, on ``W`` threads.
 
     ``row_sum(block, out, *work)`` sums each point of the flat ``block`` over
     the lines into ``out``, using the ``n_work`` (rows, lines) arrays ``work``
-    of the points' dtype as scratch.  The work arrays are allocated once per
-    call and reused by every block: allocating them per block lets the heap
+    of the points' dtype as scratch.  The ``LINE_SUM_BYTES`` budget is split
+    evenly across the usable CPUs, which fixes the rows per block (one row
+    when a single row is larger); ``W`` is the CPU count capped at the block
+    count.  Each worker takes the next block in order until none is left,
+    so a worker on a busier CPU takes fewer; the calling thread is worker 0
+    and runs alone when there is one block.  NumPy's ufuncs release the GIL,
+    so the workers overlap.
+
+    Each worker's scratch is allocated here, before any thread starts, and
+    reused by every one of its blocks: allocating it per block lets the heap
     shrink and regrow around each block, which costs a page fault per page.
-    A block holds at most ``LINE_BLOCK`` points x lines elements (one row when
-    a single row is larger).  Each row is reduced on its own, so the result is
-    bitwise identical to one dense expression over all points.
+    Workers run under the caller's NumPy error state, and the first worker's
+    exception is raised here once every thread has joined.  Each row is
+    reduced on its own, so the result is bitwise identical to one dense
+    expression over all points, whatever the block size or worker count.
     """
     flat = points.reshape(-1)
     out = np.empty(flat.shape, dtype=points.dtype)
-    rows = max(1, min(flat.size, LINE_BLOCK // n_lines))
-    work = np.empty((n_work, rows, n_lines), dtype=points.dtype)
-    for start in range(0, flat.size, rows):
-        block = flat[start : start + rows]
-        row_sum(block, out[start : start + rows], *work[:, : block.size])
+    cpus = _usable_cpus()
+    row_bytes = n_work * n_lines * out.itemsize
+    rows = max(1, min(flat.size, LINE_SUM_BYTES // (cpus * row_bytes)))
+    starts = range(0, flat.size, rows)
+    n_workers = max(1, min(cpus, len(starts)))
+    work = np.empty((n_workers, n_work, rows, n_lines), dtype=points.dtype)
+    next_start, lock = iter(starts), threading.Lock()
+    errstate = np.geterr()
+    errors = [None] * n_workers
+
+    def worker(k: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                while True:
+                    with lock:
+                        start = next(next_start, None)
+                    if start is None:
+                        return
+                    block = flat[start : start + rows]
+                    row_sum(block, out[start : start + rows], *work[k, :, : block.size])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    worker(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out.reshape(points.shape)
 
 

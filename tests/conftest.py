@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from gainscatter import TargetLevels, broaden, line_spectrum
-from gainscatter.spectral import LINE_BLOCK
+from gainscatter import TargetLevels, broaden, line_spectrum, spectral
 from gainscatter.validate import _random_ladder
 
 
@@ -46,8 +45,13 @@ def thermal_ladder(levels, temperature=-1.0, seed=0, top=4.2):
     return TargetLevels.from_temperature(energies, d2, temperature)
 
 
-def block_spanning_grid(lines, gamma):
-    """A grid over the line set whose point count fills three line-sum blocks and part of a fourth."""
-    rows = LINE_BLOCK // lines.n_lines
+def block_spanning_grid(lines, gamma, blocks=3.5, workers=None):
+    """A grid over the line set whose point count fills ``blocks`` S+/S- line-sum blocks.
+
+    Blocks are sized for ``workers`` (default: the usable CPUs), whose shares
+    of the line sums' byte budget they are.  The alpha sum, at 32 bytes per
+    points x lines element against S+/S-'s 8, takes four times as many blocks.
+    """
+    rows = spectral.LINE_SUM_BYTES // ((workers or spectral._usable_cpus()) * 8 * lines.n_lines)
     span = lines.max_abs_omega + 25.0 * gamma
-    return np.linspace(-span, span, 3 * rows + rows // 2 + 1)
+    return np.linspace(-span, span, int(blocks * rows) + 1)

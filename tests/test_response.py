@@ -89,8 +89,8 @@ def test_blocked_alpha_sum_bitwise_equals_dense_reference():
 
 
 def test_positive_half_bitwise_equals_the_dense_reference_across_a_block_boundary_at_zero():
-    # the grid's four line-sum blocks put 0 inside the second, so the old whole-grid
-    # sum reduced rows of both signs in one block; the halves are summed apart now
+    # the grid spans many alpha line-sum blocks, so a whole-grid sum reduces rows of
+    # both signs in the block holding 0; the halves are summed apart
     gamma = 0.01
     lines = line_spectrum(thermal_ladder(30))
     grid = block_spanning_grid(lines, gamma)

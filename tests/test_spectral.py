@@ -1,6 +1,9 @@
 """Spectral-function layer: lines, broadening, detailed balance, noise temperature."""
 
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +303,9 @@ def test_samples_summed_once_on_first_read(monkeypatch):
 
 
 def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
+    # each worker's scratch is allocated once per call and reused by all its blocks
+    workers = 2
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: workers)
     calls = []
     real = spectral._line_sum_blocks
 
@@ -307,25 +313,120 @@ def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
         blocks = []
 
         def spy(block, out, *work):
-            blocks.append(work)
+            blocks.append((threading.get_ident(), block.size, work))
             row_sum(block, out, *work)
 
-        calls.append(blocks)
+        calls.append((points.size, n_work * n_lines * points.itemsize, blocks))
         return real(spy, points, n_lines, n_work)
 
     monkeypatch.setattr(spectral, "_line_sum_blocks", spying)
     monkeypatch.setattr(response, "_line_sum_blocks", spying)
     gamma = 0.01
     lines = line_spectrum(thermal_ladder(30))
-    pair = broaden(lines, block_spanning_grid(lines, gamma), gamma)
+    pair = broaden(lines, block_spanning_grid(lines, gamma, workers=workers), gamma)
     pair.s_plus, pair.s_minus, polarizability_curve(pair).alpha
     # S+ and S- over the grid, then alpha over its omega <= 0 half and its omega > 0 half
-    assert [len(blocks) for blocks in calls] == [4, 4, 2, 2]
-    for blocks in calls:
-        first = blocks[0]
-        for work in blocks[1:]:
+    assert len(calls) == 4
+    for points, row_bytes, blocks in calls:
+        rows = spectral.LINE_SUM_BYTES // (workers * row_bytes)
+        sizes = [size for _, size, _ in blocks]
+        assert sum(sizes) == points and max(sizes) == rows and len(blocks) == -(-points // rows)
+        scratch = {}  # each worker's first work arrays
+        for ident, _, work in blocks:
+            first = scratch.setdefault(ident, work)
             assert len(work) == len(first)
             assert all(np.shares_memory(w, w0) for w, w0 in zip(work, first))
+        assert len(scratch) <= workers
+        firsts = list(scratch.values())
+        for i, a in enumerate(firsts):
+            for b in firsts[i + 1 :]:
+                assert not any(np.shares_memory(x, y) for x in a for y in b)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_line_sums_bitwise_equal_for_any_worker_count(monkeypatch, workers):
+    gamma = 0.01
+    lines = line_spectrum(thermal_ladder(30))
+    # S+/S- blocks: 3 with one worker, 5 with two and 7 with three
+    grid = block_spanning_grid(lines, gamma, blocks=6.5, workers=3)
+
+    def sums(n):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: n)
+        pair = broaden(lines, grid, gamma)
+        curve, half_first = polarizability_curve(pair), polarizability_curve(pair)
+        return pair.s_plus, pair.s_minus, curve.alpha, curve.positive_alpha, half_first.positive_alpha
+
+    one = sums(1)
+    assert all(np.array_equal(a, b) for a, b in zip(sums(workers), one))
+
+
+def test_line_sum_blocks_sum_each_row_once_with_more_workers_than_cpus(monkeypatch):
+    workers = 8
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: workers)
+    n_lines = spectral.LINE_SUM_BYTES // (workers * 8)  # one row per block
+    points = np.arange(300.0)
+    summed = []
+
+    def row_sum(block, out, x):
+        summed.extend(block.tolist())
+        np.add(block, 1.0, out=out)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = spectral._line_sum_blocks(row_sum, points, n_lines, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(summed) == points.tolist() and np.array_equal(got, points + 1.0)
+
+
+def worker_row_sum(workers, body):
+    """A row sum that runs ``body`` after every worker has taken its first block."""
+    barrier = threading.Barrier(workers, timeout=30)
+    started = set()
+
+    def row_sum(block, out, x):
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            barrier.wait()
+        body(block, out)
+
+    return row_sum, started
+
+
+def test_line_sum_workers_run_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+    n_lines = spectral.LINE_SUM_BYTES // 16  # one row per block for each of two workers
+    points = np.ones(5)
+
+    def divide_by_zero(block, out):
+        np.divide(block, 0.0, out=out)
+
+    row_sum, started = worker_row_sum(2, divide_by_zero)
+    with warnings.catch_warnings(), np.errstate(divide="ignore"):
+        warnings.simplefilter("error")
+        assert np.array_equal(spectral._line_sum_blocks(row_sum, points, n_lines, 1), np.full(5, np.inf))
+    assert len(started) == 2
+    row_sum, started = worker_row_sum(2, divide_by_zero)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        spectral._line_sum_blocks(row_sum, points, n_lines, 1)
+    assert len(started) == 2
+
+
+def test_line_sum_worker_exception_reaches_the_caller_after_every_join(monkeypatch):
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+    n_lines = spectral.LINE_SUM_BYTES // 16
+
+    def fail_off_the_calling_thread(block, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker 1 failed")
+        out[:] = 0.0
+
+    row_sum, started = worker_row_sum(2, fail_off_the_calling_thread)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker 1 failed"):
+        spectral._line_sum_blocks(row_sum, np.ones(5), n_lines, 1)
+    assert len(started) == 2 and threading.active_count() == threads
 
 
 def test_line_sum_memory_independent_of_line_count():

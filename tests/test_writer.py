@@ -1,9 +1,12 @@
 """The CSV/JSON artifact writer: byte format, streaming and atomic replacement."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from gainscatter import cli
+from gainscatter import cli, validate
 from gainscatter.cli import CSV_BLOCK, run, write_csv, write_json
 
 
@@ -125,3 +128,26 @@ def test_non_finite_artifact_exits_2_without_file(tmp_path, capsys, scenario, co
         assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {out / bad_file}: ")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_failing_check_on_a_later_file_leaves_no_earlier_file(tmp_path, capsys):
+    # the slab profile exp(-h z) overflows at z_max = 1e7 (h = -4.2e-4), so slab.csv,
+    # the second file of the command, fails its check after medium.csv's has passed
+    amplifier = next(f for f in validate._scenario_files() if f.name == "amplifier.txt")
+    path = tmp_path / "scenario.txt"
+    path.write_text(amplifier.read_text() + "slab.z_max = 1e7\n")
+    out = tmp_path / "out"
+    assert run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / 'slab.csv'}: column intensity_ratio")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_artifacts_get_the_umask_file_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3)])
+        write_json(tmp_path / "t.json", {"a": 1.0})
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in sorted(tmp_path.iterdir())] == [mode, mode]
