@@ -6,8 +6,22 @@ file shipped with the package (``gainscatter/scenarios/*.txt``: a
 ground-state absorber, a fully inverted amplifier, a thermal three-level
 ladder), writes their CSV/JSON artifacts under ``artifacts/<file stem>/``,
 and re-runs the writers to confirm byte-identical output.  Both signs of
-the total cross section are exercised.  The pytest suite runs the same physics at larger
-sample counts; this command is the quick self-check.
+the total cross section are exercised.
+
+Each ``check_*`` is the one implementation of its criterion: it returns
+``(ok, detail)``, its tolerance is written only here, and its defaults are
+this command's quick sizes.  The acceptance suite (``tests/test_acceptance.py``)
+calls the same checks at larger sizes, criterion by criterion:
+
+1. ``check_negative_sigma_routes``
+2. ``check_screen_sign_blind`` (24 amplitudes)
+3. ``check_identity_chain`` (50 targets)
+4. ``check_detailed_balance`` and ``check_noise_temperature`` (100 ladders each)
+5. ``check_sign_theorem`` (11 population ratios x 451 frequencies)
+6. ``check_rayleigh_closure`` (100 amplitudes)
+7. ``check_oracle_agreement`` (100 line sets) and ``check_kramers_kronig`` (p_e = 0, 1, 0.3)
+8. ``check_medium_first_order`` (9 densities)
+9. every check, through ``run_validation``
 """
 
 from __future__ import annotations
@@ -99,10 +113,10 @@ def check_reflection_symmetry():
     return True, "20 random targets"
 
 
-def check_detailed_balance():
-    rng = np.random.default_rng(13)
+def check_detailed_balance(samples=20, seed=13):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(samples):
         energies, d2 = _random_ladder(rng)
         t = 10.0 ** rng.uniform(-1, 2)
         lines = line_spectrum(TargetLevels.from_temperature(energies, d2, t))
@@ -110,10 +124,10 @@ def check_detailed_balance():
     return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def check_noise_temperature():
-    rng = np.random.default_rng(14)
+def check_noise_temperature(samples=20, seed=14):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(samples):
         energies, d2 = _random_ladder(rng)
         t = 10.0 ** rng.uniform(-1, 2)
         lines = line_spectrum(TargetLevels.from_temperature(energies, d2, t))
@@ -122,7 +136,9 @@ def check_noise_temperature():
             worst = max(worst, abs(tn - t) / t)
     pair = _two_level(0.9)
     inverted_tn = noise_temperature(pair, 1.0)
-    ok = worst <= 1e-10 and inverted_tn is not None and inverted_tn < 0.0
+    if inverted_tn is None:
+        return False, "inverted T_n undefined"
+    ok = worst <= 1e-10 and inverted_tn < 0.0
     return ok, f"thermal recovery {worst:.2e}; inverted T_n = {inverted_tn:.3f}"
 
 
@@ -132,17 +148,18 @@ def check_symmetric_nonneg():
     return bool(np.all(s_bar >= 0.0)), f"min S_bar {s_bar.min():.2e}"
 
 
-def check_oracle_agreement():
-    rng = np.random.default_rng(15)
+def check_oracle_agreement(samples=20, seed=15):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(samples):
         n_lines = int(rng.integers(1, 4))
         gamma = 10.0 ** rng.uniform(-2.3, -1.3)
         lines = LineSpectrum(
             np.sort(rng.uniform(-2.0, 2.0, n_lines)), rng.uniform(0.1, 1.0, n_lines)
         )
-        grid = np.linspace(-60.0, 60.0, 20001)
-        pair = broaden(lines, grid, gamma)
+        span = 60.0
+        points = int(np.ceil(2.0 * span * 8.0 / gamma)) + 1  # 8 samples per gamma
+        pair = broaden(lines, np.linspace(-span, span, points), gamma)
         zeta = complex(rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(np.log10(gamma / 2), 0.5))
         got = polarizability_dispersion(pair, zeta)
         want = closed_form_lorentzian(lines, gamma, zeta)
@@ -172,9 +189,11 @@ def check_linearity():
     return gap <= 1e-12, f"relative gap {gap:.2e}"
 
 
-def check_kramers_kronig():
-    pair = _two_level(0.0, span=8.0, points=16385)
-    residual = kramers_kronig_residual(polarizability_curve(pair))
+def check_kramers_kronig(p_excited=(0.0,)):
+    residual = max(
+        kramers_kronig_residual(polarizability_curve(_two_level(p, span=8.0, points=16385)))
+        for p in p_excited
+    )
     return residual <= 1e-3, f"residual {residual:.2e}"
 
 
@@ -187,13 +206,13 @@ def check_crossing_symmetry():
     return gap <= 1e-10, f"max gap {gap:.2e}"
 
 
-def check_rayleigh_closure():
-    rng = np.random.default_rng(16)
+def check_rayleigh_closure(samples=20, seed=16):
+    rng = np.random.default_rng(seed)
     nodes, weights = np.polynomial.legendre.leggauss(40)
     theta = 0.5 * np.pi * (nodes + 1.0)
     w = 0.5 * np.pi * weights
     worst = 0.0
-    for _ in range(20):
+    for _ in range(samples):
         alpha = complex(rng.normal(), rng.normal())
         omega = 10.0 ** rng.uniform(-1, 1)
         integral = 2.0 * np.pi * np.sum(
@@ -204,38 +223,48 @@ def check_rayleigh_closure():
     return worst <= 1e-9, f"max relative gap {worst:.2e}"
 
 
-def check_identity_chain():
-    rng = np.random.default_rng(17)
+def _chain_pair(rng):
+    """A random target of 2 to 4 levels, broadened on a grid that resolves gamma/4."""
+    gamma = 0.01
+    energies, d2 = _random_ladder(rng, n_max=4)
+    lines = line_spectrum(TargetLevels(energies, d2, rng.dirichlet(np.ones(energies.size))))
+    span = lines.max_abs_omega + 0.5
+    points = int(np.ceil(8.0 * span / gamma)) + 1
+    return broaden(lines, np.linspace(-span, span, points), gamma)
+
+
+def check_identity_chain(samples=10, seed=17):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(10):
-        energies, d2 = _random_ladder(rng, n_max=4)
-        p = rng.dirichlet(np.ones(energies.size))
-        target = TargetLevels(energies, d2, p)
-        lines = line_spectrum(target)
-        span = lines.max_abs_omega + 0.5
-        pair = broaden(lines, np.linspace(-span, span, 2001), 0.01)
-        omegas = rng.uniform(0.05, lines.max_abs_omega, size=12)
+    compared = 0
+    for _ in range(samples):
+        pair = _chain_pair(rng)
+        omegas = pair.grid[pair.grid > 0.0]
         sig_opt = sigma_total_optical(alpha_boundary(pair, omegas), omegas)
         sig_spec = sigma_total_spectral(pair, omegas)
         defined = sig_spec != 0.0
+        compared += int(defined.sum())
         if np.any(defined):
             gap = np.abs(sig_opt - sig_spec)[defined] / np.abs(sig_spec)[defined]
             worst = max(worst, float(gap.max()))
-    return worst <= 1e-8, f"max relative gap {worst:.2e}"
+    ok = compared > 0 and worst <= 1e-8
+    return ok, f"max relative gap {worst:.2e} over {compared} points"
 
 
-def check_sign_theorem():
-    ratios = [0.0, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0, np.inf]
+def check_sign_theorem(ratios=(0.0, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0, np.inf), omega_count=181):
+    omegas = np.linspace(0.2, 2.0, omega_count)
+    compared = 0
     for r in ratios:
         p_e = 1.0 if np.isinf(r) else r / (1.0 + r)
         pair = _two_level(p_e)
-        omegas = np.linspace(0.2, 2.0, 181)
         sigma = sigma_total_spectral(pair, omegas)
         tn = noise_temperature_values(omegas, pair.s_plus_at(omegas), pair.s_minus_at(omegas))
-        mismatch = ~np.isnan(tn) & (sigma != 0.0) & (np.sign(sigma) != np.sign(tn))
+        both = ~np.isnan(tn) & (sigma != 0.0)
+        compared += int(both.sum())
+        mismatch = both & (np.sign(sigma) != np.sign(tn))
         if np.any(mismatch):
             return False, f"sign mismatch at ratio {r}, omega {omegas[np.argmax(mismatch)]}"
-    return True, f"{len(ratios)} population ratios"
+    return compared > 0, f"{len(ratios)} population ratios, {compared} points"
 
 
 def check_equal_population_null():
@@ -256,13 +285,12 @@ def check_bands_both_signs():
     return ok, f"absorber {bands_g}, amplifier {bands_e}"
 
 
-def check_medium_first_order():
+def check_medium_first_order(densities=np.logspace(-7, -5, 5)):
     for p_e in (0.0, 1.0):
         pair = _two_level(p_e)
         alpha = complex(alpha_boundary(pair, 1.0))
         sigma = float(sigma_total_optical(alpha, 1.0))
         rel = []
-        densities = np.logspace(-7, -5, 5)
         for n in densities:
             h_exact = float(extinction(wavevector(dielectric(alpha, n), 1.0)))
             rel.append(abs(h_exact - n * sigma) / abs(n * sigma))
@@ -305,14 +333,14 @@ def check_negative_sigma_routes():
     return ok, f"sigma_tot ~ {sigma_optical:.4e}, route spread {spread:.2e}"
 
 
-def check_screen_sign_blind():
-    rng = np.random.default_rng(18)
+def check_screen_sign_blind(samples=8, seed=18):
+    rng = np.random.default_rng(seed)
     z = 1e4
     schedule = default_eps_schedule(1.0, z, z / 10.0)
     worst = 0.0
-    for quadrant in range(8):
+    for i in range(samples):  # F cycles through the four quadrants
         f = complex(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
-        f = complex(f.real * (-1) ** quadrant, f.imag * (-1) ** (quadrant // 2))
+        f = complex(f.real * (-1) ** i, f.imag * (-1) ** (i // 2))
         _, got = extrapolate_missing_intensity(f, 1.0, z, schedule, z / 10.0)
         want = optical_theorem_sigma(f, 1.0)
         worst = max(worst, abs(got - want) / abs(want))

@@ -281,17 +281,6 @@ def test_kramers_kronig_zero_curve():
     assert kramers_kronig_residual(curve) == 0.0
 
 
-def test_kramers_kronig_single_line():
-    pair = two_level_pair(0.0, span=8.0, points=16385)
-    assert kramers_kronig_residual(polarizability_curve(pair)) <= 1e-3
-
-
-def test_kramers_kronig_inverted_line():
-    # causality holds regardless of the sign of Im alpha
-    pair = two_level_pair(1.0, span=8.0, points=16385)
-    assert kramers_kronig_residual(polarizability_curve(pair)) <= 1e-3
-
-
 def looped_pv_reconstruct(grid, f, eval_idx):
     """Reference: the per-point window + trapezoid-remainder loop the FFT sums replaced."""
     n = grid.size

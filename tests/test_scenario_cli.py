@@ -578,3 +578,32 @@ def test_validate_summary_names_the_two_slowest_checks(tmp_path, monkeypatch, ca
     assert [entry.split()[0] for entry in slowest] == ["response.linearity", "response.sign_rule"]
     assert run(["validate", "--out", str(tmp_path), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_each_check_is_one_validate_row_and_returns_ok_and_detail(tmp_path, monkeypatch, capsys):
+    # the bench times every validate.check_* as one item and reads result[0] as its pass flag
+    names = [name for name in vars(validate) if name.startswith("check_")]
+    for name in names:
+        if name != "check_artifact_determinism":  # takes the output directory
+            result = getattr(validate, name)()
+            assert type(result) is tuple and len(result) == 2, name
+            assert isinstance(result[0], (bool, np.bool_)), name
+    calls = []
+    for name in names:
+        monkeypatch.setattr(validate, name, lambda *args, name=name: calls.append(name) or (True, ""))
+    assert validate.run_validation(tmp_path) == 0
+    assert sorted(calls) == sorted(names)
+    assert len(capsys.readouterr().out.splitlines()) == len(names) + 1  # a row each, then the summary
+
+
+def test_identity_chain_and_sign_theorem_fail_when_the_spectral_route_is_all_zeros(monkeypatch):
+    monkeypatch.setattr(validate, "sigma_total_spectral", lambda pair, omega: np.zeros(np.shape(omega)))
+    for check in (validate.check_identity_chain, validate.check_sign_theorem):
+        ok, detail = check()
+        assert not ok and detail.endswith(" 0 points"), detail
+
+
+def test_noise_temperature_check_names_an_undefined_inverted_t_n(monkeypatch):
+    two_level = validate._two_level
+    monkeypatch.setattr(validate, "_two_level", lambda p_excited, **kw: two_level(0.5, **kw))
+    assert validate.check_noise_temperature() == (False, "inverted T_n undefined")

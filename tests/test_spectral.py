@@ -483,15 +483,6 @@ def test_detailed_balance_three_level_oracle():
     assert detailed_balance_residual(lines, t) <= 1e-12
 
 
-def test_detailed_balance_property_random_ladders():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        energies, d2 = random_ladder(rng)
-        t = 10.0 ** rng.uniform(-1, 2)
-        lines = line_spectrum(TargetLevels.from_temperature(energies, d2, t))
-        assert detailed_balance_residual(lines, t) <= 1e-12
-
-
 def test_detailed_balance_residual_on_coincident_lines(monkeypatch):
     # equal spacing: the 0->1, 1->2, 2->3 and 3->4 lines coincide at omega = 1, and so on
     rng = np.random.default_rng(4)
