@@ -20,7 +20,7 @@ calls the same checks at larger sizes, criterion by criterion:
 5. ``check_sign_theorem`` (11 population ratios x 451 frequencies)
 6. ``check_rayleigh_closure`` (100 amplitudes)
 7. ``check_oracle_agreement`` (100 line sets) and ``check_kramers_kronig`` (p_e = 0, 1, 0.3)
-8. ``check_medium_first_order`` (9 densities)
+8. ``check_medium_first_order``
 9. every check, through ``run_validation``
 """
 
@@ -73,10 +73,10 @@ from .spectral import (
 __all__ = ["run_validation"]
 
 
-def _random_ladder(rng, n_max=6, gaps=(0.4, 1.4)):
-    """2 to ``n_max`` ascending levels, spaced by draws from ``gaps``, and random symmetric dipoles."""
+def _random_ladder(rng, n_max=6):
+    """2 to ``n_max`` ascending levels, spaced by draws from [0.4, 1.4], and random symmetric dipoles."""
     n = int(rng.integers(2, n_max + 1))
-    energies = np.concatenate(([0.0], np.cumsum(rng.uniform(*gaps, size=n - 1))))
+    energies = np.concatenate(([0.0], np.cumsum(rng.uniform(0.4, 1.4, size=n - 1))))
     d2 = rng.uniform(0.0, 1.0, size=(n, n))
     d2 = 0.5 * (d2 + d2.T)
     np.fill_diagonal(d2, 0.0)
@@ -285,7 +285,8 @@ def check_bands_both_signs():
     return ok, f"absorber {bands_g}, amplifier {bands_e}"
 
 
-def check_medium_first_order(densities=np.logspace(-7, -5, 5)):
+def check_medium_first_order():
+    densities = np.logspace(-7, -5, 9)
     for p_e in (0.0, 1.0):
         pair = _two_level(p_e)
         alpha = complex(alpha_boundary(pair, 1.0))

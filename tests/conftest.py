@@ -3,12 +3,7 @@
 import numpy as np
 
 from gainscatter import TargetLevels, broaden, line_spectrum, spectral
-from gainscatter.validate import _random_ladder
-
-
-def random_ladder(rng, n_max=6):
-    """The validation suite's random ladder, with level gaps drawn from [0.3, 1.5]."""
-    return _random_ladder(rng, n_max, gaps=(0.3, 1.5))
+from gainscatter.validate import _random_ladder as random_ladder
 
 
 def random_target(rng, n_max=6):
