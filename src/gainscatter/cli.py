@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +258,9 @@ def cmd_verify(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     return EXIT_OK if report["converged"] else EXIT_NON_CONVERGED
 
 
-def run(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``run`` of the process (not at import)."""
     parser = argparse.ArgumentParser(
         prog="gainscatter",
         description="Dipole-scattering observables for absorbing and amplifying targets.",
@@ -272,7 +274,11 @@ def run(argv=None) -> int:
             p.add_argument("--grid-points", type=int, default=None, help="override grid.points")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "validate":
         out_dir = Path(args.out) if args.out else Path("validate_out")

@@ -157,21 +157,6 @@ def test_dispersion_matches_closed_form_ground_state():
     assert abs(got - want) / abs(want) <= 1e-6
 
 
-def test_dispersion_oracle_equivalence_property():
-    # acceptance-grade sweep lives in test_acceptance; this is the smoke version
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(25):
-        gamma = 10.0 ** rng.uniform(-2.3, -1.3)
-        lines = random_lines(rng)
-        pair = dense_pair(lines, gamma, span=60.0)
-        zeta = complex(rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(np.log10(gamma / 2.0), 0.5))
-        got = polarizability_dispersion(pair, zeta)
-        want = closed_form_lorentzian(lines, gamma, zeta)
-        worst = max(worst, abs(got - want) / abs(want))
-    assert worst <= 1e-6
-
-
 def test_dispersion_rejects_real_axis():
     pair = two_level_pair(0.0)
     with pytest.raises(ValueError):

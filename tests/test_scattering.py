@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_target, two_level_pair
+from conftest import two_level_pair
 from gainscatter import (
     TOL_BAND,
     alpha_boundary,
@@ -141,20 +141,6 @@ def test_sigma_total_spectral_matches_optical_ground_state():
     sig_spec = float(sigma_total_spectral(pair, 1.0))
     sig_opt = float(sigma_total_optical(alpha_boundary(pair, 1.0), 1.0))
     assert sig_spec == pytest.approx(sig_opt, rel=1e-10)
-
-
-def test_sigma_total_spectral_identity_chain_property():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        target = random_target(rng, n_max=4)
-        lines = line_spectrum(target)
-        span = lines.max_abs_omega + 0.5
-        pair = broaden(lines, np.linspace(-span, span, 1601), 0.01)
-        omegas = rng.uniform(0.05, lines.max_abs_omega, size=16)
-        sig_opt = sigma_total_optical(alpha_boundary(pair, omegas), omegas)
-        sig_spec = sigma_total_spectral(pair, omegas)
-        defined = sig_spec != 0.0
-        assert np.allclose(sig_opt[defined], sig_spec[defined], rtol=1e-8, atol=0.0)
 
 
 def three_level_amplifier():

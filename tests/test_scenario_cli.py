@@ -1,8 +1,11 @@
 """Scenario parsing and the command-line pipelines."""
 
+import argparse
+import ast
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -11,12 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import thermal_ladder
 from gainscatter import alpha_boundary, cli, response, scenario as scenario_module, spectral, validate
 from gainscatter.cli import run
-from gainscatter.scenario import ScenarioError, parse_scenario
+from gainscatter.scenario import ScenarioError, load_scenario, parse_scenario
 from gainscatter.screen import default_eps_schedule
 
 GROUND = """
@@ -191,6 +194,120 @@ def test_parse_returns_a_scenario_or_raises_scenario_error(overrides):
         parse_scenario("\n".join(keys.values()))
     except ScenarioError:
         pass
+
+
+# Number forms only Python reads, tokens only JSON reads, and forms where the
+# two readers could part: signed zeros, an inf-valued float, a non-ASCII digit,
+# an int past the int-string digit limit, nesting past literal_eval's depth
+# limit (250) and past json's recursion limit (5000).
+_PYTHON_ONLY = [".5", "5.", "1_0", "+1", "00", "0x10", "1j", "- 1"]
+_JSON_ONLY = ["true", "false", "null", "NaN", "Infinity", "-Infinity"]
+_EDGE = ["-0", "-0.0", "0e-0", "1E5", "1e999", "-1e999", "\u0663", "1" + "0" * 4999]
+_EDGE += ["[" * 250 + "]" * 250, "[" * 5000 + "]" * 5000]
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(_PYTHON_ONLY + _JSON_ONLY + _EDGE),
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.builds(  # sign, integer part (leading zeros too), fraction, exponent
+        "{}{}{}{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+        st.sampled_from(["", ".", ".0", ".25"]),
+        st.sampled_from(["", "e5", "E-3", "e+16", "e"]),
+    ),
+)
+
+
+def _list_text(items, separator, trailing, brackets):
+    return brackets[0] + separator.join(items) + trailing + brackets[1]
+
+
+_LITERAL_TEXTS = st.recursive(
+    _NUMBER_TEXTS,
+    lambda children: st.builds(
+        _list_text,
+        st.lists(children, max_size=4),
+        st.sampled_from([", ", ",", " , ", "\t,"]),
+        st.sampled_from(["", ","]),
+        st.sampled_from(["[]", "()", "[ ]"]),
+    ),
+    max_leaves=10,
+)
+
+
+_JSON_SHAPED_TEXTS = st.builds(  # vectors and matrices of JSON numbers, as ladder files hold
+    _list_text,
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr), max_size=3).map(
+                lambda row: "[" + ", ".join(row) + "]"
+            ),
+        ),
+        max_size=3,
+    ),
+    st.sampled_from([", ", ",", " , ", "\t,"]),
+    st.just(""),
+    st.sampled_from(["[]", "[ ]"]),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_LITERAL_TEXTS, _JSON_SHAPED_TEXTS))
+@example("[[0.0, 1e-06], [-0.0, 1e+16]]")
+@example("[" * 250 + "1" + "]" * 250)
+@example("[" * 5000 + "]" * 5000)
+@example("[" + "1" * 5000 + "]")
+def test_literal_reader_matches_literal_eval(text):
+    # the JSON fast path reads what ast.literal_eval reads, or fails with its message,
+    # up to the address of an AST node that the message may name
+    def message(exc):
+        return re.sub(r" at 0x[0-9a-f]+>", ">", str(exc))
+
+    try:
+        want, want_error = ast.literal_eval(text.strip()), None
+    except (ValueError, SyntaxError) as exc:
+        want, want_error = None, f"<s>:1: bad literal for 'energies': {message(exc)}"
+    try:
+        got, got_error = scenario_module._parse_lines(f"energies = {text}", "<s>")["energies"], None
+    except ScenarioError as exc:
+        got, got_error = None, message(exc)
+    assert got_error == want_error
+    assert repr(got) == repr(want)  # same types all the way down, -0.0 included
+
+
+def test_ladder_literals_take_the_json_path(monkeypatch):
+    # the bench's 60-level ladder, repr floats throughout, never reaches literal_eval
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from workloads import ladder_text
+    finally:
+        sys.path.pop(0)
+    text = ladder_text(np.random.default_rng(7), 60, 1.0)
+    literals = dict(line.split(" = ", 1) for line in text.splitlines() if not line.startswith("#"))
+    want = {key: ast.literal_eval(value) for key, value in literals.items()}
+    want_lines = spectral.line_spectrum(
+        spectral.TargetLevels.from_temperature(want["energies"], want["dipole_sq"], want["temperature"])
+    )
+
+    def refuse(text):
+        raise AssertionError(f"literal_eval called on {text[:20]!r}")
+
+    monkeypatch.setattr(scenario_module.ast, "literal_eval", refuse)
+    assert repr(scenario_module._parse_lines(text, "<s>")) == repr(want)
+    lines = parse_scenario(text).lines
+    assert lines.n_lines == 60 * 59
+    assert lines.omega.tobytes() == want_lines.omega.tobytes()
+    assert lines.weight.tobytes() == want_lines.weight.tobytes()
+
+
+def test_non_utf8_scenario_file_is_named(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe" + GROUND.encode())
+    with pytest.raises(ScenarioError, match=f"cannot read scenario file {path}: 'utf-8' codec"):
+        load_scenario(path)
+    assert run(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {path}: ")
 
 
 def test_parse_temperature_scenario():
@@ -405,6 +522,46 @@ def test_grid_points_override(tmp_path):
     assert code == 0
     cols = read_csv(out / "spectrum.csv")
     assert len(cols["omega"]) == 501
+
+
+def test_run_builds_the_argument_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(cli.validation_suite, "run_validation", lambda out_dir, quiet: 0)
+    cli._parser.cache_clear()
+    try:
+        path = write_scenario(tmp_path, GROUND)
+        out = tmp_path / "out"
+        for command in ("spectrum", "response"):
+            assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+        assert run(["validate", "--out", str(out), "--quiet"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum", "--quiet"])  # --scenario missing
+        assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: gainscatter spectrum")
+        argv = ["spectrum", "--scenario", str(path), "--out", str(out), "--grid-points", "501", "--quiet"]
+        assert run(argv) == 0
+        assert len(read_csv(out / "spectrum.csv")["omega"]) == 501
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("gainscatter") == 1  # the subcommands' parsers are built with it, once
+    assert len(built) == 7
+
+
+def test_import_builds_no_argument_parser_and_imports_no_json():
+    # both are first-run costs, kept out of the package's import time
+    code = (
+        "import sys, gainscatter; print('json' in sys.modules); "
+        "from gainscatter import cli; print(cli._parser.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False", "0"]
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path):

@@ -519,18 +519,6 @@ def test_line_weights_aggregated_once_per_line_set(monkeypatch):
 # --- noise temperature --------------------------------------------------------
 
 
-def test_noise_temperature_recovers_thermal_t():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        energies, d2 = random_ladder(rng)
-        t = 10.0 ** rng.uniform(-1, 2)
-        lines = line_spectrum(TargetLevels.from_temperature(energies, d2, t))
-        for w in np.unique(np.abs(lines.omega)):
-            tn = noise_temperature(lines, float(w))
-            assert tn is not None
-            assert abs(tn - t) <= 1e-10 * t
-
-
 def test_noise_temperature_inverted_value():
     # populations [1/3, 2/3]: T_n = 1/ln(1/2) = -1/ln 2
     lines = line_spectrum(TargetLevels([0.0, 1.0], [[0, 1], [1, 0]], [1 / 3, 2 / 3]))
