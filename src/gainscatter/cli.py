@@ -11,17 +11,21 @@ the process creates.  A non-finite number (NaN in JSON, +-inf anywhere) is
 a validation error, never an artifact; NaN in a CSV is the blank
 "undefined" cell.  A command checks every one of its outputs before it
 writes the first, so a failing check leaves none of them.  CSV files are
-formatted a column at a time over blocks of ``CSV_BLOCK`` rows and streamed
-block by block, so the writer's memory is O(block) whatever the row count.
+formatted and streamed in blocks of ``CSV_BLOCK`` rows, so the writer's memory
+is O(block) whatever the row count.  Each block is one row template, built
+from its column kinds (``%.16e`` float, ``%d`` bool as 1/0, ``%s`` str as
+is), filled by one ``%`` over the block's cells in row order.  A float column
+whose block holds a NaN enters the template as ``%s``, its cells formatted
+one by one and NaN left blank.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import tempfile
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -45,31 +49,47 @@ EXIT_NON_CONVERGED = 3
 # Rows formatted and written per block, so writer memory is O(block) whatever the
 # row count.  A block's text is about 20 KB for 8 columns.  1024-row blocks
 # (about 150 KB each) left the peak RSS of repeated validate runs 0.5 MiB above
-# the one-string writer's; 128-row blocks leave it 0.7 MiB below.
+# the one-string writer's; 128-row blocks leave it 0.7 MiB below.  With one row
+# template per block, 128, 256 and 512 rows format equally fast.
 CSV_BLOCK = 128
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """CSV cells of one column: 17 significant digits, blank for NaN, 1/0 for bool, str as is."""
-    if column.dtype.kind == "b":
-        return ["1" if v else "0" for v in column.tolist()]
-    if column.dtype.kind == "U":
-        return column.tolist()
-    cells = list(map("{:.16e}".format, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""  # undefined entries (e.g. noise temperature) stay blank
-    return cells
+def _block_text(block: list[np.ndarray]) -> str:
+    """CSV rows of one block: 17 significant digits, blank for NaN, 1/0 for bool, str as is.
+
+    NaN is blanked cell by cell, never by replacing text in the filled block,
+    where a str cell may read "nan".
+    """
+    specs = []
+    cells = np.empty((len(block[0]), len(block)), dtype=object)
+    for j, column in enumerate(block):
+        kind = column.dtype.kind
+        if kind == "f" and np.isnan(column).any():
+            # undefined entries (e.g. noise temperature) stay blank
+            specs.append("%s")
+            cells[:, j] = ["" if math.isnan(v) else "%.16e" % v for v in column.tolist()]
+        else:
+            specs.append({"b": "%d", "U": "%s"}.get(kind, "%.16e"))
+            cells[:, j] = column
+    return (",".join(specs) + "\n") * len(cells) % tuple(cells.ravel().tolist())
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the text ``chunks`` to a temporary file and rename it into place."""
+    """Write the text ``chunks`` to a temporary file and rename it into place.
+
+    The temporary is created 0o666 and the kernel applies the umask, so its
+    mode is that of any file the process creates; the process umask is never
+    changed, so no other thread's file can be created in a window without it.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    while True:
+        tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:  # the name is taken: draw another
+            continue
+        break
     try:
-        # mkstemp creates the file 0o600; give it the mode open() would: 0o666 less the umask
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="\n") as handle:
             for chunk in chunks:
                 handle.write(chunk)
@@ -83,8 +103,7 @@ def _atomic_write(path: Path, chunks) -> None:
 def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]), CSV_BLOCK):
-        cells = [_cells(column[start : start + CSV_BLOCK]) for column in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield _block_text([column[start : start + CSV_BLOCK] for column in columns])
 
 
 def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:

@@ -172,7 +172,8 @@ def _parse_lines(text: str, source: str) -> dict:
             raise ScenarioError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _literal(literal.strip())
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, SyntaxError, TypeError, RecursionError) as exc:
+            # TypeError: an unhashable dict key or set member; RecursionError: deep unary nesting
             raise ScenarioError(f"{source}:{lineno}: bad literal for {key!r}: {exc}") from exc
     return values
 

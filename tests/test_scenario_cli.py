@@ -168,6 +168,24 @@ def test_mistyped_or_non_finite_values_exit_2(tmp_path, capsys, old, new, named)
     assert err.startswith("error: ") and named in err
 
 
+
+@pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium", "verify"])
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("{[]: 1}", "unhashable type"),  # a TypeError in ast.literal_eval
+        ("-" * 5000 + "1", "maximum recursion depth exceeded"),  # a RecursionError
+    ],
+    ids=["unhashable-key", "deep-unary"],
+)
+def test_literal_eval_type_and_recursion_errors_exit_2(tmp_path, capsys, command, literal, message):
+    path = write_scenario(tmp_path, GROUND.replace("energies = [0.0, 1.0]", f"energies = {literal}"))
+    out = tmp_path / "out"
+    assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: bad literal for 'energies': ") and message in err
+    assert not out.exists() or list(out.iterdir()) == []
+
 _SCALARS = st.one_of(
     st.integers(-(10**400), 10**400),
     st.floats(),

@@ -5,6 +5,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gainscatter import cli, validate
 from gainscatter.cli import CSV_BLOCK, run, write_csv, write_json
@@ -48,6 +49,40 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows):
     assert path.read_bytes() == per_value_csv(header, columns).encode()
 
 
+
+@st.composite
+def tables(draw):
+    """Float, bool and str columns of 0 to 3 blocks + 1 rows; floats hold specials at random rows."""
+    n_rows = draw(st.integers(0, 3 * CSV_BLOCK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "bool", "str"]), min_size=1, max_size=4)):
+        if kind == "float":
+            column = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+            specials = [np.nan, -0.0, 5e-324, -1e-310, 1e300, -1e300]
+            for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=10)) if n_rows else []:
+                column[row] = draw(st.sampled_from(specials))
+        elif kind == "bool":
+            column = rng.random(n_rows) < 0.5
+        else:
+            column = np.array(rng.choice(["nan", "banana", "NaN", "%s", ""], n_rows))
+        columns.append(column)
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+@settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(tables())
+def test_write_csv_property_matches_per_value_format(tmp_path, table):
+    header, columns = table
+    write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, columns).encode()
+
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="unequal lengths"):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
@@ -70,20 +105,20 @@ def test_unequal_columns_exit_2_without_artifact(tmp_path, monkeypatch, capsys):
 
 
 def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
-    real = cli._cells
+    real = cli._block_text
     calls = []
 
-    def failing(column):
-        calls.append(len(column))
-        if len(calls) > 2:  # the second block of the first column
+    def failing(block):
+        calls.append([len(column) for column in block])
+        if len(calls) > 1:  # the second block
             raise RuntimeError("formatting failed")
-        return real(column)
+        return real(block)
 
-    monkeypatch.setattr(cli, "_cells", failing)
+    monkeypatch.setattr(cli, "_block_text", failing)
     path = tmp_path / "table.csv"
     with pytest.raises(RuntimeError, match="formatting failed"):
         write_csv(path, ["a", "b"], [np.arange(3.0 * CSV_BLOCK), np.ones(3 * CSV_BLOCK)])
-    assert calls == [CSV_BLOCK, CSV_BLOCK, CSV_BLOCK]  # the first block was streamed
+    assert calls == [[CSV_BLOCK, CSV_BLOCK]] * 2  # the first block was streamed
     assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
 
 
@@ -151,3 +186,13 @@ def test_artifacts_get_the_umask_file_mode(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert [stat.S_IMODE(p.stat().st_mode) for p in sorted(tmp_path.iterdir())] == [mode, mode]
+
+
+def test_writes_never_change_the_process_umask(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3)])
+    write_json(tmp_path / "t.json", {"a": 1.0})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
