@@ -12,18 +12,18 @@ a validation error, never an artifact; NaN in a CSV is the blank
 "undefined" cell.  A command checks every one of its outputs before it
 writes the first, so a failing check leaves none of them.  CSV files are
 formatted and streamed in blocks of ``CSV_BLOCK`` rows, so the writer's memory
-is O(block) whatever the row count.  Each block is one row template, built
-from its column kinds (``%.16e`` float, ``%d`` bool as 1/0, ``%s`` str as
-is), filled by one ``%`` over the block's cells in row order.  A float column
-whose block holds a NaN enters the template as ``%s``, its cells formatted
-one by one and NaN left blank.
+is O(block) whatever the row count.  A block is one (rows x row-width) byte
+buffer with a fixed-width slot per cell: a float cell gets the digits and
+exponent of ``"%.16e"``, computed in numpy for the whole block, a bool 1/0,
+a str its UTF-8.  A cell shorter than its slot (no sign, a 2-digit exponent,
+a blank NaN, a short str) is NUL-filled, and the fill is removed from the
+finished block.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import cache, cached_property
@@ -47,35 +47,164 @@ EXIT_NON_CONVERGED = 3
 
 
 # Rows formatted and written per block, so writer memory is O(block) whatever the
-# row count.  A block's text is about 20 KB for 8 columns.  1024-row blocks
-# (about 150 KB each) left the peak RSS of repeated validate runs 0.5 MiB above
-# the one-string writer's; 128-row blocks leave it 0.7 MiB below.  With one row
-# template per block, 128, 256 and 512 rows format equally fast.
-CSV_BLOCK = 128
+# row count.  Measured with the canonical bench on a 2-vCPU VM: 1024-row blocks
+# leave its peak RSS 0.2 MiB above that of a writer with one "%" per value,
+# 2048-row blocks 0.9 MiB above it and no faster, and 512-row blocks write
+# about 10% slower.
+CSV_BLOCK = 1024
+
+# A float cell "[-]d.dddddddddddddddde[+-]dd[d]" fills a 24-byte slot; the fast
+# path covers |x| in [_FAST_MIN, _FAST_MAX], where |x| * 10**(16 - e) neither
+# overflows nor loses bits to subnormals, and the power 10**(16 - e) is in the table.
+_FAST_MIN, _FAST_MAX = 1e-250, 1e250
+_POW10_MIN, _POW10_MAX = -240, 270
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
 
 
-def _block_text(block: list[np.ndarray]) -> str:
-    """CSV rows of one block: 17 significant digits, blank for NaN, 1/0 for bool, str as is.
+@cache
+def _decimal_tables() -> tuple[np.ndarray, ...]:
+    """Tables of the float-cell formatter, built on its first call, not at import.
 
-    NaN is blanked cell by cell, never by replacing text in the filled block,
-    where a str cell may read "nan".
+    10**k for _POW10_MIN <= k <= _POW10_MAX as a double-double hi + lo, with
+    hi split into halves, and the exponent field ("+05", "-123") of each
+    exponent in [-308, 308] as 4 NUL-filled bytes.  A quotient of Python ints
+    is correctly rounded, so hi is 10**k rounded and lo the rest, rounded.
     """
-    specs = []
-    cells = np.empty((len(block[0]), len(block)), dtype=object)
-    for j, column in enumerate(block):
-        kind = column.dtype.kind
-        if kind == "f" and np.isnan(column).any():
-            # undefined entries (e.g. noise temperature) stay blank
-            specs.append("%s")
-            cells[:, j] = ["" if math.isnan(v) else "%.16e" % v for v in column.tolist()]
-        else:
-            specs.append({"b": "%d", "U": "%s"}.get(kind, "%.16e"))
-            cells[:, j] = column
-    return (",".join(specs) + "\n") * len(cells) % tuple(cells.ravel().tolist())
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi.append(num / den)
+        hi_num, hi_den = hi[-1].as_integer_ratio()
+        lo.append((num * hi_den - hi_num * den) / (den * hi_den))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    fields = b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(-308, 309))
+    quads = b"".join(b"%04d" % i for i in range(10000))
+    exponents, digits = (np.frombuffer(text, "<u4") for text in (fields, quads))
+    return hi, hi_hi, hi - hi_hi, np.array(lo), exponents, digits
+
+
+def _scaled(ax: np.ndarray, index: np.ndarray, tables) -> tuple[np.ndarray, np.ndarray]:
+    """``ax * 10**(index + _POW10_MIN)`` as ``p + t``: p the rounded product with hi, t the rest.
+
+    t is ``ax * lo`` plus the exact rounding error of p (Dekker's
+    two-product); its own error is below 1e-14 where p < 2e17.  The
+    arithmetic is in place, so few block-sized arrays live at once; ``ax`` is
+    overwritten.
+    """
+    hi, hi_hi, hi_lo, lo = tables[:4]
+    t = lo[index]
+    t *= ax
+    p = hi[index]
+    p *= ax
+    ax_hi = ax * _SPLIT
+    term = ax_hi - ax
+    ax_hi -= term
+    ax -= ax_hi  # now the low half of ax
+    np.take(hi_hi, index, out=term)
+    term *= ax_hi
+    term -= p
+    t += term
+    for table, half in ((hi_lo, ax_hi), (hi_hi, ax), (hi_lo, ax)):
+        np.take(table, index, out=term)
+        term *= half
+        t += term
+    return p, t
+
+
+def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.16e" % v`` of each float ``v`` of ``x`` into ``out[..., :24]``, NUL-filled.
+
+    NaN is 24 NULs (the blank cell).  ``out`` is uint8 of shape x.shape + (24,),
+    possibly strided, with its last axis contiguous.  For |x| in the fast
+    window the 17 digits are the integer d nearest D = |x| * 10**(16 - e), for
+    e = floor(log10 |x|) and D = p + t as in ``_scaled``, where |t| < 20.  A
+    cell is formatted by ``%`` instead where p lies within 32 of 1e16 or 1e17
+    or beyond them (log10 may be one off near a power of ten, and D may round
+    up to 1e17), where t lies within 1e-6 of a half (exact ties, which ``%``
+    rounds half-even), or where |x| is outside the window (NaN and zero too).
+    """
+    tables = _decimal_tables()
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)
+    ax[~fast] = 1.0
+    index = np.log10(ax)
+    index = np.floor(index, out=index).astype(np.int64)  # e
+    np.subtract(16 - _POW10_MIN, index, out=index)  # 10**(16 - e) in the tables
+    p, t = _scaled(ax, index, tables)
+    del ax
+    t += 0.5
+    rounded = np.floor(t)
+    t -= rounded
+    t -= 0.5  # within 1e-6 of +-0.5 at a tie
+    slow = ~fast | (np.abs(t, out=t) > 0.5 - 1e-6) | (p < 1e16 + 32) | (p > 1e17 - 32)
+    del t, fast
+    d = p.astype(np.int64)
+    d += rounded.astype(np.int64)
+    del p, rounded
+    high = d // 10**8
+    d -= high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    lead *= 256
+    lead += np.signbit(x) * 45 + 48 * 256
+    out[..., 0:2].view("<u2")[..., 0] = lead  # sign (or NUL) and the first digit
+    out[..., 2] = 46  # "."
+    for at, digits in ((3, high), (11, d)):  # 8 digits each, 4 per table entry
+        quad = digits // 10000
+        digits -= quad * 10000
+        out[..., at : at + 4].view("<u4")[..., 0] = tables[5][quad]
+        out[..., at + 4 : at + 8].view("<u4")[..., 0] = tables[5][digits]
+    out[..., 19] = 101  # "e"
+    np.subtract(16 - _POW10_MIN + 308, index, out=index)  # e + 308
+    out[..., 20:24].view("<u4")[..., 0] = tables[4][index]
+    if slow.any():
+        cells = [b"" if v != v else b"%.16e" % v for v in x[slow].tolist()]
+        out[slow] = np.array(cells, "S24").view(np.uint8).reshape(-1, 24)
+
+
+def _utf8(column: np.ndarray) -> np.ndarray:
+    """A str column as NUL-padded UTF-8 bytes (numpy "S")."""
+    try:
+        return column.astype("S")  # ASCII
+    except UnicodeEncodeError:
+        return np.array([cell.encode() for cell in column.tolist()], dtype="S")
+
+
+def _block_bytes(block: list[np.ndarray]) -> bytearray:
+    """CSV rows of one block: 17 significant digits, blank for NaN, 1/0 for bool, str as UTF-8.
+
+    Every column has a fixed-width slot, followed by its separator, in one
+    (rows x row-width) uint8 buffer: 24 bytes for a float, 1 for a bool, the
+    longest cell's UTF-8 for a str.  A cell shorter than its slot is NUL
+    filled, and the fill is removed from the finished block, so no text is
+    ever replaced.  A run of float columns is formatted in one pass.
+    """
+    n = len(block[0])
+    kinds = [column.dtype.kind for column in block]
+    cells = [_utf8(column) if kind == "U" else column for column, kind in zip(block, kinds)]
+    widths = [{"b": 1, "U": c.itemsize}.get(kind, 24) for c, kind in zip(cells, kinds)]
+    starts = np.cumsum([0] + [width + 1 for width in widths])
+    raw = bytearray(n * starts[-1])
+    buf = np.frombuffer(raw, np.uint8).reshape(n, -1)
+    buf[:, starts[1:-1] - 1] = 44  # ","
+    buf[:, -1] = 10  # "\n"
+    for j, (column, kind) in enumerate(zip(cells, kinds)):
+        if kind == "b":
+            buf[:, starts[j]] = np.frombuffer(b"01", np.uint8)[column.astype(np.intp)]
+        elif kind == "U":
+            buf[:, starts[j] : starts[j + 1] - 1] = column.view(np.uint8).reshape(n, -1)
+        elif j == 0 or kinds[j - 1] in "bU":  # a run of floats starts: slots 25 bytes apart
+            end = next((k for k in range(j, len(block)) if kinds[k] in "bU"), len(block))
+            x = np.stack(block[j:end], axis=1, dtype=np.float64)
+            slots = (buf[:, starts[j] :], x.shape + (24,), (buf.shape[1], 25, 1))
+            _float_cells(x, np.lib.stride_tricks.as_strided(*slots))
+    return raw.translate(None, b"\0")
 
 
 def _atomic_write(path: Path, chunks) -> None:
-    """Write the text ``chunks`` to a temporary file and rename it into place.
+    """Write the byte ``chunks`` to a temporary file and rename it into place.
 
     The temporary is created 0o666 and the kernel applies the umask, so its
     mode is that of any file the process creates; the process umask is never
@@ -90,9 +219,8 @@ def _atomic_write(path: Path, chunks) -> None:
             continue
         break
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)  # each chunk is released before the next is made
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -101,13 +229,17 @@ def _atomic_write(path: Path, chunks) -> None:
 
 
 def _csv_chunks(header: list[str], columns: list[np.ndarray]):
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode()
     for start in range(0, len(columns[0]), CSV_BLOCK):
-        yield _block_text([column[start : start + CSV_BLOCK] for column in columns])
+        yield _block_bytes([column[start : start + CSV_BLOCK] for column in columns])
 
 
 def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:
-    """The columns as arrays; unequal lengths or a float column holding +-inf is a ValueError."""
+    """The columns as arrays; unequal lengths, +-inf or a NUL in a str cell is a ValueError.
+
+    The writer's NUL fill would drop a NUL from a cell.  numpy itself drops
+    trailing NULs from str cells, so only a NUL inside a cell reaches here.
+    """
     columns = [np.asarray(column) for column in columns]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(
@@ -116,6 +248,8 @@ def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]
     for name, column in zip(header, columns):
         if column.dtype.kind == "f" and np.isinf(column).any():
             raise ValueError(f"{path}: column {name} holds an infinite value")
+        if column.dtype.kind == "U" and "\0" in "".join(column.tolist()):
+            raise ValueError(f"{path}: column {name} holds a NUL character")
     return columns
 
 
@@ -138,7 +272,7 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
 def write_json(path: Path, payload) -> None:
     """Write ``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError."""
-    _atomic_write(path, [_json_text(path, payload)])
+    _atomic_write(path, [_json_text(path, payload).encode()])
 
 
 def _write_all(*artifacts) -> None:

@@ -2,6 +2,9 @@
 
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,34 @@ def per_value_csv(header, columns) -> str:
 
 # +-inf is not here: the writer rejects it (test_write_csv_rejects_infinite_values)
 SPECIAL = [np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.5e300, 1 / 3, np.pi]
+# the float-cell formatter's fast window and the doubles either side of its edges
+EDGES = [np.nextafter(x, to) for x in (cli._FAST_MIN, cli._FAST_MAX) for to in (0.0, x, np.inf)]
+
+
+def test_float_cells_match_percent_format():
+    rng = np.random.default_rng(18)
+    patterns = rng.integers(0, 2**64 - 1, 200_000, dtype=np.uint64, endpoint=True).view(np.float64)
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    structured = np.concatenate(
+        [
+            subnormals,
+            tens,
+            np.nextafter(tens, 0.0),
+            np.nextafter(tens, np.inf),
+            np.ldexp(1.0, np.arange(-1074, 1024)),  # exact 17-digit ties among them, e.g. 2**-25
+            EDGES,
+            [0.0, 5e-324, np.nan],
+        ]
+    )
+    # the random patterns have either sign already
+    values = np.concatenate([patterns[np.isfinite(patterns)], structured, -structured])
+    out = np.zeros((len(values), 25), np.uint8)
+    out[:, 24] = ord("\n")
+    cli._float_cells(values, out[:, :24])
+    got = out.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    want = [b"" if v != v else b"%.16e" % v for v in values.tolist()]
+    assert [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w] == []
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 17])
@@ -59,13 +90,13 @@ def tables(draw):
     for kind in draw(st.lists(st.sampled_from(["float", "bool", "str"]), min_size=1, max_size=4)):
         if kind == "float":
             column = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
-            specials = [np.nan, -0.0, 5e-324, -1e-310, 1e300, -1e300]
+            specials = [np.nan, -0.0, 5e-324, -1e-310, 1e300, -1e300, *EDGES]
             for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=10)) if n_rows else []:
                 column[row] = draw(st.sampled_from(specials))
         elif kind == "bool":
             column = rng.random(n_rows) < 0.5
         else:
-            column = np.array(rng.choice(["nan", "banana", "NaN", "%s", ""], n_rows))
+            column = np.array(rng.choice(["nan", "banana", "NaN", "%s", "", "é"], n_rows))
         columns.append(column)
     return [f"c{j}" for j in range(len(columns))], columns
 
@@ -82,6 +113,28 @@ def test_write_csv_property_matches_per_value_format(tmp_path, table):
     header, columns = table
     write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, columns).encode()
+
+
+def test_write_csv_rejects_nul_in_str_cells(tmp_path):
+    # the writer fills short cells with NUL and removes the fill, so a NUL in a cell would vanish
+    with pytest.raises(ValueError, match="t.csv: column b holds a NUL character"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(2), np.array(["ok", "a\0b"])])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_import_builds_no_writer_tables():
+    # the formatter's tables are a first-write cost, kept out of the package's import time
+    code = (
+        "import sys, gainscatter; from gainscatter import cli; "
+        "print(*[m in sys.modules for m in ('fractions', 'decimal', 'numpy.char')]); "
+        "print(cli._decimal_tables.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["False", "False", "False", "0"]
+
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="unequal lengths"):
@@ -105,7 +158,7 @@ def test_unequal_columns_exit_2_without_artifact(tmp_path, monkeypatch, capsys):
 
 
 def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
-    real = cli._block_text
+    real = cli._block_bytes
     calls = []
 
     def failing(block):
@@ -114,7 +167,7 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
             raise RuntimeError("formatting failed")
         return real(block)
 
-    monkeypatch.setattr(cli, "_block_text", failing)
+    monkeypatch.setattr(cli, "_block_bytes", failing)
     path = tmp_path / "table.csv"
     with pytest.raises(RuntimeError, match="formatting failed"):
         write_csv(path, ["a", "b"], [np.arange(3.0 * CSV_BLOCK), np.ones(3 * CSV_BLOCK)])
