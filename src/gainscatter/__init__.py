@@ -62,7 +62,6 @@ from .spectral import (
     broaden,
     detailed_balance_residual,
     line_spectrum,
-    lorentzian,
     noise_temperature,
     noise_temperature_samples,
     symmetric_spectrum,

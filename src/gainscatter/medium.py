@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import PolarizabilityCurve
+from .spectral import _frozen
 
 __all__ = [
     "DILUTE_THRESHOLD",
@@ -116,9 +117,7 @@ class MediumResponse:
             ("h", float),
             ("dilute_ok", bool),
         ):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
 
 def medium_response(curve: PolarizabilityCurve, density_n: float) -> MediumResponse:

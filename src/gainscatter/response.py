@@ -110,6 +110,17 @@ def _gl_nodes(order: int):
     return nodes, weights
 
 
+def _gl_panels(edges: np.ndarray, order: int):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on each panel between ``edges``."""
+    nodes, weights = _gl_nodes(order)
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    return x, w
+
+
 def _panel_edges(lo: float, hi: float, centers, scales) -> np.ndarray:
     """Panel edges: geometric ladders (step doubling) around each feature."""
     edges = [lo, hi]
@@ -132,16 +143,6 @@ def _panel_edges(lo: float, hi: float, centers, scales) -> np.ndarray:
     keep = np.concatenate(([True], np.diff(edges) > 1e-12 * (hi - lo)))
     keep[-1] = True
     return edges[keep]
-
-
-def _panel_quadrature(func, edges: np.ndarray) -> complex:
-    nodes, weights = _gl_nodes(_GL_ORDER)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = (mid[:, None] + half[:, None] * nodes).ravel()
-    w = (half[:, None] * weights).ravel()
-    return complex(np.sum(func(x) * w))
 
 
 def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
@@ -197,7 +198,8 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
             value = value - d0 * inside / (w - zeta)
         return value
 
-    total = _panel_quadrature(integrand, edges)
+    nodes, weights = _gl_panels(edges, _GL_ORDER)
+    total = complex(np.sum(integrand(nodes) * weights))
     if subtract and d0 != 0.0:
         # integral of 1/(w - zeta) over [x0 - W, x0 + W]
         total += d0 * np.log((window - 1j * eta) / (-window - 1j * eta))

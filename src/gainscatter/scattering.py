@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import PolarizabilityCurve, im_alpha
-from .spectral import SpectralPair, _defined_log_ratio
+from .spectral import SpectralPair, _defined_log_ratio, _frozen
 
 __all__ = [
     "TOL_BAND",
@@ -151,20 +151,14 @@ def amplifier_bands(curve: PolarizabilityCurve):
                 hi = mid
         return 0.5 * (lo + hi)
 
-    bands = []
-    i = 0
     n = grid.size
-    while i < n:
-        if not amplifying[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and amplifying[j + 1]:
-            j += 1
+    padded = np.concatenate(([False], amplifying, [False]))
+    starts, stops = np.flatnonzero(np.diff(padded)).reshape(-1, 2).T  # runs are [start, stop)
+    bands = []
+    for i, j in zip(starts.tolist(), (stops - 1).tolist()):
         lo = float(grid[i]) if i == 0 else refine(float(grid[i - 1]), float(grid[i]))
         hi = float(grid[j]) if j == n - 1 else refine(float(grid[j]), float(grid[j + 1]))
         bands.append((lo, hi))
-        i = j + 1
     return bands
 
 
@@ -185,12 +179,8 @@ class CrossSectionSet:
 
     def __post_init__(self):
         for name in ("grid", "sigma_el", "sigma_tot", "sigma_in"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        flags = np.array(self.band_flags)
-        flags.setflags(write=False)
-        object.__setattr__(self, "band_flags", flags)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "band_flags", _frozen(self.band_flags, None))
         if np.any(self.grid <= 0.0):
             raise ValueError("cross sections are tabulated for positive frequencies only")
         if np.any(self.sigma_el < 0.0):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .response import _gl_nodes
+from .response import _gl_panels
 from .scattering import scattering_amplitude
 
 __all__ = [
@@ -69,11 +69,12 @@ NODE_CHUNK = 1 << 14
 def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
     """Raise ValueError naming the first violated screen-feasibility condition.
 
-    Far field z >= FAR_FIELD_MIN c/omega, paraxial r_max <= z/10, and a taper
-    below TAPER_DECAY at r_max for each scheduled taper_eps.
+    A positive, finite omega, far field z >= FAR_FIELD_MIN c/omega, paraxial
+    r_max <= z/10, and a taper below TAPER_DECAY at r_max for each scheduled
+    taper_eps.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < np.inf:
+        raise ValueError(f"omega must be positive and finite (got {omega!r})")
     if z < FAR_FIELD_MIN / omega:
         raise ValueError(
             f"far-field condition violated: z = {z:g} < {FAR_FIELD_MIN:g}*c/omega = "
@@ -127,13 +128,7 @@ def _radial_nodes(omega: float, z: float, eps: float, r_max: float):
     if r_taper < r_max:
         extra = np.arange(0.0, min(8.0 * r_taper, r_max), 0.5 * r_taper)
         edges = np.unique(np.concatenate((edges, extra)))
-    nodes, weights = _gl_nodes(_GL_ORDER)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = (mid[:, None] + half[:, None] * nodes).ravel()
-    w = (half[:, None] * weights).ravel()
-    return x, w
+    return _gl_panels(edges, _GL_ORDER)
 
 
 def missing_intensity_sigma(
@@ -244,8 +239,6 @@ def verify_optical_theorem(
     if r_max is None:
         r_max = default_r_max(z)
     check_screen(omega, z, r_max)
-    if not np.isfinite(omega):
-        raise ValueError("omega must be finite")
     e = np.array([1.0, 0.0, 0.0])
     f_forward = scattering_amplitude(alpha, omega, e, e)
     if eps_schedule is None:

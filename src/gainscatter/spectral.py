@@ -31,13 +31,11 @@ __all__ = [
     "line_spectrum",
     "broaden",
     "check_grid_span",
-    "lorentzian",
     "detailed_balance_residual",
     "noise_temperature",
     "noise_temperature_samples",
     "noise_temperature_values",
     "symmetric_spectrum",
-    "log_ratio",
     "DEFAULT_GAMMA",
     "NOISE_FLOOR",
     "LOG_RATIO_FLOOR",
@@ -115,10 +113,6 @@ class TargetLevels:
                 f"populations must sum to 1 within {POPULATION_SUM_TOL:g} (got {total!r})"
             )
 
-    @property
-    def n_levels(self) -> int:
-        return self.energies.size
-
     @classmethod
     def from_temperature(cls, energies, dipole_sq, temperature: float) -> "TargetLevels":
         """Build a target with Boltzmann populations at ``temperature``."""
@@ -175,10 +169,6 @@ class LineSpectrum:
     def max_abs_omega(self) -> float:
         return float(np.abs(self.omega).max()) if self.omega.size else 0.0
 
-    def reflected(self) -> "LineSpectrum":
-        """The S- line set (frequencies negated, weights unchanged)."""
-        return LineSpectrum(-self.omega[::-1], self.weight[::-1])
-
     def aggregated(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique line frequencies with summed weights."""
         if self.omega.size == 0:
@@ -217,12 +207,6 @@ def line_spectrum(target: TargetLevels) -> LineSpectrum:
     weights = target.populations[initial] * target.dipole_sq[initial, final] / 3.0
     order = np.argsort(omegas, kind="stable")
     return LineSpectrum(omegas[order], weights[order])
-
-
-def lorentzian(x, gamma: float):
-    """Normalized Lorentzian (gamma/pi) / (x^2 + gamma^2)."""
-    x = np.asarray(x, dtype=float)
-    return (gamma / np.pi) / (x * x + gamma * gamma)
 
 
 @dataclass(frozen=True)
@@ -276,10 +260,6 @@ class SpectralPair:
     def difference_at(self, omega):
         """S+(omega) - S-(omega), the dissipative weight (signed)."""
         return self.s_plus_at(omega) - self.s_minus_at(omega)
-
-    def symmetric_at(self, omega):
-        """Symmetrized density (S+(omega) + S-(omega)) / 2."""
-        return 0.5 * (self.s_plus_at(omega) + self.s_minus_at(omega))
 
 
 def _usable_cpus() -> int:
@@ -355,7 +335,7 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
         return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
     def row_sum(points, out, x):
-        # lorentzian(x, gamma) * line_weight, in place
+        # the Lorentzian (gamma/pi) / (x^2 + gamma^2) times line_weight, in place
         np.subtract(points[:, None], line_omega, out=x)
         np.multiply(x, x, out=x)
         np.add(x, gamma * gamma, out=x)
@@ -421,32 +401,23 @@ def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
     return float(worst)
 
 
-def log_ratio(s_plus, s_minus):
-    """ln(S+/S-) accurate through the inversion crossover.
-
-    Near S+ = S- the plain log of the ratio loses the tiny difference, so
-    log1p of (S+ - S-)/S- is used there; far from the crossover the plain
-    log is the well-conditioned form.
-    """
-    s_plus = np.asarray(s_plus, dtype=float)
-    s_minus = np.asarray(s_minus, dtype=float)
-    near = (s_plus < 2.0 * s_minus) & (s_minus < 2.0 * s_plus)
-    diff = np.where(near, s_plus - s_minus, 0.0) / np.where(near, s_minus, 1.0)
-    ratio = np.where(near, 1.0, s_plus) / np.where(near, 1.0, s_minus)
-    out = np.where(near, np.log1p(diff), np.log(ratio))
-    return float(out) if out.ndim == 0 else out
-
-
 def _defined_log_ratio(s_plus, s_minus):
     """The T_n definedness rule: returns ``(both, x, defined)`` over equal-shape arrays.
 
     ``both``: S+ and S- are both at least ``NOISE_FLOOR``.  ``x``: ln(S+/S-)
     there (0 elsewhere), i.e. omega / T_n.  ``defined``: ``both`` and
-    |x| >= ``LOG_RATIO_FLOOR``, away from the inversion crossover.
+    |x| >= ``LOG_RATIO_FLOOR``, away from the inversion crossover.  Near
+    S+ = S- the plain log of the ratio loses the tiny difference, so x is
+    log1p of (S+ - S-)/S- there; far from the crossover the plain log is the
+    well-conditioned form.
     """
     s_plus, s_minus = np.asarray(s_plus, dtype=float), np.asarray(s_minus, dtype=float)
     both = np.minimum(s_plus, s_minus) >= NOISE_FLOOR
-    x = np.asarray(log_ratio(np.where(both, s_plus, 1.0), np.where(both, s_minus, 1.0)))
+    s_plus, s_minus = np.where(both, s_plus, 1.0), np.where(both, s_minus, 1.0)
+    near = (s_plus < 2.0 * s_minus) & (s_minus < 2.0 * s_plus)
+    diff = np.where(near, s_plus - s_minus, 0.0) / np.where(near, s_minus, 1.0)
+    ratio = np.where(near, 1.0, s_plus) / np.where(near, 1.0, s_minus)
+    x = np.where(near, np.log1p(diff), np.log(ratio))
     return both, x, both & (np.abs(x) >= LOG_RATIO_FLOOR)
 
 

@@ -22,6 +22,13 @@ calls the same checks at larger sizes, criterion by criterion:
 7. ``check_oracle_agreement`` (100 line sets) and ``check_kramers_kronig`` (p_e = 0, 1, 0.3)
 8. ``check_medium_first_order``
 9. every check, through ``run_validation``
+
+Three checks that only item 9 runs pin what every route shares, so a wrong
+constant that scales all routes together fails: ``check_reflection_symmetry``
+(the pipeline's S-(w) = S+(-w) bit for bit), ``check_sign_rule`` (the exact
+two-level Im alpha at the line, which fixes the line weight p d^2/3) and
+``check_energy_bookkeeping`` (F = omega^2 alpha at omega = 1.005, off the
+frequency where every power of omega agrees).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .response import (
 from .scattering import (
     amplifier_bands,
     differential_elastic,
+    scattering_amplitude,
     sigma_elastic,
     sigma_total_optical,
     sigma_total_spectral,
@@ -59,6 +67,7 @@ from .screen import (
     verify_optical_theorem,
 )
 from .spectral import (
+    BROADEN_MARGIN,
     LineSpectrum,
     TargetLevels,
     broaden,
@@ -101,16 +110,19 @@ def check_population_conservation():
 
 def check_reflection_symmetry():
     rng = np.random.default_rng(12)
+    draws = np.random.default_rng([12, 1])  # frequencies; the targets stay those of ``rng``
+    gamma = 0.01
     for _ in range(20):
         energies, d2 = _random_ladder(rng)
         p = rng.dirichlet(np.ones(energies.size))
         lines = line_spectrum(TargetLevels(energies, d2, p))
-        mirrored = lines.reflected()
-        a = sorted(zip(lines.omega, lines.weight))
-        b = sorted(zip(-mirrored.omega, mirrored.weight))
-        if a != b:
-            return False, "reflected line multiset differs"
-    return True, "20 random targets"
+        span = lines.max_abs_omega + BROADEN_MARGIN * gamma
+        pair = broaden(lines, [-span, span], gamma)
+        w = draws.uniform(-span, span, 16)
+        # S-(w) = S+(-w) bit for bit: negation is exact, so both sum the same squares
+        if not np.array_equal(pair.s_minus_at(w), pair.s_plus_at(-w)):
+            return False, "S-(w) differs from S+(-w)"
+    return True, "S-(w) = S+(-w) bitwise, 20 random targets x 16 frequencies"
 
 
 def check_detailed_balance(samples=20, seed=13):
@@ -168,10 +180,16 @@ def check_oracle_agreement(samples=20, seed=15):
 
 
 def check_sign_rule():
-    ground = _two_level(0.0)
-    inverted = _two_level(1.0)
-    ok = im_alpha(ground, 1.0) > 0.0 and im_alpha(inverted, 1.0) < 0.0
-    return ok, "Im alpha sign follows p_lower - p_upper"
+    # two-level line at omega = 1, d^2 = 1: pi [S+(1) - S-(1)] in closed form
+    gamma = 0.01
+    ground = (1.0 / gamma - gamma / (4.0 + gamma * gamma)) / 3.0
+    gap = max(
+        abs(float(im_alpha(_two_level(p_e, gamma), 1.0)) - want) / abs(want)
+        for p_e, want in ((0.0, ground), (1.0, -ground))
+    )
+    return gap <= 1e-12, (
+        f"Im alpha(1) = (p_g - p_e)(1/gamma - gamma/(4 + gamma^2))/3, relative gap {gap:.2e}"
+    )
 
 
 def check_linearity():
@@ -374,14 +392,18 @@ def check_z_independence():
 
 
 def check_energy_bookkeeping():
-    pair = _two_level(1.0)
-    alpha = complex(alpha_boundary(pair, 1.0))
-    f = 1.0 * 1.0 * alpha  # forward amplitude at omega = 1
+    omega = 1.005  # inside the line, and off 1, where omega^2 alpha and omega^3 alpha differ
+    alpha = complex(alpha_boundary(_two_level(1.0), omega))
+    e = np.array([1.0, 0.0, 0.0])
+    f = scattering_amplitude(alpha, omega, e, e)
+    sigma = float(sigma_total_optical(alpha, omega))
+    gap = abs(optical_theorem_sigma(f, omega) - sigma) / abs(sigma)
     z = 1e4
-    eps = default_eps_schedule(1.0, z, z / 10.0)[-1]
-    deficit = missing_intensity_sigma(f, 1.0, z, eps, z / 10.0)
+    eps = default_eps_schedule(omega, z, z / 10.0)[-1]
+    deficit = missing_intensity_sigma(f, omega, z, eps, z / 10.0)
     # integral of (I - I0)/I0 is minus the deficit integral
-    return -deficit > 0.0, f"screen surplus {-deficit:.3e} (sigma_tot < 0)"
+    ok = -deficit > 0.0 and gap <= 1e-12
+    return ok, f"screen surplus {-deficit:.3e} (sigma_tot < 0); amplitude gap {gap:.2e}"
 
 
 def _scenario_files() -> list:

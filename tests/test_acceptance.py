@@ -14,18 +14,22 @@ visible with -s).
 """
 
 import filecmp
+import sys
 import time
 
 import numpy as np
 
 from gainscatter import (
+    LineSpectrum,
     broaden,
     intensity_profile,
     line_spectrum,
     noise_temperature,
     polarizability_dispersion,
+    scattering,
     sigma_total_optical,
     sigma_total_spectral,
+    spectral,
     validate,
 )
 from gainscatter.spectral import TargetLevels
@@ -194,3 +198,33 @@ def test_criterion_9_validate_suite_deterministic(tmp_path):
     for rel in files:
         assert filecmp.cmp(out_a / rel, out_b / rel, shallow=False), rel
     report(9, f"two validate runs green in {elapsed:.1f}s, {len(files)} artifacts identical")
+
+
+def patch_everywhere(monkeypatch, original, mutant):
+    """Bind ``mutant`` in place of ``original`` in every gainscatter module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gainscatter":
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, mutant)
+
+
+def test_battery_catches_route_preserving_mutations(monkeypatch):
+    # each mutation scales every route to sigma_tot together, so only a check
+    # that pins an absolute value can see it
+    line_spectrum, amplitude = spectral.line_spectrum, scattering.scattering_amplitude
+
+    def line_weight_over_1_5(target):  # p d^2 / 1.5 in place of p d^2 / 3
+        lines = line_spectrum(target)
+        return LineSpectrum(lines.omega, 2.0 * lines.weight)
+
+    def amplitude_omega_cubed(alpha, omega, e_i, e_f):  # F = omega^3 alpha in place of omega^2 alpha
+        return omega * amplitude(alpha, omega, e_i, e_f)
+
+    for original, mutant, check in (
+        (line_spectrum, line_weight_over_1_5, validate.check_sign_rule),
+        (amplitude, amplitude_omega_cubed, validate.check_energy_bookkeeping),
+    ):
+        with monkeypatch.context() as patched:
+            patch_everywhere(patched, original, mutant)
+            ok, detail = check()
+        assert not ok, f"{check.__name__} passes under {mutant.__name__}: {detail}"

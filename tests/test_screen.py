@@ -245,3 +245,7 @@ def test_verify_rejects_bad_omega():
     for omega in (np.nan, np.inf):
         with pytest.raises(ValueError, match="omega"):
             verify_optical_theorem(alpha, omega)
+        with pytest.raises(ValueError, match="omega"):
+            missing_intensity_sigma(1j, omega, 1e4, 1.0, 1e3)
+        with pytest.raises(ValueError, match="omega"):
+            screen_intensity(1j, omega, 1e4, [0.0, 10.0])

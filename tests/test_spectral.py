@@ -25,7 +25,6 @@ from gainscatter import (
     cross_sections,
     detailed_balance_residual,
     line_spectrum,
-    lorentzian,
     medium_response,
     noise_temperature,
     noise_temperature_samples,
@@ -116,16 +115,6 @@ def test_line_spectrum_equal_populations():
     assert np.allclose(lines.weight, [1.0 / 6.0, 1.0 / 6.0])
 
 
-def test_line_spectrum_reflection_property():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        lines = line_spectrum(random_target(rng))
-        mirrored = lines.reflected()
-        assert sorted(zip(lines.omega, lines.weight)) == sorted(
-            zip(-mirrored.omega, mirrored.weight)
-        )
-
-
 def test_line_spectrum_aggregates_coincident_frequencies():
     # evenly spaced ladder: both upward hops share omega = 1
     target = TargetLevels(
@@ -141,11 +130,11 @@ def test_line_spectrum_aggregates_coincident_frequencies():
 def loop_line_spectrum(target):
     """Reference: the per-pair double loop, one line per ordered pair in row-major order."""
     omegas, weights = [], []
-    for i in range(target.n_levels):
+    for i in range(target.energies.size):
         p = target.populations[i]
         if p == 0.0:
             continue
-        for f in range(target.n_levels):
+        for f in range(target.energies.size):
             d2 = target.dipole_sq[i, f]
             if f == i or d2 == 0.0:
                 continue
@@ -234,7 +223,7 @@ def test_broaden_reflection_symmetry_of_samples():
 def dense_broadened_sum(line_omega, line_weight, gamma, omega):
     """Reference: the whole points x lines Lorentzian matrix in one temporary."""
     x = np.asarray(omega, dtype=float)[..., None] - line_omega
-    return (lorentzian(x, gamma) * line_weight).sum(axis=-1)
+    return ((gamma / np.pi) / (x * x + gamma * gamma) * line_weight).sum(axis=-1)
 
 
 def test_blocked_line_sums_bitwise_equal_dense_reference():
@@ -591,8 +580,9 @@ def test_symmetric_spectrum_inverted_peak():
     # composed: broaden then average; at the line the S- peak dominates
     gamma = 0.01
     pair = two_level_pair(1.0, gamma=gamma)
-    s_bar = pair.symmetric_at(1.0)
-    assert np.isclose(s_bar, 0.5 * pair.s_minus_at(1.0), rtol=1e-4)
+    at_line = 3200  # the grid sample omega = 1.0
+    assert pair.grid[at_line] == 1.0
+    assert np.isclose(symmetric_spectrum(pair)[at_line], 0.5 * pair.s_minus_at(1.0), rtol=1e-4)
 
 
 def test_symmetric_spectrum_nonnegative_property():
