@@ -237,20 +237,22 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
 def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:
     """The columns as arrays; unequal lengths, +-inf or a NUL in a str cell is a ValueError.
 
-    The writer's NUL fill would drop a NUL from a cell.  numpy itself drops
-    trailing NULs from str cells, so only a NUL inside a cell reaches here.
+    The writer's NUL fill would drop a NUL from a cell, and so would numpy's
+    conversion of a trailing one, so str cells are checked as given.
     """
-    columns = [np.asarray(column) for column in columns]
-    if len({len(column) for column in columns}) > 1:
+    arrays = [np.asarray(column) for column in columns]
+    if len({len(column) for column in arrays}) > 1:
         raise ValueError(
-            f"{path}: columns have unequal lengths {[len(column) for column in columns]}"
+            f"{path}: columns have unequal lengths {[len(column) for column in arrays]}"
         )
-    for name, column in zip(header, columns):
-        if column.dtype.kind == "f" and np.isinf(column).any():
+    for name, column, array in zip(header, columns, arrays):
+        if array.dtype.kind == "f" and np.isinf(array).any():
             raise ValueError(f"{path}: column {name} holds an infinite value")
-        if column.dtype.kind == "U" and "\0" in "".join(column.tolist()):
-            raise ValueError(f"{path}: column {name} holds a NUL character")
-    return columns
+        if array.dtype.kind == "U":
+            cells = array.tolist() if isinstance(column, np.ndarray) else map(str, column)
+            if "\0" in "".join(cells):
+                raise ValueError(f"{path}: column {name} holds a NUL character")
+    return arrays
 
 
 def _json_text(path: Path, payload) -> str:
@@ -293,9 +295,15 @@ class Pipeline:
     The pair is the broadened model of the scenario's line set; its S+/S- grid
     samples are summed only when read, and only ``spectrum`` reads them.  So
     is the curve's alpha: ``response`` reads all of it, the cross sections and
-    the medium only its omega > 0 half, and no row is summed twice.
-    ``verify`` reads the pair's boundary polarizability at the screen
-    frequency and nothing else.
+    the medium only its omega > 0 half, and no row is summed twice.  Nor is a
+    value the run already has: where the mirror sample, as far from the
+    other end of the grid, is a sample's exact negation, S- there is the
+    summed S+ of the mirror sample, and an omega < 0 alpha row the
+    conjugate of the summed mirror row.  Negation is exact, so those sums
+    add the same terms, conjugated for alpha, in the same order (see
+    ``SpectralPair`` and ``PolarizabilityCurve``), and a copy holds the bits
+    a sum of its own would give.  ``verify`` reads the pair's boundary
+    polarizability at the screen frequency and nothing else.
     """
 
     def __init__(self, scenario: Scenario):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import PolarizabilityCurve
-from .spectral import _frozen
+from .spectral import _check_omega, _frozen
 
 __all__ = [
     "DILUTE_THRESHOLD",
@@ -56,9 +56,8 @@ def wavevector(epsilon, omega):
     rejected.
     """
     epsilon = np.asarray(epsilon, dtype=complex)
+    _check_omega(omega)
     omega_arr = np.asarray(omega, dtype=float)
-    if np.any(omega_arr <= 0.0):
-        raise ValueError("omega must be positive")
     if np.any(epsilon == 0.0):
         raise ValueError("epsilon = 0 is a branch point of the wavevector")
     return omega_arr * np.sqrt(epsilon)

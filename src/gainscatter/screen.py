@@ -30,6 +30,10 @@ variant: after tapering it contributes O(1/(eps z)), vanishing in the
 z -> infinity limit.  Its known eps-shape is added to the fit basis so the
 variant also extrapolates cleanly; the convergence verdict is keyed to the
 interference form, which is what the missing-intensity argument integrates.
+``verify_optical_theorem`` reports both forms from one pass per taper: the
+radial nodes, phase, taper and exp(i phase) are built once and both deficit
+sums are formed from them, each with the operations and summation order of
+a pass of its own, so either form's estimates keep their bits.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from .response import _gl_panels
 from .scattering import scattering_amplitude
+from .spectral import _check_omega
 
 __all__ = [
     "screen_intensity",
@@ -73,8 +78,7 @@ def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
     r_max <= z/10, and a taper below TAPER_DECAY at r_max for each scheduled
     taper_eps.
     """
-    if not 0.0 < omega < np.inf:
-        raise ValueError(f"omega must be positive and finite (got {omega!r})")
+    _check_omega(omega)
     if z < FAR_FIELD_MIN / omega:
         raise ValueError(
             f"far-field condition violated: z = {z:g} < {FAR_FIELD_MIN:g}*c/omega = "
@@ -150,23 +154,34 @@ def missing_intensity_sigma(
     adds |F|^2/r_d^2 and switches the interference denominator to the true
     distance r_d.
     """
+    return _deficit_sums(f_forward, omega, z, taper_eps, r_max, (include_scattered_term,))[0]
+
+
+def _deficit_sums(f_forward, omega, z, taper_eps, r_max, variants) -> list[float]:
+    """``missing_intensity_sigma`` for each ``include_scattered_term`` in ``variants``, in one pass.
+
+    Each chunk's nodes, phase, taper and oscillating factor are built once
+    and serve every variant; a variant's sums are the operations, chunks and
+    order of a pass of its own, so its value does not depend on the others.
+    """
     check_screen(omega, z, r_max, [taper_eps])
     a = omega / z
     nodes, weights = _radial_nodes(omega, z, taper_eps, r_max)
-    parts = []
+    parts = [[] for _ in variants]
     for lo in range(0, nodes.size, NODE_CHUNK):
         r, w = nodes[lo : lo + NODE_CHUNK], weights[lo : lo + NODE_CHUNK]
         phase = 0.5 * a * r * r
         taper = np.exp(-taper_eps * phase)
         osc = (f_forward * np.exp(1j * phase)).real
-        if include_scattered_term:
-            r_dist = z + r * r / (2.0 * z)
-            deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
-        else:
-            deficit = -2.0 * osc / z
-        parts.append(np.sum(deficit * taper * r * w))
+        for include_scattered_term, sums in zip(variants, parts):
+            if include_scattered_term:
+                r_dist = z + r * r / (2.0 * z)
+                deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
+            else:
+                deficit = -2.0 * osc / z
+            sums.append(np.sum(deficit * taper * r * w))
     # start from the first chunk's sum, so a single chunk is exactly one np.sum
-    return float(2.0 * np.pi * sum(parts[1:], parts[0]))
+    return [float(2.0 * np.pi * sum(sums[1:], sums[0])) for sums in parts]
 
 
 def default_eps_schedule(omega: float, z: float, r_max: float) -> np.ndarray:
@@ -194,28 +209,33 @@ def extrapolate_missing_intensity(
     kernel; the scattered-term variant adds the (1 + eps^2)/eps basis
     matching that term's known taper integral.
     """
+    return _extrapolations(f_forward, omega, z, eps_schedule, r_max, (include_scattered_term,))[0]
+
+
+def _extrapolations(f_forward, omega, z, eps_schedule, r_max, variants):
+    """``extrapolate_missing_intensity`` for each ``include_scattered_term`` in ``variants``.
+
+    One ``_deficit_sums`` pass per taper gives every variant's estimate there.
+    """
     eps_schedule = np.asarray(eps_schedule, dtype=float)
-    if eps_schedule.size < (3 if include_scattered_term else 2):
+    if eps_schedule.size < (3 if any(variants) else 2):
         raise ValueError("eps schedule too short to extrapolate")
-    estimates = np.array(
-        [
-            missing_intensity_sigma(f_forward, omega, z, eps, r_max, include_scattered_term)
-            for eps in eps_schedule
-        ]
-    )
-    corrected = estimates * (1.0 + eps_schedule**2)
-    columns = [np.ones_like(eps_schedule), eps_schedule]
-    if include_scattered_term:
-        columns.append((1.0 + eps_schedule**2) / eps_schedule)
-    design = np.column_stack(columns)
-    coeffs, *_ = np.linalg.lstsq(design, corrected, rcond=None)
-    return estimates, float(coeffs[0])
+    per_taper = [_deficit_sums(f_forward, omega, z, eps, r_max, variants) for eps in eps_schedule]
+    results = []
+    for estimates, include_scattered_term in zip(np.array(per_taper).T, variants):
+        corrected = estimates * (1.0 + eps_schedule**2)
+        columns = [np.ones_like(eps_schedule), eps_schedule]
+        if include_scattered_term:
+            columns.append((1.0 + eps_schedule**2) / eps_schedule)
+        design = np.column_stack(columns)
+        coeffs, *_ = np.linalg.lstsq(design, corrected, rcond=None)
+        results.append((estimates, float(coeffs[0])))
+    return results
 
 
 def optical_theorem_sigma(f_forward: complex, omega: float) -> float:
     """Closed-form optical theorem sigma_tot = (4 pi / omega) Im F (signed)."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    _check_omega(omega)
     return 4.0 * np.pi * complex(f_forward).imag / omega
 
 
@@ -231,8 +251,9 @@ def verify_optical_theorem(
     ``alpha`` is the target's boundary polarizability at ``omega`` (e.g.
     ``alpha_boundary(pair, omega)``); the forward amplitude F = omega^2 alpha
     is all the screen sees of the target.  Runs the tapered screen integral
-    over the eps schedule (both with and without the scattered |F|^2 term)
-    and extrapolates.  ``converged`` is true when the interference-form
+    over the eps schedule, one pass over each taper's radial nodes giving
+    the estimates both without and with the scattered |F|^2 term, and
+    extrapolates each.  ``converged`` is true when the interference-form
     extrapolation matches (4 pi/omega) Im F within 1e-3 relative, or within
     1e-9 of the amplitude scale when sigma is essentially zero.
     """
@@ -246,11 +267,8 @@ def verify_optical_theorem(
     eps_schedule = np.asarray(eps_schedule, dtype=float)
 
     sigma_closed = optical_theorem_sigma(f_forward, omega)
-    estimates, extrapolated = extrapolate_missing_intensity(
-        f_forward, omega, z, eps_schedule, r_max, include_scattered_term=False
-    )
-    estimates_full, extrapolated_full = extrapolate_missing_intensity(
-        f_forward, omega, z, eps_schedule, r_max, include_scattered_term=True
+    (estimates, extrapolated), (estimates_full, extrapolated_full) = _extrapolations(
+        f_forward, omega, z, eps_schedule, r_max, (False, True)
     )
     scale = 4.0 * np.pi * abs(f_forward) / omega
     gap = abs(extrapolated - sigma_closed)

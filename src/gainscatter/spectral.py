@@ -216,10 +216,15 @@ class SpectralPair:
     Construction checks a strictly ascending grid spanning the lines
     (``check_grid_span``) and a positive, finite gamma.
     ``s_plus_at``/``s_minus_at`` evaluate the model exactly at any frequency.
-    The grid samples ``s_plus``/``s_minus`` (the export/CSV view) are summed
+    The grid samples ``s_plus``/``s_minus`` (the export/CSV view) are built
     on first read and cached; of the CLI stages only ``spectrum`` reads them,
     while the curve, the cross sections and the medium need only ``grid``,
-    ``gamma`` and ``lines``.
+    ``gamma`` and ``lines``.  ``s_plus`` sums every sample.  ``s_minus``
+    sums only the samples w whose mirror sample, as far from the other end
+    of the grid, is not exactly -w; at the others it copies S+(-w), which is
+    the same sum bit for bit: negation is exact, so w + w_line and
+    -w - w_line are exact negatives and their squares, hence every term,
+    are equal.
     """
 
     grid: np.ndarray
@@ -246,8 +251,12 @@ class SpectralPair:
 
     @cached_property
     def s_minus(self) -> np.ndarray:
-        """S- on the grid, summed over the lines on first read."""
-        return _frozen(self.s_minus_at(self.grid))
+        """S- on the grid: S+ at the mirror sample where that is -omega, else summed on first read."""
+        grid = self.grid
+        summed = np.flatnonzero(grid != -grid[::-1])  # grid[-1 - i] is not -grid[i] exactly
+        s_minus = self.s_plus[::-1].copy()
+        s_minus[summed] = self.s_minus_at(grid[summed])
+        return _frozen(s_minus)
 
     def s_plus_at(self, omega):
         """S+ at arbitrary frequencies, summed exactly over the lines."""
@@ -345,6 +354,14 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
 
     out = _line_sum_blocks(row_sum, omega_arr, line_omega.size, 1)
     return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
+
+
+def _check_omega(omega) -> None:
+    """Raise ValueError unless every frequency in ``omega`` (scalar or array) is positive and finite."""
+    values = np.asarray(omega, dtype=float)
+    bad = ~((values > 0.0) & (values < np.inf))
+    if bad.any():
+        raise ValueError(f"omega must be positive and finite (got {float(values[bad][0])!r})")
 
 
 def _check_gamma(gamma: float) -> None:

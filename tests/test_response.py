@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import block_spanning_grid, random_target, thermal_ladder, two_level, two_level_pair
+from conftest import block_spanning_grid, random_ladder, random_target, thermal_ladder, two_level, two_level_pair
 from gainscatter import (
     LineSpectrum,
+    TargetLevels,
     broaden,
     closed_form_lorentzian,
     im_alpha,
@@ -224,11 +226,54 @@ def test_sign_rule_two_level():
 
 
 def test_curve_crossing_symmetry():
+    w = np.random.default_rng(6).uniform(-3.0, 3.0, 64)  # off the grid
     for eta in (0.0, 1e-3):
         pair = two_level_pair(0.3)
         curve = polarizability_curve(pair, eta=eta)
         gap = np.abs(curve.alpha[::-1] - np.conj(curve.alpha)).max()
         assert gap <= 1e-10 * np.abs(curve.alpha).max()
+        # what the curve's mirrored rows rest on: the direct sums are conjugates bit for bit
+        args = (pair.lines.omega, pair.lines.weight, pair.gamma)
+        assert np.array_equal(_alpha_line_sum(*args, -w + 1j * eta), np.conj(_alpha_line_sum(*args, w + 1j * eta)))
+
+
+def bits(a):
+    """The bit patterns of a float or complex array, so -0.0 differs from 0.0."""
+    return a.view(np.uint64)
+
+
+def symmetric_grid():
+    half = np.linspace(0.0, 3.0, 2401)
+    return np.concatenate((-half[:0:-1], half))
+
+
+@settings(max_examples=5, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mirrored_rows_bitwise_equal_the_direct_sums(seed):
+    rng = np.random.default_rng(seed)
+    energies, d2 = random_ladder(rng, n_max=4)
+    energies *= 2.5 / energies[-1]
+    pure = np.zeros(energies.size)
+    pure[rng.integers(energies.size)] = 1.0
+    temperature = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+    targets = [
+        TargetLevels(energies, d2, pure),
+        # equal populations: alpha's imaginary part cancels, at some rows to exactly 0, which the copy keeps +0
+        TargetLevels(energies, d2, np.full(energies.size, 1.0 / energies.size)),
+        TargetLevels.from_temperature(energies, d2, temperature),
+    ]
+    # every, some and no omega < 0 sample has its exact negation on the grid
+    grids = [(symmetric_grid(), 2400), (np.linspace(-3.0, 3.0, 4801), 1253), (np.linspace(-3.0, 2.9, 4801), 0)]
+    for grid, mirrored in grids:
+        assert np.count_nonzero((grid[::-1] == -grid) & (grid < 0.0)) == mirrored
+        for target in targets:
+            lines = line_spectrum(target)
+            pair = broaden(lines, grid, 0.01)
+            assert np.array_equal(bits(pair.s_minus), bits(pair.s_minus_at(grid)))
+            for eta in (0.0, 1e-3):
+                curve = polarizability_curve(pair, eta)
+                direct = _alpha_line_sum(lines.omega, lines.weight, pair.gamma, grid + 1j * eta)
+                assert np.array_equal(bits(curve.alpha), bits(direct))
 
 
 def test_curve_tail_decay():

@@ -13,11 +13,13 @@ from gainscatter import (
     differential_elastic,
     im_alpha,
     line_spectrum,
+    optical_theorem_sigma,
     polarizability_curve,
     scattering_amplitude,
     sigma_elastic,
     sigma_total_optical,
     sigma_total_spectral,
+    wavevector,
 )
 from gainscatter.spectral import TargetLevels
 
@@ -86,6 +88,22 @@ def test_differential_angle_factor():
     half = differential_elastic(1.0 + 1.0j, 1.0, np.pi / 2.0)
     assert half == pytest.approx(full / 2.0)
     assert differential_elastic(0.0, 1.0, 0.7) == 0.0
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_every_omega_rule_rejects_nonpositive_and_nonfinite_omega(omega):
+    e = np.array([1.0, 0.0, 0.0])
+    calls = {
+        "scattering_amplitude": lambda: scattering_amplitude(1j, omega, e, e),
+        "differential_elastic": lambda: differential_elastic(1j, omega, 0.3),
+        "sigma_total_spectral": lambda: sigma_total_spectral(two_level_pair(0.5), [1.0, omega]),
+        "optical_theorem_sigma": lambda: optical_theorem_sigma(1j, omega),
+        "wavevector": lambda: wavevector(1.0 + 0.1j, [1.0, omega]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"omega must be positive and finite \(got "):
+            call()
+            pytest.fail(f"{name} accepted omega = {omega}")
 
 
 def test_sigma_elastic_values():

@@ -15,7 +15,8 @@ from gainscatter import (
     screen_intensity,
     verify_optical_theorem,
 )
-from gainscatter.screen import NODE_CHUNK, _radial_nodes
+from gainscatter import screen
+from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _radial_nodes
 
 
 # --- screen intensity -----------------------------------------------------------
@@ -240,9 +241,25 @@ def test_verify_report_shape():
     assert len(report["sigma_estimates"]) == len(report["eps_schedule"])
 
 
+def test_verify_passes_each_taper_once_with_single_variant_bits(monkeypatch):
+    builds = []
+    real = screen._radial_nodes
+    monkeypatch.setattr(screen, "_radial_nodes", lambda *args: builds.append(args) or real(*args))
+    omega, r_max = 1.005, DEFAULT_Z / 10.0
+    report = verify_optical_theorem(alpha_boundary(two_level_pair(1.0), omega), omega)
+    schedule = report["eps_schedule"]
+    assert len(builds) == len(schedule)  # both deficit forms from one pass per taper
+    f = complex(*report["forward_amplitude"])
+    for suffix, scattered in (("", False), ("_full", True)):
+        single = [missing_intensity_sigma(f, omega, DEFAULT_Z, eps, r_max, scattered) for eps in schedule]
+        assert report["sigma_estimates" + suffix] == single
+        _, extrapolated = extrapolate_missing_intensity(f, omega, DEFAULT_Z, schedule, r_max, scattered)
+        assert report["sigma_extrapolated" + suffix] == extrapolated
+
+
 def test_verify_rejects_bad_omega():
     alpha = alpha_boundary(two_level_pair(1.0), 1.0)
-    for omega in (np.nan, np.inf):
+    for omega in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="omega"):
             verify_optical_theorem(alpha, omega)
         with pytest.raises(ValueError, match="omega"):

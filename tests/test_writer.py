@@ -119,6 +119,9 @@ def test_write_csv_rejects_nul_in_str_cells(tmp_path):
     # the writer fills short cells with NUL and removes the fill, so a NUL in a cell would vanish
     with pytest.raises(ValueError, match="t.csv: column b holds a NUL character"):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(2), np.array(["ok", "a\0b"])])
+    # a trailing NUL, which numpy's str conversion would drop silently
+    with pytest.raises(ValueError, match="t.csv: column c holds a NUL character"):
+        write_csv(tmp_path / "t.csv", ["c"], [["a\0"]])
     assert list(tmp_path.iterdir()) == []
 
 
