@@ -5,7 +5,6 @@ import ast
 import filecmp
 import json
 import os
-import re
 import subprocess
 import sys
 import tarfile
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import thermal_ladder
 from gainscatter import alpha_boundary, cli, response, scenario as scenario_module, spectral, validate
@@ -137,13 +136,13 @@ def test_parse_rejects_infeasible_screen():
         ("gamma = 0.01", 'gamma = "x"', "gamma"),
         ("gamma = 0.01", "gamma = 0.0", "gamma"),
         ("gamma = 0.01", "gamma = -0.01", "gamma"),
-        ("gamma = 0.01", "gamma = 0.01\neta = True", "eta"),
+        ("gamma = 0.01", "gamma = 0.01\neta = true", "eta"),
         ("medium.density_n = 1e-6", "medium.density_n = 1e999", "medium.density_n"),
         ("grid.points = 2401", "grid.points = 2401.7", "grid.points"),
         ("populations = [1.0, 0.0]", "temperature = [1]", "temperature"),
         ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]", "dipole_sq = [[0, 1e999], [1e999, 0]]", "dipole_sq"),
-        ("energies = [0.0, 1.0]", "energies = {0: 1}", "float"),
-        ("medium.density_n = 1e-6", "screen.eps_schedule = [20.0, 'x']", "screen.eps_schedule"),
+        ("energies = [0.0, 1.0]", 'energies = {"0": 1}', "energies"),
+        ("medium.density_n = 1e-6", 'screen.eps_schedule = [20.0, "x"]', "screen.eps_schedule"),
     ],
     ids=[
         "gamma-list",
@@ -173,18 +172,70 @@ def test_mistyped_or_non_finite_values_exit_2(tmp_path, capsys, old, new, named)
 @pytest.mark.parametrize(
     "literal, message",
     [
-        ("{[]: 1}", "unhashable type"),  # a TypeError in ast.literal_eval
-        ("-" * 5000 + "1", "maximum recursion depth exceeded"),  # a RecursionError
+        ("{[]: 1}", "Expecting property name"),
+        ("-" * 5000 + "1", "Expecting value"),
+        ("'x'", "Expecting value"),  # Python spellings are not JSON
+        ("True", "Expecting value"),
+        ("(1, 2)", "Expecting value"),
+        ("1_000", "Extra data"),
+        (".5", "Expecting value"),
+        ("5.", "Extra data"),
+        ("1" * 5000, "Exceeds the limit (4300 digits)"),  # the int-string digit limit
+        ("[" * 5000 + "]" * 5000, "maximum recursion depth exceeded"),  # a RecursionError
     ],
-    ids=["unhashable-key", "deep-unary"],
+    ids=[
+        "unhashable-key",
+        "deep-unary",
+        "single-quoted",
+        "python-true",
+        "tuple",
+        "underscore",
+        "leading-dot",
+        "trailing-dot",
+        "long-int",
+        "deep-nesting",
+    ],
 )
 def test_literal_eval_type_and_recursion_errors_exit_2(tmp_path, capsys, command, literal, message):
+    # the reader is json.loads alone: text it rejects is a named error, whatever the command
     path = write_scenario(tmp_path, GROUND.replace("energies = [0.0, 1.0]", f"energies = {literal}"))
     out = tmp_path / "out"
     assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:2: bad literal for 'energies': ") and message in err
+    assert err.startswith(f"error: {path}:2: bad value for 'energies': ") and message in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("energies = [0.0, 1.0]", "energies = [false, true]", "energies"),
+        ("populations = [1.0, 0.0]", "populations = [true, false]", "populations"),
+        ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]", "dipole_sq = [[0, true], [true, 0]]", "dipole_sq"),
+        ("energies = [0.0, 1.0]", "energies = [[0.0], [1.0, 2.0]]", "energies"),
+        ("medium.density_n = 1e-6", 'screen.eps_schedule = "x"', "screen.eps_schedule"),
+    ],
+    ids=["energies-bool", "populations-bool", "dipole-bool", "energies-ragged", "eps-str"],
+)
+def test_list_values_hold_numbers_only(tmp_path, capsys, old, new, named):
+    # booleans are not numbers in a list either, and a matrix has equal-length rows
+    path = write_scenario(tmp_path, GROUND.replace(old, new))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {named} must be a list of numbers")
+    assert not out.exists()
+
+
+def test_output_dir_must_be_a_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a directory named None, 1 or [1] would appear
+    for value in ("null", "1", "[1]"):
+        path = write_scenario(tmp_path, GROUND + f"output_dir = {value}\n")
+        assert run(["spectrum", "--scenario", str(path), "--quiet"]) == 2
+        want = f"error: {path}: output_dir must be a string (got {json.loads(value)!r})\n"
+        assert capsys.readouterr().err == want
+    assert sorted(tmp_path.iterdir()) == [path]
+
 
 _SCALARS = st.one_of(
     st.integers(-(10**400), 10**400),
@@ -192,7 +243,6 @@ _SCALARS = st.one_of(
     st.booleans(),
     st.none(),
     st.sampled_from(["", "x", "1.0", "inf"]),
-    st.complex_numbers(max_magnitude=10.0),
 )
 _LITERALS = st.one_of(
     _SCALARS,
@@ -205,97 +255,18 @@ _LITERALS = st.one_of(
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.dictionaries(st.sampled_from(sorted(scenario_module._KNOWN_KEYS)), _LITERALS, max_size=3))
 def test_parse_returns_a_scenario_or_raises_scenario_error(overrides):
-    # any literal for any key, over a valid base: a result or a named error, never a traceback
+    # any JSON value for any key (NaN and infinities too), over a valid base: a result or a
+    # named error, never a traceback
     keys = {line.split(" = ")[0]: line for line in GROUND.strip().splitlines()}
-    keys.update({key: f"{key} = {value!r}" for key, value in overrides.items()})
+    keys.update({key: f"{key} = {json.dumps(value)}" for key, value in overrides.items()})
     try:
         parse_scenario("\n".join(keys.values()))
     except ScenarioError:
         pass
 
 
-# Number forms only Python reads, tokens only JSON reads, and forms where the
-# two readers could part: signed zeros, an inf-valued float, a non-ASCII digit,
-# an int past the int-string digit limit, nesting past literal_eval's depth
-# limit (250) and past json's recursion limit (5000).
-_PYTHON_ONLY = [".5", "5.", "1_0", "+1", "00", "0x10", "1j", "- 1"]
-_JSON_ONLY = ["true", "false", "null", "NaN", "Infinity", "-Infinity"]
-_EDGE = ["-0", "-0.0", "0e-0", "1E5", "1e999", "-1e999", "\u0663", "1" + "0" * 4999]
-_EDGE += ["[" * 250 + "]" * 250, "[" * 5000 + "]" * 5000]
-_NUMBER_TEXTS = st.one_of(
-    st.sampled_from(_PYTHON_ONLY + _JSON_ONLY + _EDGE),
-    st.floats().map(repr),
-    st.integers(-(10**20), 10**20).map(str),
-    st.builds(  # sign, integer part (leading zeros too), fraction, exponent
-        "{}{}{}{}".format,
-        st.sampled_from(["", "-", "+"]),
-        st.from_regex(r"[0-9]{1,3}", fullmatch=True),
-        st.sampled_from(["", ".", ".0", ".25"]),
-        st.sampled_from(["", "e5", "E-3", "e+16", "e"]),
-    ),
-)
-
-
-def _list_text(items, separator, trailing, brackets):
-    return brackets[0] + separator.join(items) + trailing + brackets[1]
-
-
-_LITERAL_TEXTS = st.recursive(
-    _NUMBER_TEXTS,
-    lambda children: st.builds(
-        _list_text,
-        st.lists(children, max_size=4),
-        st.sampled_from([", ", ",", " , ", "\t,"]),
-        st.sampled_from(["", ","]),
-        st.sampled_from(["[]", "()", "[ ]"]),
-    ),
-    max_leaves=10,
-)
-
-
-_JSON_SHAPED_TEXTS = st.builds(  # vectors and matrices of JSON numbers, as ladder files hold
-    _list_text,
-    st.lists(
-        st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False).map(repr),
-            st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr), max_size=3).map(
-                lambda row: "[" + ", ".join(row) + "]"
-            ),
-        ),
-        max_size=3,
-    ),
-    st.sampled_from([", ", ",", " , ", "\t,"]),
-    st.just(""),
-    st.sampled_from(["[]", "[ ]"]),
-)
-
-
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(st.one_of(_LITERAL_TEXTS, _JSON_SHAPED_TEXTS))
-@example("[[0.0, 1e-06], [-0.0, 1e+16]]")
-@example("[" * 250 + "1" + "]" * 250)
-@example("[" * 5000 + "]" * 5000)
-@example("[" + "1" * 5000 + "]")
-def test_literal_reader_matches_literal_eval(text):
-    # the JSON fast path reads what ast.literal_eval reads, or fails with its message,
-    # up to the address of an AST node that the message may name
-    def message(exc):
-        return re.sub(r" at 0x[0-9a-f]+>", ">", str(exc))
-
-    try:
-        want, want_error = ast.literal_eval(text.strip()), None
-    except (ValueError, SyntaxError) as exc:
-        want, want_error = None, f"<s>:1: bad literal for 'energies': {message(exc)}"
-    try:
-        got, got_error = scenario_module._parse_lines(f"energies = {text}", "<s>")["energies"], None
-    except ScenarioError as exc:
-        got, got_error = None, message(exc)
-    assert got_error == want_error
-    assert repr(got) == repr(want)  # same types all the way down, -0.0 included
-
-
-def test_ladder_literals_take_the_json_path(monkeypatch):
-    # the bench's 60-level ladder, repr floats throughout, never reaches literal_eval
+def test_ladder_literals_take_the_json_path():
+    # the bench's 60-level ladder, repr floats throughout, reads as the Python literals it is
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     try:
         from workloads import ladder_text
@@ -307,11 +278,6 @@ def test_ladder_literals_take_the_json_path(monkeypatch):
     want_lines = spectral.line_spectrum(
         spectral.TargetLevels.from_temperature(want["energies"], want["dipole_sq"], want["temperature"])
     )
-
-    def refuse(text):
-        raise AssertionError(f"literal_eval called on {text[:20]!r}")
-
-    monkeypatch.setattr(scenario_module.ast, "literal_eval", refuse)
     assert repr(scenario_module._parse_lines(text, "<s>")) == repr(want)
     lines = parse_scenario(text).lines
     assert lines.n_lines == 60 * 59
