@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import PolarizabilityCurve
-from .spectral import _check_omega, _frozen
+from .spectral import _check_density, _check_omega, _frozen
 
 __all__ = [
     "DILUTE_THRESHOLD",
@@ -37,8 +37,7 @@ DILUTE_THRESHOLD = 1e-2  # |4 pi n alpha| must stay below this for the first-ord
 
 def dielectric(alpha, density_n: float):
     """First-order dilute dielectric response 1 + 4 pi n alpha."""
-    if density_n <= 0.0:
-        raise ValueError("density must be positive")
+    _check_density(density_n)
     return 1.0 + 4.0 * np.pi * density_n * np.asarray(alpha, dtype=complex)
 
 
@@ -75,8 +74,7 @@ def extinction_dilute(density_n: float, sigma_tot, dilute_flags=None):
     warning is attached to the result rather than failing: the value is
     still the first-order formula, just less trustworthy there.
     """
-    if density_n <= 0.0:
-        raise ValueError("density must be positive")
+    _check_density(density_n)
     if dilute_flags is not None and not np.all(dilute_flags):
         warnings.warn(
             "extinction_dilute called outside the dilute regime "

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair, _check_gamma, _frozen, _line_sum_blocks
+from .spectral import LineSpectrum, SpectralPair, _check_eta, _check_gamma, _frozen, _line_sum_blocks
 
 __all__ = [
     "PolarizabilityCurve",
@@ -239,8 +239,7 @@ class PolarizabilityCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "eta", float(self.eta))
-        if self.eta < 0.0:
-            raise ValueError("eta must be non-negative")
+        _check_eta(self.eta)
 
     @property
     def grid(self) -> np.ndarray:

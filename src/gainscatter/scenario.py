@@ -23,7 +23,7 @@ key would corrupt a physics run.  Recognized keys:
                                           (default: that of max |h|)
     screen.z        = 1e4                 enables/configures verification
     screen.r_max    = 1e3                 default z/10
-    screen.eps_schedule = [17.7, ...]     default geometric, 6 steps
+    screen.eps_schedule = [17.7, ...]     default geometric, 6 steps (at least 3)
     screen.omega    = 1.0                 default: strongest line frequency
     output_dir      = "out"               default output directory
 
@@ -47,11 +47,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .screen import DEFAULT_Z, check_screen, default_eps_schedule, default_r_max
+from .screen import DEFAULT_Z, _eps_fit, check_screen, default_eps_schedule, default_r_max
 from .spectral import (
     DEFAULT_GAMMA,
     LineSpectrum,
     TargetLevels,
+    _check_density,
+    _check_eta,
     _check_gamma,
     check_grid_span,
     line_spectrum,
@@ -196,8 +198,7 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
     gamma = number("gamma", DEFAULT_GAMMA)
     _check_gamma(gamma)
     eta = number("eta", 0.0)
-    if eta < 0.0:
-        raise ValueError(f"eta must be non-negative (got {eta!r})")
+    _check_eta(eta)
 
     grid_min = number("grid.min")
     grid_max = number("grid.max")
@@ -216,10 +217,10 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
     check_grid_span(lines, grid_min, grid_max, gamma)
 
     medium_density = number("medium.density_n")
-    if medium_density is not None and medium_density <= 0.0:
-        raise ValueError(f"medium.density_n must be positive (got {medium_density!r})")
-    if medium_density is not None and grid_max <= 0.0:
-        raise ValueError(f"medium.density_n needs grid.max > 0 (got {grid_max!r})")
+    if medium_density is not None:
+        _check_density(medium_density)
+        if grid_max <= 0.0:
+            raise ValueError(f"medium.density_n needs grid.max > 0 (got {grid_max!r})")
 
     slab_z_max = number("slab.z_max")
     if slab_z_max is not None and slab_z_max <= 0.0:
@@ -233,8 +234,6 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
 
     screen_z = number("screen.z", DEFAULT_Z)
     screen_r_max = number("screen.r_max", default_r_max(screen_z))
-    if screen_r_max <= 0.0:
-        raise ValueError("screen.r_max must be positive (default screen.z/10)")
     screen_omega = number("screen.omega")
     if screen_omega is None and lines.n_lines:
         screen_omega = float(abs(lines.omega[np.argmax(lines.weight)]))  # strongest line
@@ -243,10 +242,10 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
         key = "screen.eps_schedule"
         eps_schedule = tuple(_number(key, e) for e in _numbers(key, eps_schedule))
     if screen_omega is not None:  # else the screen pipeline is unused
+        check_screen(screen_omega, screen_z, screen_r_max, eps_schedule or ())
         if eps_schedule is None:
-            schedule = default_eps_schedule(screen_omega, screen_z, screen_r_max)
-            eps_schedule = tuple(schedule.tolist())
-        check_screen(screen_omega, screen_z, screen_r_max, eps_schedule)
+            eps_schedule = tuple(default_eps_schedule(screen_omega, screen_z, screen_r_max).tolist())
+        _eps_fit(eps_schedule, full=True)  # verify fits the full form too: a too-short schedule fails here
     output_dir = values.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValueError(f"output_dir must be a string (got {output_dir!r})")

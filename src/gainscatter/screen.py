@@ -25,15 +25,14 @@ Im F.  Nothing in the construction cares whether the target absorbs or
 amplifies: a negative Im F simply makes the screen brighter than the free
 beam and sigma comes out negative.
 
-The |F|^2/r_d^2 term (the scattered flux itself) is kept as a diagnostic
-variant: after tapering it contributes O(1/(eps z)), vanishing in the
-z -> infinity limit.  Its known eps-shape is added to the fit basis so the
-variant also extrapolates cleanly; the convergence verdict is keyed to the
-interference form, which is what the missing-intensity argument integrates.
-``verify_optical_theorem`` reports both forms from one pass per taper: the
-radial nodes, phase, taper and exp(i phase) are built once and both deficit
-sums are formed from them, each with the operations and summation order of
-a pass of its own, so either form's estimates keep their bits.
+The full form of the deficit, adding |F|^2/r_d^2 (the scattered flux
+itself) with the true distance r_d, is ``verify_optical_theorem``'s
+diagnostic: after tapering that term contributes O(1/(eps z)), vanishing as
+z -> infinity, and its known eps-shape joins the fit basis so the full form
+extrapolates cleanly too.  The public integrals and the convergence verdict
+use the interference form, which the missing-intensity argument integrates.
+``verify_optical_theorem`` forms both sums from one pass per taper, each
+with the operations and summation order of a pass of its own.
 """
 
 from __future__ import annotations
@@ -71,13 +70,8 @@ _GL_ORDER = 12
 NODE_CHUNK = 1 << 14
 
 
-def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
-    """Raise ValueError naming the first violated screen-feasibility condition.
-
-    A positive, finite omega, far field z >= FAR_FIELD_MIN c/omega, paraxial
-    r_max <= z/10, and a taper below TAPER_DECAY at r_max for each scheduled
-    taper_eps.
-    """
+def _check_geometry(omega: float, z: float, r_max: float) -> None:
+    """Raise ValueError unless omega is positive and finite, z far field and r_max paraxial."""
     _check_omega(omega)
     if z < FAR_FIELD_MIN / omega:
         raise ValueError(
@@ -89,15 +83,31 @@ def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
             f"paraxial condition violated: r_max = {r_max:g} exceeds z/10 = "
             f"{PARAXIAL_RATIO * z:g} (need r_max <= z/10)"
         )
-    eps = np.asarray(eps_schedule, dtype=float)
-    if eps.size and eps.min() <= 0.0:
-        raise ValueError(f"taper_eps must be positive (got {eps.min():g})")
+
+
+def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
+    """Raise ValueError naming the first violated screen-feasibility condition.
+
+    A positive, finite omega, far field z >= FAR_FIELD_MIN c/omega, paraxial
+    0 < r_max <= z/10 with an edge phase omega r_max^2/(2 z) that a finite
+    taper_eps can damp below TAPER_DECAY at r_max, and each scheduled
+    taper_eps finite and large enough for that.  ``default_eps_schedule``
+    divides by that phase, so check before building one.
+    """
+    _check_geometry(omega, z, r_max)
     phase_max = omega * r_max * r_max / (2.0 * z)
-    if eps.size and np.exp(-eps.min() * phase_max) > TAPER_DECAY:
+    decay = np.log(1.0 / TAPER_DECAY)  # the taper exponent eps * phase needed at r_max
+    if not (r_max > 0.0 and decay / np.finfo(float).max < phase_max < np.inf):
         raise ValueError(
-            f"taper-decay condition violated: exp(-eps*omega*r_max^2/(2 z)) > {TAPER_DECAY:g} "
-            f"at r_max; need taper_eps >= {np.log(1.0 / TAPER_DECAY) / phase_max:.6g} "
-            f"(got {eps.min():g})"
+            f"infeasible screen radius r_max = {r_max:g}: need r_max > 0 and an edge phase "
+            f"omega*r_max^2/(2 z) (here {phase_max:g}) that a finite taper_eps damps below {TAPER_DECAY:g}"
+        )
+    eps = np.asarray(eps_schedule, dtype=float)
+    bad = ~((eps >= decay / phase_max) & (eps < np.inf))
+    if bad.any():
+        raise ValueError(
+            f"taper-decay condition violated: exp(-eps*omega*r_max^2/(2 z)) > {TAPER_DECAY:g} at r_max; "
+            f"need a positive, finite taper_eps >= {decay / phase_max:.6g} (got {float(eps[bad][0]):g})"
         )
 
 
@@ -112,7 +122,7 @@ def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
     Includes both the interference cross-term and the |F|^2 scattered term.
     """
     r = np.asarray(r_perp, dtype=float)
-    check_screen(omega, z, float(r.max()) if r.size else 0.0)
+    _check_geometry(omega, z, float(r.max()) if r.size else 0.0)
     r_dist = z + r * r / (2.0 * z)
     cross = 2.0 * (f_forward * np.exp(1j * omega * (r_dist - z))).real / r_dist
     ratio = 1.0 + cross + np.abs(f_forward) ** 2 / r_dist**2
@@ -135,51 +145,39 @@ def _radial_nodes(omega: float, z: float, eps: float, r_max: float):
     return _gl_panels(edges, _GL_ORDER)
 
 
-def missing_intensity_sigma(
-    f_forward: complex,
-    omega: float,
-    z: float,
-    taper_eps: float,
-    r_max: float,
-    include_scattered_term: bool = False,
-) -> float:
+def missing_intensity_sigma(f_forward: complex, omega: float, z: float, taper_eps: float, r_max: float) -> float:
     """Tapered missing-intensity integral 2 pi int (1 - I/I0) taper r dr.
 
     ``taper_eps`` is dimensionless: the taper is exp(-eps omega r^2/(2 z)),
-    i.e. eps in units of the local Fresnel phase.  Feasibility is enforced
-    jointly by ``check_screen``: r_max <= z/10, z in the far field, and the
-    taper must have decayed below TAPER_DECAY at r_max (otherwise the
-    truncated oscillatory tail pollutes the estimate).  By default only the
-    interference form of the deficit is integrated; ``include_scattered_term``
-    adds |F|^2/r_d^2 and switches the interference denominator to the true
-    distance r_d.
+    i.e. eps in units of the local Fresnel phase.  ``check_screen`` must
+    accept the screen and taper: a taper undecayed at r_max would let the
+    truncated oscillatory tail pollute the estimate.  The deficit is the
+    interference form -2 Re[F exp(i phase)]/z.
     """
-    return _deficit_sums(f_forward, omega, z, taper_eps, r_max, (include_scattered_term,))[0]
+    return _deficit_sums(f_forward, omega, z, taper_eps, r_max)[0]
 
 
-def _deficit_sums(f_forward, omega, z, taper_eps, r_max, variants) -> list[float]:
-    """``missing_intensity_sigma`` for each ``include_scattered_term`` in ``variants``, in one pass.
+def _deficit_sums(f_forward, omega, z, taper_eps, r_max, full=False) -> list[float]:
+    """``[interference]`` at one taper, or ``[interference, full]`` with ``full``, in one pass.
 
-    Each chunk's nodes, phase, taper and oscillating factor are built once
-    and serve every variant; a variant's sums are the operations, chunks and
-    order of a pass of its own, so its value does not depend on the others.
+    The full form adds |F|^2/r_d^2 and divides by the true distance r_d.  The
+    forms share each chunk's nodes, phase, taper and oscillating factor; each
+    form's sums keep the operations, chunks and order of a pass of its own.
     """
     check_screen(omega, z, r_max, [taper_eps])
     a = omega / z
     nodes, weights = _radial_nodes(omega, z, taper_eps, r_max)
-    parts = [[] for _ in variants]
+    parts = ([], []) if full else ([],)
     for lo in range(0, nodes.size, NODE_CHUNK):
         r, w = nodes[lo : lo + NODE_CHUNK], weights[lo : lo + NODE_CHUNK]
         phase = 0.5 * a * r * r
         taper = np.exp(-taper_eps * phase)
         osc = (f_forward * np.exp(1j * phase)).real
-        for include_scattered_term, sums in zip(variants, parts):
-            if include_scattered_term:
-                r_dist = z + r * r / (2.0 * z)
-                deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
-            else:
-                deficit = -2.0 * osc / z
-            sums.append(np.sum(deficit * taper * r * w))
+        parts[0].append(np.sum(-2.0 * osc / z * taper * r * w))
+        if full:
+            r_dist = z + r * r / (2.0 * z)
+            deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
+            parts[1].append(np.sum(deficit * taper * r * w))
     # start from the first chunk's sum, so a single chunk is exactly one np.sum
     return [float(2.0 * np.pi * sum(sums[1:], sums[0])) for sums in parts]
 
@@ -195,42 +193,31 @@ def default_eps_schedule(omega: float, z: float, r_max: float) -> np.ndarray:
     return eps_min / EPS_SCHEDULE_RATIO ** np.arange(EPS_SCHEDULE_STEPS - 1, -1, -1)
 
 
-def extrapolate_missing_intensity(
-    f_forward: complex,
-    omega: float,
-    z: float,
-    eps_schedule,
-    r_max: float,
-    include_scattered_term: bool = False,
-):
-    """Estimates over the schedule plus their eps -> 0 extrapolation.
+def _eps_fit(eps_schedule, full=False):
+    """The eps -> 0 extrapolation over ``eps_schedule``, as a function of the estimates there.
 
-    The fit is linear in sigma(eps) (1 + eps^2), exact for the interference
-    kernel; the scattered-term variant adds the (1 + eps^2)/eps basis
-    matching that term's known taper integral.
+    Linear in sigma(eps) (1 + eps^2), exact for the interference kernel; the
+    full form adds the (1 + eps^2)/eps basis of the |F|^2 term's taper
+    integral.  A schedule shorter than the basis is a ValueError, before any pass.
     """
-    return _extrapolations(f_forward, omega, z, eps_schedule, r_max, (include_scattered_term,))[0]
+    eps = np.asarray(eps_schedule, dtype=float)
+    columns = 3 if full else 2
+    if eps.size < columns:
+        raise ValueError(f"eps schedule too short to extrapolate: need {columns} members (got {eps.size})")
+
+    def intercept(estimates) -> float:
+        basis = [np.ones_like(eps), eps] + ([(1.0 + eps**2) / eps] if full else [])
+        coeffs, *_ = np.linalg.lstsq(np.column_stack(basis), estimates * (1.0 + eps**2), rcond=None)
+        return float(coeffs[0])
+
+    return intercept
 
 
-def _extrapolations(f_forward, omega, z, eps_schedule, r_max, variants):
-    """``extrapolate_missing_intensity`` for each ``include_scattered_term`` in ``variants``.
-
-    One ``_deficit_sums`` pass per taper gives every variant's estimate there.
-    """
-    eps_schedule = np.asarray(eps_schedule, dtype=float)
-    if eps_schedule.size < (3 if any(variants) else 2):
-        raise ValueError("eps schedule too short to extrapolate")
-    per_taper = [_deficit_sums(f_forward, omega, z, eps, r_max, variants) for eps in eps_schedule]
-    results = []
-    for estimates, include_scattered_term in zip(np.array(per_taper).T, variants):
-        corrected = estimates * (1.0 + eps_schedule**2)
-        columns = [np.ones_like(eps_schedule), eps_schedule]
-        if include_scattered_term:
-            columns.append((1.0 + eps_schedule**2) / eps_schedule)
-        design = np.column_stack(columns)
-        coeffs, *_ = np.linalg.lstsq(design, corrected, rcond=None)
-        results.append((estimates, float(coeffs[0])))
-    return results
+def extrapolate_missing_intensity(f_forward: complex, omega: float, z: float, eps_schedule, r_max: float):
+    """``missing_intensity_sigma`` over the schedule, and its eps -> 0 extrapolation."""
+    fit = _eps_fit(eps_schedule)
+    estimates = np.array([missing_intensity_sigma(f_forward, omega, z, eps, r_max) for eps in eps_schedule])
+    return estimates, fit(estimates)
 
 
 def optical_theorem_sigma(f_forward: complex, omega: float) -> float:
@@ -250,12 +237,13 @@ def verify_optical_theorem(
 
     ``alpha`` is the target's boundary polarizability at ``omega`` (e.g.
     ``alpha_boundary(pair, omega)``); the forward amplitude F = omega^2 alpha
-    is all the screen sees of the target.  Runs the tapered screen integral
-    over the eps schedule, one pass over each taper's radial nodes giving
-    the estimates both without and with the scattered |F|^2 term, and
-    extrapolates each.  ``converged`` is true when the interference-form
-    extrapolation matches (4 pi/omega) Im F within 1e-3 relative, or within
-    1e-9 of the amplitude scale when sigma is essentially zero.
+    is all the screen sees of the target.  One pass per taper gives the
+    estimates of the interference form and of the full form (the ``_full``
+    fields, a diagnostic), and each is extrapolated.  ``converged`` is true
+    when the interference-form extrapolation matches (4 pi/omega) Im F
+    within 1e-3 relative, or within 1e-9 of the amplitude scale when sigma
+    is essentially zero.  A field that is not finite (|F|^2 overflows past
+    |F| ~ 1e154) is a ValueError naming it.
     """
     if r_max is None:
         r_max = default_r_max(z)
@@ -264,16 +252,16 @@ def verify_optical_theorem(
     f_forward = scattering_amplitude(alpha, omega, e, e)
     if eps_schedule is None:
         eps_schedule = default_eps_schedule(omega, z, r_max)
-    eps_schedule = np.asarray(eps_schedule, dtype=float)
 
     sigma_closed = optical_theorem_sigma(f_forward, omega)
-    (estimates, extrapolated), (estimates_full, extrapolated_full) = _extrapolations(
-        f_forward, omega, z, eps_schedule, r_max, (False, True)
-    )
+    fit, fit_full = _eps_fit(eps_schedule), _eps_fit(eps_schedule, full=True)
+    per_taper = [_deficit_sums(f_forward, omega, z, eps, r_max, full=True) for eps in eps_schedule]
+    estimates, estimates_full = np.array(per_taper).T
+    extrapolated, extrapolated_full = fit(estimates), fit_full(estimates_full)
     scale = 4.0 * np.pi * abs(f_forward) / omega
     gap = abs(extrapolated - sigma_closed)
     converged = bool(gap <= max(1e-3 * abs(sigma_closed), 1e-9 * scale))
-    return {
+    report = {
         "omega": float(omega),
         "z": float(z),
         "r_max": float(r_max),
@@ -286,3 +274,7 @@ def verify_optical_theorem(
         "sigma_extrapolated_full": float(extrapolated_full),
         "converged": converged,
     }
+    for key, value in report.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"screen integral: {key} is not finite at |F| = {abs(f_forward):.3g}")
+    return report

@@ -370,6 +370,18 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be positive and finite (got {gamma!r})")
 
 
+def _check_eta(eta: float) -> None:
+    """Raise ValueError unless the curve offset eta (omega + i eta) is non-negative and finite."""
+    if not 0.0 <= eta < np.inf:
+        raise ValueError(f"eta must be non-negative and finite (got {eta!r})")
+
+
+def _check_density(density_n: float) -> None:
+    """Raise ValueError unless the number density is positive and finite."""
+    if not 0.0 < density_n < np.inf:
+        raise ValueError(f"density_n must be positive and finite (got {density_n!r})")
+
+
 def check_grid_span(lines: LineSpectrum, grid_min: float, grid_max: float, gamma: float) -> None:
     """Raise ValueError unless the grid spans the signed lines by BROADEN_MARGIN * gamma."""
     if lines.n_lines:

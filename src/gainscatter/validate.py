@@ -391,8 +391,7 @@ def check_screen_convergence_order():
     r_max = z / 10.0
     f = 1.0 + 0.8j
     want = optical_theorem_sigma(f, omega)
-    phase_max = omega * r_max**2 / (2.0 * z)
-    eps = (np.log(1e12) / phase_max) * 2.0 ** np.arange(5)
+    eps = default_eps_schedule(omega, z, r_max)[:0:-1]  # its five smallest tapers, ascending
     devs = [
         abs(missing_intensity_sigma(f, omega, z, e, r_max) - want) for e in eps
     ]

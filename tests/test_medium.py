@@ -46,6 +46,19 @@ def test_dielectric_rejects_nonpositive_density():
         dielectric(0.1 + 0.0j, 0.0)
 
 
+@pytest.mark.parametrize("density_n", [0.0, -1e-6, np.nan, np.inf])
+def test_density_must_be_positive_and_finite(density_n):
+    # one rule for every reader of a density: a NaN used to give a NaN epsilon
+    curve = polarizability_curve(two_level_pair(1.0))
+    for call in (
+        lambda: dielectric(0.1 + 0.0j, density_n),
+        lambda: extinction_dilute(density_n, [1.0]),
+        lambda: medium_response(curve, density_n),
+    ):
+        with pytest.raises(ValueError, match="density_n must be positive and finite"):
+            call()
+
+
 # --- wavevector -------------------------------------------------------------------
 
 

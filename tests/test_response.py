@@ -387,6 +387,13 @@ def test_kramers_kronig_rejects_undecayed_edges():
         kramers_kronig_residual(curve)
 
 
+@pytest.mark.parametrize("eta", [-0.001, np.nan, np.inf])
+def test_eta_must_be_non_negative_and_finite(eta):
+    # NaN and inf used to give an all-NaN alpha (with numpy warnings)
+    with pytest.raises(ValueError, match="eta must be non-negative and finite"):
+        polarizability_curve(two_level_pair(0.0), eta=eta)
+
+
 def test_kramers_kronig_rejects_large_eta():
     pair = two_level_pair(0.0, span=8.0, points=16385)
     curve = polarizability_curve(pair, eta=0.005)  # gamma/2 > gamma/10

@@ -137,6 +137,7 @@ def test_parse_rejects_infeasible_screen():
         ("gamma = 0.01", "gamma = 0.0", "gamma"),
         ("gamma = 0.01", "gamma = -0.01", "gamma"),
         ("gamma = 0.01", "gamma = 0.01\neta = true", "eta"),
+        ("gamma = 0.01", "gamma = 0.01\neta = -0.5", "eta must be non-negative and finite (got -0.5)"),
         ("medium.density_n = 1e-6", "medium.density_n = 1e999", "medium.density_n"),
         ("grid.points = 2401", "grid.points = 2401.7", "grid.points"),
         ("populations = [1.0, 0.0]", "temperature = [1]", "temperature"),
@@ -150,6 +151,7 @@ def test_parse_rejects_infeasible_screen():
         "gamma-zero",
         "gamma-negative",
         "eta-bool",
+        "eta-negative",
         "density-inf",
         "points-fraction",
         "temperature-list",
@@ -481,6 +483,45 @@ def test_cmd_verify_infeasible_screen_named_inequality(tmp_path, capsys):
     code = run(["verify", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 2
     assert "r_max <= z/10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium", "verify"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (
+            "screen.r_max = 1e-200",  # the edge phase underflows to 0
+            "infeasible screen radius r_max = 1e-200: need r_max > 0 and an edge phase omega*r_max^2/(2 z) "
+            "(here 0) that a finite taper_eps damps below 1e-08",
+        ),
+        (
+            "screen.r_max = 0",
+            "infeasible screen radius r_max = 0: need r_max > 0 and an edge phase omega*r_max^2/(2 z) "
+            "(here 0) that a finite taper_eps damps below 1e-08",
+        ),
+        ("screen.omega = 0", "omega must be positive and finite (got 0.0)"),
+        ("screen.eps_schedule = [40.0, 80.0]", "eps schedule too short to extrapolate: need 3 members (got 2)"),
+    ],
+    ids=["tiny-r_max", "zero-r_max", "zero-omega", "two-member-schedule"],
+)
+def test_infeasible_screen_exits_2_at_parse(tmp_path, capsys, command, line, message):
+    # the screen rules run before a default schedule is built, whatever the command
+    path = write_scenario(tmp_path, GROUND + line + "\n")
+    out = tmp_path / "out"
+    assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_names_a_non_finite_screen_result(tmp_path, capsys):
+    # gamma = 1e-300 puts |F| = 3.3e299 on the line: |F|^2 overflows in the full form
+    text = INVERTED.replace("gamma = 0.01", "gamma = 1e-300")
+    out = tmp_path / "out"
+    assert run(["verify", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: screen integral: sigma_estimates_full is not finite at |F| = 3.3")
+    assert err.count("\n") == 1
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 # --- response + determinism ----------------------------------------------------------

@@ -16,7 +16,7 @@ from gainscatter import (
     verify_optical_theorem,
 )
 from gainscatter import screen
-from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _radial_nodes
+from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _radial_nodes, check_screen
 
 
 # --- screen intensity -----------------------------------------------------------
@@ -113,14 +113,27 @@ def test_missing_intensity_feasibility_errors():
         missing_intensity_sigma(1.0j, 1.0, 1e4, -1.0, 1e3)
 
 
-def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, r_max, include_scattered_term):
-    """Reference: the missing-intensity sum over every radial node at once."""
+def test_check_screen_needs_a_finite_taper():
+    # a screen no finite taper can damp, or a taper that is not finite, is named, not computed
+    for r_max in (0.0, -1e3, 1e-200, 1e-152):  # the edge phase is 0, 50, 0 (underflow), 5e-309
+        with pytest.raises(ValueError, match=f"infeasible screen radius r_max = {r_max:g}: need r_max > 0"):
+            check_screen(1.0, 1e4, r_max)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="need a positive, finite taper_eps"):
+            check_screen(1.0, 1e4, 1e3, [20.0, eps])
+        with pytest.raises(ValueError, match="need a positive, finite taper_eps"):
+            missing_intensity_sigma(1.0j, 1.0, 1e4, eps, 1e3)
+
+
+def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, r_max, full=False):
+    """Reference: the missing-intensity sum over every radial node at once, of the
+    interference form or of the full form (|F|^2/r_d^2 added, true distance r_d)."""
     a = omega / z
     r, w = _radial_nodes(omega, z, taper_eps, r_max)
     phase = 0.5 * a * r * r
     taper = np.exp(-taper_eps * phase)
     osc = (f_forward * np.exp(1j * phase)).real
-    if include_scattered_term:
+    if full:
         r_dist = z + r * r / (2.0 * z)
         deficit = -2.0 * osc / r_dist - np.abs(f_forward) ** 2 / r_dist**2
     else:
@@ -128,15 +141,19 @@ def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, r_max, include
     return float(2.0 * np.pi * np.sum(deficit * taper * r * w))
 
 
-@pytest.mark.parametrize("scattered", [False, True])
-def test_chunked_missing_intensity_matches_dense_sum(scattered):
+@pytest.mark.parametrize("full", [False, True])
+def test_chunked_missing_intensity_matches_dense_sum(full):
+    # the interference form, or the full form that verify sums in the same pass
     f, omega = 1.0 + 0.8j, 1.0
     for z, exact in ((1e4, True), (1e6, False)):
         r_max = z / 10.0
         for eps in default_eps_schedule(omega, z, r_max)[::2]:
             assert (_radial_nodes(omega, z, eps, r_max)[0].size <= NODE_CHUNK) == exact
-            got = missing_intensity_sigma(f, omega, z, eps, r_max, scattered)
-            want = dense_missing_intensity_sigma(f, omega, z, eps, r_max, scattered)
+            if full:
+                got = screen._deficit_sums(f, omega, z, eps, r_max, full=True)[1]
+            else:
+                got = missing_intensity_sigma(f, omega, z, eps, r_max)
+            want = dense_missing_intensity_sigma(f, omega, z, eps, r_max, full)
             if exact:  # one chunk: the same operations as the dense sum, bit for bit
                 assert got == want
             else:
@@ -177,13 +194,13 @@ def test_z_independence_of_converged_estimate():
 
 
 def test_scattered_term_variant_converges_too():
-    omega, z = 1.0, 1e4
-    r_max = z / 10.0
-    schedule = default_eps_schedule(omega, z, r_max)
+    # verify's full form (|F|^2 term kept) extrapolates to the optical theorem as well;
+    # at omega = 1 the forward amplitude F = omega^2 alpha is alpha itself
+    omega = 1.0
     for f in (0.5 + 1.2j, -0.4 - 0.9j, 1.5 + 0.3j):
-        _, got = extrapolate_missing_intensity(
-            f, omega, z, schedule, r_max, include_scattered_term=True
-        )
+        report = verify_optical_theorem(f, omega)
+        assert complex(*report["forward_amplitude"]) == f
+        got = report["sigma_extrapolated_full"]
         want = optical_theorem_sigma(f, omega)
         scale = 4.0 * np.pi * abs(f) / omega
         assert abs(got - want) <= max(1e-3 * abs(want), 1e-4 * scale)
@@ -250,11 +267,18 @@ def test_verify_passes_each_taper_once_with_single_variant_bits(monkeypatch):
     schedule = report["eps_schedule"]
     assert len(builds) == len(schedule)  # both deficit forms from one pass per taper
     f = complex(*report["forward_amplitude"])
-    for suffix, scattered in (("", False), ("_full", True)):
-        single = [missing_intensity_sigma(f, omega, DEFAULT_Z, eps, r_max, scattered) for eps in schedule]
-        assert report["sigma_estimates" + suffix] == single
-        _, extrapolated = extrapolate_missing_intensity(f, omega, DEFAULT_Z, schedule, r_max, scattered)
-        assert report["sigma_extrapolated" + suffix] == extrapolated
+    single = [missing_intensity_sigma(f, omega, DEFAULT_Z, eps, r_max) for eps in schedule]
+    assert report["sigma_estimates"] == single
+    _, extrapolated = extrapolate_missing_intensity(f, omega, DEFAULT_Z, schedule, r_max)
+    assert report["sigma_extrapolated"] == extrapolated
+    # the full form is verify's alone: the default screen is one chunk, so each estimate is
+    # the dense full-form sum bit for bit, and the intercept is the three-column fit's
+    full = [dense_missing_intensity_sigma(f, omega, DEFAULT_Z, eps, r_max, full=True) for eps in schedule]
+    assert report["sigma_estimates_full"] == full
+    eps = np.array(schedule)
+    design = np.column_stack([np.ones_like(eps), eps, (1.0 + eps**2) / eps])
+    coeffs, *_ = np.linalg.lstsq(design, np.array(full) * (1.0 + eps**2), rcond=None)
+    assert report["sigma_extrapolated_full"] == coeffs[0]
 
 
 def test_verify_rejects_bad_omega():

@@ -200,24 +200,24 @@ TWO_LEVEL = (
 
 
 @pytest.mark.parametrize(
-    "scenario, command, bad_file",
+    "scenario, command, named",
     [
         # gamma**2 underflows to 0, so S+ at the grid point on the line is inf
-        ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]\ngamma = 1e-300\n", "spectrum", "spectrum.csv"),
+        ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]\ngamma = 1e-300\n", "spectrum", "{out}/spectrum.csv: "),
         # sigma_el ~ omega^4 |alpha|^2 ~ (d^2 / gamma)^2 overflows
-        ("dipole_sq = [[0.0, 1e305], [1e305, 0.0]]\n", "cross-sections", "cross_sections.csv"),
-        # the screen integral of the same target: NaN and inf in the report
-        ("dipole_sq = [[0.0, 1e305], [1e305, 0.0]]\n", "verify", "verify.json"),
+        ("dipole_sq = [[0.0, 1e305], [1e305, 0.0]]\n", "cross-sections", "{out}/cross_sections.csv: "),
+        # the screen integral of the same target: |F|^2 overflows, and verify names the field
+        ("dipole_sq = [[0.0, 1e305], [1e305, 0.0]]\n", "verify", "screen integral: sigma_estimates_full "),
     ],
     ids=["tiny-gamma-spectrum", "huge-dipole-cross-sections", "huge-dipole-verify"],
 )
-def test_non_finite_artifact_exits_2_without_file(tmp_path, capsys, scenario, command, bad_file):
+def test_non_finite_artifact_exits_2_without_file(tmp_path, capsys, scenario, command, named):
     path = tmp_path / "scenario.txt"
     path.write_text(TWO_LEVEL + scenario)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):  # the overflow is the point here
         assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {out / bad_file}: ")
+    assert capsys.readouterr().err.startswith("error: " + named.format(out=out))
     assert not out.exists() or list(out.iterdir()) == []
 
 
