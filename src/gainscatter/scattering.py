@@ -89,8 +89,7 @@ def sigma_total_spectral(pair: SpectralPair, omega):
     """
     _check_omega(omega)
     omega_arr = np.asarray(omega, dtype=float)
-    s_plus = np.asarray(pair.s_plus_at(omega_arr), dtype=float)
-    s_minus = np.asarray(pair.s_minus_at(omega_arr), dtype=float)
+    s_plus, s_minus = pair._sums_at(omega_arr)
     scalar = omega_arr.ndim == 0
     omega_arr, s_plus, s_minus = np.atleast_1d(omega_arr, s_plus, s_minus)
 

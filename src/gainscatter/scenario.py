@@ -116,6 +116,9 @@ class Scenario:
         return np.linspace(self.grid_min, self.grid_max, self.grid_points)
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -133,10 +136,14 @@ def _number(key: str, value, integer: bool = False):
 
 
 def _numbers(key: str, value) -> list:
-    """``value`` if a list of numbers or of equal-length lists of numbers; else a ValueError."""
+    """``value`` if a list of numbers or of equal-length lists of numbers; else a ValueError.
+
+    ``json.loads`` makes exact ``int``, ``float`` and ``bool`` values, so one
+    type pass per row is ``_is_number``'s rule.
+    """
     rows = value if isinstance(value, list) and all(isinstance(row, list) for row in value) else [value]
     for row in rows:
-        if not (isinstance(row, list) and len(row) == len(rows[0]) and all(map(_is_number, row))):
+        if not (isinstance(row, list) and len(row) == len(rows[0]) and _NUMBER_TYPES.issuperset(map(type, row))):
             raise ValueError(f"{key} must be a list of numbers or of equal-length lists of numbers")
     return value
 

@@ -37,6 +37,8 @@ with the operations and summation order of a pass of its own.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .response import _gl_panels
@@ -61,6 +63,7 @@ PARAXIAL_RATIO = 0.1      # r_perp may not exceed z/10
 FAR_FIELD_MIN = 1e3       # z must be at least this many wavelengths-over-2pi (c/omega)
 TAPER_DECAY = 1e-8        # feasibility: taper must be below this at r_max
 _SCHEDULE_DECAY = 1e-12   # default schedules push the truncation error to here
+_SCHEDULE_EXPONENT = np.log(1.0 / _SCHEDULE_DECAY)  # eps * phase at r_max of the smallest default taper
 EPS_SCHEDULE_STEPS = 6    # members of the default schedule
 EPS_SCHEDULE_RATIO = 0.5  # ratio of neighbouring members of the default schedule
 _PHASE_PER_PANEL = np.pi / 8.0
@@ -89,10 +92,12 @@ def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
     """Raise ValueError naming the first violated screen-feasibility condition.
 
     A positive, finite omega, far field z >= FAR_FIELD_MIN c/omega, paraxial
-    0 < r_max <= z/10 with an edge phase omega r_max^2/(2 z) that a finite
-    taper_eps can damp below TAPER_DECAY at r_max, and each scheduled
-    taper_eps finite and large enough for that.  ``default_eps_schedule``
-    divides by that phase, so check before building one.
+    0 < r_max <= z/10, and an edge phase omega r_max^2/(2 z) that a finite
+    taper_eps damps below TAPER_DECAY at r_max and that leaves every member
+    of ``default_eps_schedule`` fittable; each scheduled taper_eps damps the
+    edge that far and is fittable.  A taper is fittable when 1 + eps^2, the
+    factor of the eps -> 0 fit, is finite.  ``default_eps_schedule`` divides
+    by the edge phase, so check before building one.
     """
     _check_geometry(omega, z, r_max)
     phase_max = omega * r_max * r_max / (2.0 * z)
@@ -102,6 +107,14 @@ def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
             f"infeasible screen radius r_max = {r_max:g}: need r_max > 0 and an edge phase "
             f"omega*r_max^2/(2 z) (here {phase_max:g}) that a finite taper_eps damps below {TAPER_DECAY:g}"
         )
+    # the default schedule's largest member, as it would be built
+    largest = float(_SCHEDULE_EXPONENT) / float(phase_max) / EPS_SCHEDULE_RATIO ** (EPS_SCHEDULE_STEPS - 1)
+    if not _fittable(largest):
+        raise ValueError(
+            f"infeasible screen radius r_max = {r_max:g}: the edge phase omega*r_max^2/(2 z) (here "
+            f"{phase_max:g}) is too small to fit, since the default eps schedule's largest taper_eps "
+            f"({largest:g}) leaves 1 + eps^2 not finite"
+        )
     eps = np.asarray(eps_schedule, dtype=float)
     bad = ~((eps >= decay / phase_max) & (eps < np.inf))
     if bad.any():
@@ -109,6 +122,14 @@ def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
             f"taper-decay condition violated: exp(-eps*omega*r_max^2/(2 z)) > {TAPER_DECAY:g} at r_max; "
             f"need a positive, finite taper_eps >= {decay / phase_max:.6g} (got {float(eps[bad][0]):g})"
         )
+    for e in eps.tolist():
+        if not _fittable(e):
+            raise ValueError(f"taper_eps {e:g} is too large to fit: 1 + eps^2 is not finite")
+
+
+def _fittable(eps: float) -> bool:
+    """Whether 1 + eps^2, the factor of the eps -> 0 fit, is finite."""
+    return math.isfinite(1.0 + eps * eps)  # a Python float overflows to inf without a warning
 
 
 def default_r_max(z: float) -> float:
@@ -189,7 +210,7 @@ def default_eps_schedule(omega: float, z: float, r_max: float) -> np.ndarray:
     noise stays far below the extrapolation tolerance.
     """
     phase_max = omega * r_max * r_max / (2.0 * z)
-    eps_min = np.log(1.0 / _SCHEDULE_DECAY) / phase_max
+    eps_min = _SCHEDULE_EXPONENT / phase_max
     return eps_min / EPS_SCHEDULE_RATIO ** np.arange(EPS_SCHEDULE_STEPS - 1, -1, -1)
 
 

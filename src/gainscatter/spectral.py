@@ -192,6 +192,11 @@ class LineSpectrum:
         """Total S- delta weight at ``omega``, i.e. the S+ weight at -omega."""
         return self.s_plus_weight_at(-float(omega))
 
+    @cached_property
+    def _self_reflected(self) -> bool:
+        """Whether the lines are their own reflection, -omega[::-1] == omega, as in every thermal target."""
+        return self.n_lines > 0 and np.array_equal(self.omega, -self.omega[::-1])
+
 
 def line_spectrum(target: TargetLevels) -> LineSpectrum:
     """All dipole transition lines of a target.
@@ -217,14 +222,18 @@ class SpectralPair:
     (``check_grid_span``) and a positive, finite gamma.
     ``s_plus_at``/``s_minus_at`` evaluate the model exactly at any frequency.
     The grid samples ``s_plus``/``s_minus`` (the export/CSV view) are built
-    on first read and cached; of the CLI stages only ``spectrum`` reads them,
-    while the curve, the cross sections and the medium need only ``grid``,
-    ``gamma`` and ``lines``.  ``s_plus`` sums every sample.  ``s_minus``
-    sums only the samples w whose mirror sample, as far from the other end
-    of the grid, is not exactly -w; at the others it copies S+(-w), which is
-    the same sum bit for bit: negation is exact, so w + w_line and
-    -w - w_line are exact negatives and their squares, hence every term,
-    are equal.
+    together on first read and cached; of the CLI stages only ``spectrum``
+    reads them, while the curve, the cross sections and the medium need only
+    ``grid``, ``gamma`` and ``lines``.
+
+    S+ and S- of the samples come from one Lorentzian row per +-w pair, as
+    S-(w) = S+(-w): one row per sample w >= 0, and one per sample w < 0
+    whose mirror sample, as far from the other end of the grid, is not
+    exactly -w.  A row is evaluated at the lines, S- reading them reversed,
+    when the line set is its own reflection (every thermal target); else S-
+    is the one-sided S+ at -w.  ``_pair_sums`` says why every value keeps
+    the bits of its own one-sided sum.  ``difference_at`` takes both sums
+    from one row per point too; ``s_plus_at``/``s_minus_at`` stay one-sided.
     """
 
     grid: np.ndarray
@@ -245,18 +254,29 @@ class SpectralPair:
         check_grid_span(self.lines, grid[0], grid[-1], self.gamma)
 
     @cached_property
+    def _samples(self) -> np.ndarray:
+        """S+ and S- on the grid, as two read-only rows, summed on first read."""
+        grid = self.grid
+        k = int(np.searchsorted(grid, 0.0))  # grid[:k] < 0 <= grid[k:]
+        lone = np.flatnonzero(grid[: -k - 1 : -1] != -grid[:k])  # grid[-1 - i] is not -grid[i]
+        rows = _pair_sums(self.lines, self.gamma, np.concatenate((grid[k:], -grid[lone])))
+        samples = np.empty((2, grid.size))
+        samples[:, k:] = rows[:, : grid.size - k]
+        # a mirrored sample's S+ is its mirror's S-, and its S- the mirror's S+
+        samples[:, :k] = samples[::-1, : -k - 1 : -1]
+        samples[:, lone] = rows[::-1, grid.size - k :]
+        samples.setflags(write=False)
+        return samples
+
+    @cached_property
     def s_plus(self) -> np.ndarray:
-        """S+ on the grid, summed over the lines on first read."""
-        return _frozen(self.s_plus_at(self.grid))
+        """S+ on the grid."""
+        return self._samples[0]
 
     @cached_property
     def s_minus(self) -> np.ndarray:
-        """S- on the grid: S+ at the mirror sample where that is -omega, else summed on first read."""
-        grid = self.grid
-        summed = np.flatnonzero(grid != -grid[::-1])  # grid[-1 - i] is not -grid[i] exactly
-        s_minus = self.s_plus[::-1].copy()
-        s_minus[summed] = self.s_minus_at(grid[summed])
-        return _frozen(s_minus)
+        """S- on the grid."""
+        return self._samples[1]
 
     def s_plus_at(self, omega):
         """S+ at arbitrary frequencies, summed exactly over the lines."""
@@ -266,9 +286,15 @@ class SpectralPair:
         """S- at arbitrary frequencies; equals S+ mirrored through omega = 0."""
         return _broadened_sum(-self.lines.omega, self.lines.weight, self.gamma, omega)
 
+    def _sums_at(self, omega) -> np.ndarray:
+        """S+ and S- at arbitrary frequencies of any shape, stacked: one Lorentzian row per point."""
+        return _pair_sums(self.lines, self.gamma, omega)
+
     def difference_at(self, omega):
         """S+(omega) - S-(omega), the dissipative weight (signed)."""
-        return self.s_plus_at(omega) - self.s_minus_at(omega)
+        s_plus, s_minus = self._sums_at(omega)
+        difference = s_plus - s_minus
+        return float(difference) if np.ndim(difference) == 0 else difference
 
 
 def _usable_cpus() -> int:
@@ -279,18 +305,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int) -> np.ndarray:
+def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int, n_out: int = 1) -> np.ndarray:
     """``row_sum`` over ``points`` of any shape, a block of rows at a time, on ``W`` threads.
 
     ``row_sum(block, out, *work)`` sums each point of the flat ``block`` over
     the lines into ``out``, using the ``n_work`` (rows, lines) arrays ``work``
-    of the points' dtype as scratch.  The ``LINE_SUM_BYTES`` budget is split
-    evenly across the usable CPUs, which fixes the rows per block (one row
-    when a single row is larger); ``W`` is the CPU count capped at the block
-    count.  Each worker takes the next block in order until none is left,
-    so a worker on a busier CPU takes fewer; the calling thread is worker 0
-    and runs alone when there is one block.  NumPy's ufuncs release the GIL,
-    so the workers overlap.
+    of the points' dtype as scratch; with ``n_out`` > 1 sums per point,
+    ``out`` is (n_out, rows) and the result (n_out, *points.shape).  The
+    ``LINE_SUM_BYTES`` budget is split evenly across the usable CPUs, which
+    fixes the rows per block (one row when a single row is larger); ``W`` is
+    the CPU count capped at the block count.  Each worker takes the next
+    block in order until none is left, so a worker on a busier CPU takes
+    fewer; the calling thread is worker 0 and runs alone when there is one
+    block.  NumPy's ufuncs release the GIL, so the workers overlap.
 
     Each worker's scratch is allocated here, before any thread starts, and
     reused by every one of its blocks: allocating it per block lets the heap
@@ -301,7 +328,9 @@ def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int) -> 
     expression over all points, whatever the block size or worker count.
     """
     flat = points.reshape(-1)
-    out = np.empty(flat.shape, dtype=points.dtype)
+    out = np.empty((n_out, flat.size), dtype=points.dtype)
+    if n_out == 1:
+        out = out[0]
     cpus = _usable_cpus()
     row_bytes = n_work * n_lines * out.itemsize
     rows = max(1, min(flat.size, LINE_SUM_BYTES // (cpus * row_bytes)))
@@ -321,7 +350,7 @@ def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int) -> 
                     if start is None:
                         return
                     block = flat[start : start + rows]
-                    row_sum(block, out[start : start + rows], *work[k, :, : block.size])
+                    row_sum(block, out[..., start : start + rows], *work[k, :, : block.size])
         except BaseException as exc:
             errors[k] = exc
 
@@ -334,7 +363,43 @@ def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int) -> 
     for exc in errors:
         if exc is not None:
             raise exc
-    return out.reshape(points.shape)
+    return out.reshape(out.shape[:-1] + points.shape)
+
+
+def _lorentzian(points: np.ndarray, columns: np.ndarray, gamma: float, out: np.ndarray) -> None:
+    """The Lorentzian (gamma/pi) / ((q - u)^2 + gamma^2) of each point q at each column u, into ``out``."""
+    np.subtract(points[:, None], columns, out=out)
+    np.multiply(out, out, out=out)
+    np.add(out, gamma * gamma, out=out)
+    np.divide(gamma / np.pi, out, out=out)
+
+
+def _pair_sums(lines: LineSpectrum, gamma: float, omega) -> np.ndarray:
+    """S+ and S- of the broadened ``lines`` at ``omega`` (any shape), as a (2, *shape) array.
+
+    S-(q) = sum_l w_l L(q + w_l).  When the lines are their own reflection
+    (every thermal target), -w_l = w_{n-1-l}, so L(q + w_l) is column n-1-l
+    of the Lorentzian row L(q - w_{n-1-l}) that S+(q) sums: one row per
+    point gives both sums.  Otherwise S-(q) is the one-sided S+(-q).  Each
+    sum multiplies its terms into an array in line order, and negation is
+    exact (-q - w_l and q + w_l have equal squares), so every value keeps
+    the bits of a one-sided ``_broadened_sum``.
+    """
+    omega = np.asarray(omega, dtype=float)
+    line_omega, weight = lines.omega, lines.weight
+    if not lines._self_reflected:
+        flat = omega.reshape(-1)
+        both = _broadened_sum(line_omega, weight, gamma, np.concatenate((flat, -flat)))
+        return both.reshape((2,) + omega.shape)
+
+    def row_sum(points, out, lorentz, terms):
+        _lorentzian(points, line_omega, gamma, lorentz)
+        np.multiply(lorentz[:, ::-1], weight, out=terms)  # S-: the columns reversed
+        terms.sum(axis=-1, out=out[1])
+        np.multiply(lorentz, weight, out=lorentz)
+        lorentz.sum(axis=-1, out=out[0])
+
+    return _line_sum_blocks(row_sum, omega, line_omega.size, 2, n_out=2)
 
 
 def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, omega):
@@ -344,11 +409,7 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
         return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
     def row_sum(points, out, x):
-        # the Lorentzian (gamma/pi) / (x^2 + gamma^2) times line_weight, in place
-        np.subtract(points[:, None], line_omega, out=x)
-        np.multiply(x, x, out=x)
-        np.add(x, gamma * gamma, out=x)
-        np.divide(gamma / np.pi, x, out=x)
+        _lorentzian(points, line_omega, gamma, x)
         np.multiply(x, line_weight, out=x)
         x.sum(axis=-1, out=out)
 
@@ -481,8 +542,7 @@ def noise_temperature(spectrum: Union[SpectralPair, LineSpectrum], omega: float)
         s_plus = spectrum.s_plus_weight_at(omega)
         s_minus = spectrum.s_minus_weight_at(omega)
     else:
-        s_plus = spectrum.s_plus_at(omega)
-        s_minus = spectrum.s_minus_at(omega)
+        s_plus, s_minus = spectrum._sums_at(omega)
     value = float(noise_temperature_values(omega, s_plus, s_minus))
     return None if np.isnan(value) else value
 

@@ -25,7 +25,9 @@ calls the same checks at larger sizes, criterion by criterion:
 
 Three checks that only item 9 runs pin what every route shares, so a wrong
 constant that scales all routes together fails: ``check_reflection_symmetry``
-(the pipeline's S-(w) = S+(-w) bit for bit), ``check_sign_rule`` (the exact
+(the pipeline's S-(w) = S+(-w) bit for bit, and the grid samples, which take
+S+ and S- from one Lorentzian row per +-w pair, equal to the one-sided sums
+bit for bit), ``check_sign_rule`` (the exact
 two-level Im alpha at the line, which fixes the line weight p d^2/3) and
 ``check_energy_bookkeeping`` (F = omega^2 alpha at omega = 1.005, off the
 frequency where every power of omega agrees).  Like ``check_reflection_symmetry``
@@ -115,6 +117,7 @@ def check_reflection_symmetry():
     rng = np.random.default_rng(12)
     draws = np.random.default_rng([12, 1])  # frequencies; the targets stay those of ``rng``
     gamma = 0.01
+    widest = None
     for _ in range(20):
         energies, d2 = _random_ladder(rng)
         p = rng.dirichlet(np.ones(energies.size))
@@ -125,7 +128,18 @@ def check_reflection_symmetry():
         # S-(w) = S+(-w) bit for bit: negation is exact, so both sum the same squares
         if not np.array_equal(pair.s_minus_at(w), pair.s_plus_at(-w)):
             return False, "S-(w) differs from S+(-w)"
-    return True, "S-(w) = S+(-w) bitwise, 20 random targets x 16 frequencies"
+        if widest is None or lines.n_lines > widest.lines.n_lines:
+            widest = pair
+    # the grid samples, S+ and S- from one Lorentzian row per +-w pair, hold the one-sided sums'
+    # bits: on the target with the most lines (30, its own reflection), where 66 of this grid's
+    # 100 w < 0 samples have no exact mirror sample, so both kinds of row are read
+    span = widest.grid[-1]
+    grid = np.linspace(-span, span, 201)
+    sampled = broaden(widest.lines, grid, gamma)
+    one_sided = sampled.s_plus_at(grid), sampled.s_minus_at(grid)
+    if not (np.array_equal(sampled.s_plus, one_sided[0]) and np.array_equal(sampled.s_minus, one_sided[1])):
+        return False, "grid samples differ from the one-sided S+/S- sums"
+    return True, "S-(w) = S+(-w) bitwise, 20 random targets x 16 frequencies; grid samples = one-sided sums"
 
 
 def check_detailed_balance(samples=20, seed=13):

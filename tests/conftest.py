@@ -41,11 +41,13 @@ def thermal_ladder(levels, temperature=-1.0, seed=0, top=4.2):
 
 
 def block_spanning_grid(lines, gamma, blocks=3.5, workers=None):
-    """A grid over the line set whose point count fills ``blocks`` S+/S- line-sum blocks.
+    """A grid over the line set whose point count fills ``blocks`` one-sided S+ line-sum blocks.
 
     Blocks are sized for ``workers`` (default: the usable CPUs), whose shares
     of the line sums' byte budget they are.  The alpha sum, at 32 bytes per
-    points x lines element against S+/S-'s 8, takes four times as many blocks.
+    points x lines element against S+'s 8, takes four times as many blocks.
+    The grid samples' S+/S- rows, at 16 bytes per element for a line set
+    that is its own reflection, take more blocks than S+ alone too.
     """
     rows = spectral.LINE_SUM_BYTES // ((workers or spectral._usable_cpus()) * 8 * lines.n_lines)
     span = lines.max_abs_omega + 25.0 * gamma

@@ -38,11 +38,8 @@ class ConstantDensities:
     def __init__(self, s_plus: float, s_minus: float):
         self.s_plus, self.s_minus = s_plus, s_minus
 
-    def s_plus_at(self, omega):
-        return np.full(np.shape(omega), self.s_plus)
-
-    def s_minus_at(self, omega):
-        return np.full(np.shape(omega), self.s_minus)
+    def _sums_at(self, omega):
+        return np.stack((np.full(np.shape(omega), self.s_plus), np.full(np.shape(omega), self.s_minus)))
 
 
 # --- amplitude -----------------------------------------------------------------

@@ -501,8 +501,22 @@ def test_cmd_verify_infeasible_screen_named_inequality(tmp_path, capsys):
         ),
         ("screen.omega = 0", "omega must be positive and finite (got 0.0)"),
         ("screen.eps_schedule = [40.0, 80.0]", "eps schedule too short to extrapolate: need 3 members (got 2)"),
+        (
+            "screen.r_max = 1e-100",  # default tapers near 1e207, whose squares overflow in the fit
+            "infeasible screen radius r_max = 1e-100: the edge phase omega*r_max^2/(2 z) (here 5e-205) is "
+            "too small to fit, since the default eps schedule's largest taper_eps (1.76839e+207) leaves "
+            "1 + eps^2 not finite",
+        ),
+        (
+            "screen.r_max = 1.41e-151",  # the default schedule's largest member overflows to inf
+            "infeasible screen radius r_max = 1.41e-151: the edge phase omega*r_max^2/(2 z) (here 9.9405e-307) "
+            "is too small to fit, since the default eps schedule's largest taper_eps (inf) leaves "
+            "1 + eps^2 not finite",
+        ),
+        ("screen.eps_schedule = [1e160, 2e160, 4e160]", "taper_eps 1e+160 is too large to fit: 1 + eps^2 is not finite"),
     ],
-    ids=["tiny-r_max", "zero-r_max", "zero-omega", "two-member-schedule"],
+    ids=["tiny-r_max", "zero-r_max", "zero-omega", "two-member-schedule", "unfittable-phase", "overflowing-phase",
+         "unfittable-taper"],
 )
 def test_infeasible_screen_exits_2_at_parse(tmp_path, capsys, command, line, message):
     # the screen rules run before a default schedule is built, whatever the command

@@ -123,6 +123,13 @@ def test_check_screen_needs_a_finite_taper():
             check_screen(1.0, 1e4, 1e3, [20.0, eps])
         with pytest.raises(ValueError, match="need a positive, finite taper_eps"):
             missing_intensity_sigma(1.0j, 1.0, 1e4, eps, 1e3)
+    # the fit multiplies by 1 + eps^2: a taper whose square overflows is named, not fitted
+    for r_max in (1e-100, 1.41e-151):  # default tapers near 1e207, or overflowing to inf
+        with pytest.raises(ValueError, match=f"r_max = {r_max:g}: the edge phase .* is too small to fit"):
+            check_screen(1.0, 1e4, r_max)
+    check_screen(1.0, 1e4, 1e-70)  # the largest default taper, near 2e147, still squares to a finite value
+    with pytest.raises(ValueError, match="taper_eps 1e\\+160 is too large to fit"):
+        check_screen(1.0, 1e4, 1e3, [20.0, 1e160])
 
 
 def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, r_max, full=False):

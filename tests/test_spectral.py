@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     block_spanning_grid,
@@ -252,15 +253,20 @@ def test_line_sums_of_empty_line_set():
 
 
 def spy_line_sums(monkeypatch):
-    """The point count of every later ``spectral._broadened_sum`` call, in order."""
+    """The kernel and point count of every later S+/S- line sum, in order."""
     sizes = []
-    real = spectral._broadened_sum
+    one_sided, pair_sums = spectral._broadened_sum, spectral._pair_sums
 
-    def spying(line_omega, line_weight, gamma, omega):
-        sizes.append(np.size(omega))
-        return real(line_omega, line_weight, gamma, omega)
+    def spying_one_sided(line_omega, line_weight, gamma, omega):
+        sizes.append(("one-sided", np.size(omega)))
+        return one_sided(line_omega, line_weight, gamma, omega)
 
-    monkeypatch.setattr(spectral, "_broadened_sum", spying)
+    def spying_pair(lines, gamma, omega):
+        sizes.append(("pair", np.size(omega)))
+        return pair_sums(lines, gamma, omega)
+
+    monkeypatch.setattr(spectral, "_broadened_sum", spying_one_sided)
+    monkeypatch.setattr(spectral, "_pair_sums", spying_pair)
     return sizes
 
 
@@ -272,7 +278,7 @@ def test_curve_cross_sections_and_medium_sum_no_grid_samples(monkeypatch):
     cross_sections(curve)
     amplifier_bands(curve)
     medium_response(curve, 1e-6)
-    assert all(size == 1 for size in sizes)  # band-edge bisection may make scalar calls
+    assert all(size == ("pair", 1) for size in sizes)  # band-edge bisection may make scalar calls
 
 
 def test_samples_summed_once_on_first_read(monkeypatch):
@@ -284,12 +290,65 @@ def test_samples_summed_once_on_first_read(monkeypatch):
     assert sizes == []
     first = pair.s_plus, pair.s_minus
     second = pair.s_plus, pair.s_minus
-    # S- sums only the samples whose exact negation is not a sample; the rest copy S+
-    assert sizes == [grid.size, np.count_nonzero(grid[::-1] != -grid)] and sizes[1] < grid.size
+    # one row per sample w >= 0 and per sample w < 0 whose mirror sample is not -w
+    rows = np.count_nonzero(grid >= 0.0) + np.count_nonzero((grid[::-1] != -grid) & (grid < 0.0))
+    assert sizes == [("pair", rows)] and grid.size // 2 < rows < grid.size
     assert first[0] is second[0] and first[1] is second[1]
     assert not first[0].flags.writeable and not first[1].flags.writeable
     assert np.array_equal(first[0], dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
     assert np.array_equal(first[1], dense_broadened_sum(-lines.omega, lines.weight, gamma, grid))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pair_sums_bitwise_equal_dense_one_sided_sums(seed):
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(2, 13))
+    temperature = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0))
+    ladder = thermal_ladder(levels, temperature, seed=seed)
+    empty_level = np.append(rng.dirichlet(np.ones(levels - 1)), 0.0)
+    targets = [
+        (ladder, True),
+        # equally spaced levels: every line frequency is shared by several lines
+        (TargetLevels.from_temperature(np.arange(levels) * 0.35, ladder.dipole_sq, temperature), True),
+        (two_level(0.0), False),  # the ground-state absorber: one way only
+        (TargetLevels(ladder.energies, ladder.dipole_sq, empty_level), False),  # no line leaves the empty level
+    ]
+    gamma = 0.01
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_usable_cpus", lambda: 2)
+        for target, reflected in targets:
+            lines = line_spectrum(target)
+            assert lines._self_reflected == reflected
+
+            def dense(sign, points):  # S+ for sign 1, S- for sign -1
+                return dense_broadened_sum(sign * lines.omega, lines.weight, gamma, points)
+
+            span = lines.max_abs_omega + 25.0 * gamma
+            half = np.linspace(0.0, span, 150)
+            grids = [
+                np.linspace(-span, span, 300),  # min = -max, no 0 sample
+                np.concatenate((-half[:0:-1], half)),  # every sample mirrored, 0 included
+                np.linspace(-span, 1.3 * span, 300),  # min != -max, no 0 sample
+                np.union1d(np.linspace(-1.2 * span, span, 300), [0.0]),
+                block_spanning_grid(lines, gamma, blocks=2.5, workers=2),  # several blocks on 2 workers
+            ]
+            for grid in grids:
+                pair = broaden(lines, grid, gamma)
+                assert np.array_equal(bits(pair.s_plus), bits(dense(1, grid)))
+                assert np.array_equal(bits(pair.s_minus), bits(dense(-1, grid)))
+            # off the grid, at points of any shape, and at a scalar
+            points = np.stack((grids[-1][::3], -grids[-1][::3] + 1e-3))
+            s_plus, s_minus = spectral._pair_sums(lines, gamma, points)
+            assert np.array_equal(bits(s_plus), bits(dense(1, points)))
+            assert np.array_equal(bits(s_minus), bits(dense(-1, points)))
+            w = float(rng.uniform(-span, span))
+            difference = pair.difference_at(w)
+            assert isinstance(difference, float) and difference == float(dense(1, w) - dense(-1, w))
 
 
 def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
@@ -299,7 +358,7 @@ def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
     calls = []
     real = spectral._line_sum_blocks
 
-    def spying(row_sum, points, n_lines, n_work):
+    def spying(row_sum, points, n_lines, n_work, n_out=1):
         blocks = []
 
         def spy(block, out, *work):
@@ -307,7 +366,7 @@ def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
             row_sum(block, out, *work)
 
         calls.append((points.size, n_work * n_lines * points.itemsize, blocks))
-        return real(spy, points, n_lines, n_work)
+        return real(spy, points, n_lines, n_work, n_out)
 
     monkeypatch.setattr(spectral, "_line_sum_blocks", spying)
     monkeypatch.setattr(response, "_line_sum_blocks", spying)
@@ -315,8 +374,8 @@ def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
     lines = line_spectrum(thermal_ladder(30))
     pair = broaden(lines, block_spanning_grid(lines, gamma, workers=workers), gamma)
     pair.s_plus, pair.s_minus, polarizability_curve(pair).alpha
-    # S+ and S- over the grid, then alpha over its omega <= 0 half and its omega > 0 half
-    assert len(calls) == 4
+    # S+ and S- over the grid in one call, then alpha over its omega <= 0 half and its omega > 0 half
+    assert len(calls) == 3
     for points, row_bytes, blocks in calls:
         rows = spectral.LINE_SUM_BYTES // (workers * row_bytes)
         sizes = [size for _, size, _ in blocks]
@@ -337,7 +396,7 @@ def test_line_sum_blocks_reuse_one_work_buffer(monkeypatch):
 def test_line_sums_bitwise_equal_for_any_worker_count(monkeypatch, workers):
     gamma = 0.01
     lines = line_spectrum(thermal_ladder(30))
-    # S+/S- blocks: 3 with one worker, 5 with two and 7 with three
+    # S+/S- sample blocks: 4 with one worker, 7 with two and 10 with three
     grid = block_spanning_grid(lines, gamma, blocks=6.5, workers=3)
 
     def sums(n):
