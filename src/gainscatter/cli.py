@@ -296,16 +296,11 @@ class Pipeline:
     samples are summed only when read, and only ``spectrum`` reads them.  So
     is the curve's alpha: ``response`` reads all of it, the cross sections and
     the medium only its omega > 0 half, and no row is summed twice.  Nor is a
-    value the run already has: S+ and S- of a sample come from one Lorentzian
-    row per +-omega pair, as S-(omega) = S+(-omega) (at the lines, S- reading
-    them reversed, when the line set is its own reflection; else S- is the
-    one-sided S+ at -omega), and an omega < 0 alpha row whose mirror sample,
-    as far from the other end of the grid, is its exact negation is the
-    conjugate of the summed mirror row.  Negation is exact, so those sums add
-    the same terms, conjugated for alpha, in the same order (see
-    ``SpectralPair`` and ``PolarizabilityCurve``), and each value holds the
-    bits a one-sided sum of its own would give.  ``verify`` reads the pair's
-    boundary polarizability at the screen frequency and nothing else.
+    value the run already has: S+ and S- of a sample share one Lorentzian row
+    (``spectral._pair_sums``), and an omega < 0 sample whose mirror sample is
+    its exact negation copies that sample's S-, S+ and conj(alpha), with the
+    bits of its own sums (``spectral._mirror_rows``).  ``verify`` reads the
+    pair's boundary polarizability at the screen frequency and nothing else.
     """
 
     def __init__(self, scenario: Scenario):

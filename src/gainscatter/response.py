@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair, _check_eta, _check_gamma, _frozen, _line_sum_blocks
+from .spectral import LineSpectrum, SpectralPair, _check_eta, _check_positive, _frozen, _line_sum_blocks, _mirror_rows
 
 __all__ = [
     "PolarizabilityCurve",
@@ -79,7 +79,7 @@ def closed_form_lorentzian(lines: LineSpectrum, gamma: float, zeta):
     the reflected line; see the module docstring for the contour derivation.
     Requires Im zeta > 0 like the dispersion route it checks.
     """
-    _check_gamma(gamma)
+    _check_positive("gamma", gamma)
     zeta_arr = np.asarray(zeta, dtype=complex)
     if np.any(zeta_arr.imag <= 0.0):
         raise ValueError("Im zeta must be positive (retarded response only)")
@@ -217,19 +217,9 @@ class PolarizabilityCurve:
     offset is wanted (crossing-symmetry and Kramers-Kronig checks).
     ``positive_alpha`` sums the lines over ``positive_grid`` only, the part
     cross sections and media tabulate; ``alpha`` adds the omega <= 0 rows to
-    it.  Either is cached, so each row is summed at most once.
-
-    Of the omega <= 0 rows, ``alpha`` sums only those whose mirror row, as
-    far from the other end of the grid, is not at their exact negation;
-    each other row -w copies the crossing-symmetric conj(alpha(w + i*eta))
-    of its mirror row w > 0, bit for bit.  Negation is exact, so at -w each
-    line's ``pole - zeta`` is -conj(``mirror - zeta``) at w, and its
-    ``mirror - zeta`` is -conj(``pole - zeta``) at w.  For a real weight a,
-    numpy's complex division gives a / -conj(d) = -conj(a / d) exactly, so
-    each line's term at -w, and the sum of the terms in the same order, is
-    the conjugate of the one at w.  An imaginary part that cancels to
-    exactly 0 is the one exception: the sum gives +0 at both w and -w, so
-    the copy negates it as ``0 - x``, which never makes it -0.
+    it.  Either is cached, so each row is summed at most once, and a row -w
+    whose mirror row is w copies conj(alpha(w + i*eta)) from it
+    (``spectral._mirror_rows``).
     """
 
     eta: float
@@ -264,15 +254,14 @@ class PolarizabilityCurve:
     def alpha(self) -> np.ndarray:
         """alpha(omega + i*eta) on the whole grid; the omega > 0 rows are ``positive_alpha``.
 
-        An omega < 0 row whose mirror row is at its exact negation copies
-        that row's conjugate; the others are summed on first read.
+        Of the omega <= 0 rows, the mirrored ones copy their mirror row's
+        conjugate; the others are summed on first read.
         """
         grid, positive = self.grid, self.positive_alpha
         n = grid.size - positive.size  # the omega <= 0 rows
+        copied, sources, summed = _mirror_rows(grid, n)
         alpha = np.concatenate((np.empty(n, complex), positive))
-        mirrored = (grid[:n] == -grid[::-1][:n]) & (grid[:n] < 0.0)  # row grid.size - 1 - i is -grid[i]
-        copied, summed = np.flatnonzero(mirrored), np.flatnonzero(~mirrored)
-        copies = alpha[grid.size - 1 - copied]
+        copies = alpha[sources]
         np.subtract(0.0, copies.imag, out=copies.imag)  # the conjugate, with an exact 0 kept +0
         alpha[copied] = copies
         alpha[summed] = self._alpha_at(grid[summed])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .response import PolarizabilityCurve, im_alpha
-from .spectral import SpectralPair, _check_omega, _defined_log_ratio, _frozen
+from .spectral import SpectralPair, _check_positive, _defined_log_ratio, _frozen
 
 __all__ = [
     "TOL_BAND",
@@ -48,7 +48,7 @@ def scattering_amplitude(alpha: complex, omega: float, e_i, e_f) -> complex:
     Complex (circular) polarization vectors are fine; the forward amplitude
     is obtained with e_f = e_i.
     """
-    _check_omega(omega)
+    _check_positive("omega", omega)
     omega = float(omega)
     e_i = np.asarray(e_i, dtype=complex)
     e_f = np.asarray(e_f, dtype=complex)
@@ -61,7 +61,7 @@ def scattering_amplitude(alpha: complex, omega: float, e_i, e_f) -> complex:
 
 def differential_elastic(alpha: complex, omega: float, theta):
     """Polarization-averaged dperp cross section (1/2)(1 + cos^2) omega^4 |alpha|^2."""
-    _check_omega(omega)
+    _check_positive("omega", omega)
     theta = np.asarray(theta, dtype=float)
     value = 0.5 * (1.0 + np.cos(theta) ** 2) * omega**4 * np.abs(alpha) ** 2
     return float(value) if value.ndim == 0 else value
@@ -87,7 +87,7 @@ def sigma_total_spectral(pair: SpectralPair, omega):
     gives -4 pi^2 omega S-); at the inversion crossover (S+ = S- within the
     log-ratio floor, T_n undefined) the result is 0.
     """
-    _check_omega(omega)
+    _check_positive("omega", omega)
     omega_arr = np.asarray(omega, dtype=float)
     s_plus, s_minus = pair._sums_at(omega_arr)
     scalar = omega_arr.ndim == 0

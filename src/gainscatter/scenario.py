@@ -52,9 +52,8 @@ from .spectral import (
     DEFAULT_GAMMA,
     LineSpectrum,
     TargetLevels,
-    _check_density,
     _check_eta,
-    _check_gamma,
+    _check_positive,
     check_grid_span,
     line_spectrum,
 )
@@ -203,7 +202,7 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
         target = TargetLevels.from_temperature(energies, dipole_sq, temperature)
 
     gamma = number("gamma", DEFAULT_GAMMA)
-    _check_gamma(gamma)
+    _check_positive("gamma", gamma)
     eta = number("eta", 0.0)
     _check_eta(eta)
 
@@ -225,7 +224,7 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
 
     medium_density = number("medium.density_n")
     if medium_density is not None:
-        _check_density(medium_density)
+        _check_positive("density_n", medium_density)
         if grid_max <= 0.0:
             raise ValueError(f"medium.density_n needs grid.max > 0 (got {grid_max!r})")
 

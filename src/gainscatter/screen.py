@@ -43,7 +43,7 @@ import numpy as np
 
 from .response import _gl_panels
 from .scattering import scattering_amplitude
-from .spectral import _check_omega
+from .spectral import _check_positive
 
 __all__ = [
     "screen_intensity",
@@ -75,7 +75,7 @@ NODE_CHUNK = 1 << 14
 
 def _check_geometry(omega: float, z: float, r_max: float) -> None:
     """Raise ValueError unless omega is positive and finite, z far field and r_max paraxial."""
-    _check_omega(omega)
+    _check_positive("omega", omega)
     if z < FAR_FIELD_MIN / omega:
         raise ValueError(
             f"far-field condition violated: z = {z:g} < {FAR_FIELD_MIN:g}*c/omega = "
@@ -175,6 +175,7 @@ def missing_intensity_sigma(f_forward: complex, omega: float, z: float, taper_ep
     truncated oscillatory tail pollute the estimate.  The deficit is the
     interference form -2 Re[F exp(i phase)]/z.
     """
+    check_screen(omega, z, r_max, [taper_eps])
     return _deficit_sums(f_forward, omega, z, taper_eps, r_max)[0]
 
 
@@ -184,8 +185,8 @@ def _deficit_sums(f_forward, omega, z, taper_eps, r_max, full=False) -> list[flo
     The full form adds |F|^2/r_d^2 and divides by the true distance r_d.  The
     forms share each chunk's nodes, phase, taper and oscillating factor; each
     form's sums keep the operations, chunks and order of a pass of its own.
+    The caller runs ``check_screen`` on the screen and taper first.
     """
-    check_screen(omega, z, r_max, [taper_eps])
     a = omega / z
     nodes, weights = _radial_nodes(omega, z, taper_eps, r_max)
     parts = ([], []) if full else ([],)
@@ -243,7 +244,7 @@ def extrapolate_missing_intensity(f_forward: complex, omega: float, z: float, ep
 
 def optical_theorem_sigma(f_forward: complex, omega: float) -> float:
     """Closed-form optical theorem sigma_tot = (4 pi / omega) Im F (signed)."""
-    _check_omega(omega)
+    _check_positive("omega", omega)
     return 4.0 * np.pi * complex(f_forward).imag / omega
 
 
@@ -268,7 +269,7 @@ def verify_optical_theorem(
     """
     if r_max is None:
         r_max = default_r_max(z)
-    check_screen(omega, z, r_max)
+    check_screen(omega, z, r_max, () if eps_schedule is None else eps_schedule)
     e = np.array([1.0, 0.0, 0.0])
     f_forward = scattering_amplitude(alpha, omega, e, e)
     if eps_schedule is None:

@@ -226,14 +226,10 @@ class SpectralPair:
     reads them, while the curve, the cross sections and the medium need only
     ``grid``, ``gamma`` and ``lines``.
 
-    S+ and S- of the samples come from one Lorentzian row per +-w pair, as
-    S-(w) = S+(-w): one row per sample w >= 0, and one per sample w < 0
-    whose mirror sample, as far from the other end of the grid, is not
-    exactly -w.  A row is evaluated at the lines, S- reading them reversed,
-    when the line set is its own reflection (every thermal target); else S-
-    is the one-sided S+ at -w.  ``_pair_sums`` says why every value keeps
-    the bits of its own one-sided sum.  ``difference_at`` takes both sums
-    from one row per point too; ``s_plus_at``/``s_minus_at`` stay one-sided.
+    Each sample's S+ and S- come from one ``_pair_sums`` row, except that a
+    sample -w whose mirror sample is w copies S-(w) and S+(w) from it
+    (``_mirror_rows``).  ``difference_at`` takes both sums from one row per
+    point too; ``s_plus_at``/``s_minus_at`` stay one-sided.
     """
 
     grid: np.ndarray
@@ -248,7 +244,7 @@ class SpectralPair:
             raise ValueError("grid must hold at least two samples")
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("grid must be strictly ascending")
-        _check_gamma(self.gamma)
+        _check_positive("gamma", self.gamma)
         if not isinstance(self.lines, LineSpectrum):
             raise ValueError("a spectral pair is built from its line set (a LineSpectrum)")
         check_grid_span(self.lines, grid[0], grid[-1], self.gamma)
@@ -257,14 +253,11 @@ class SpectralPair:
     def _samples(self) -> np.ndarray:
         """S+ and S- on the grid, as two read-only rows, summed on first read."""
         grid = self.grid
-        k = int(np.searchsorted(grid, 0.0))  # grid[:k] < 0 <= grid[k:]
-        lone = np.flatnonzero(grid[: -k - 1 : -1] != -grid[:k])  # grid[-1 - i] is not -grid[i]
-        rows = _pair_sums(self.lines, self.gamma, np.concatenate((grid[k:], -grid[lone])))
+        copied, sources, summed = _mirror_rows(grid, grid.size)
         samples = np.empty((2, grid.size))
-        samples[:, k:] = rows[:, : grid.size - k]
-        # a mirrored sample's S+ is its mirror's S-, and its S- the mirror's S+
-        samples[:, :k] = samples[::-1, : -k - 1 : -1]
-        samples[:, lone] = rows[::-1, grid.size - k :]
+        s_plus, s_minus = samples  # one row at a time: numpy scatters 1-D rows several times faster
+        s_plus[summed], s_minus[summed] = _pair_sums(self.lines, self.gamma, grid[summed])
+        s_plus[copied], s_minus[copied] = s_minus[sources], s_plus[sources]  # S+(-w) = S-(w), S-(-w) = S+(w)
         samples.setflags(write=False)
         return samples
 
@@ -295,6 +288,30 @@ class SpectralPair:
         s_plus, s_minus = self._sums_at(omega)
         difference = s_plus - s_minus
         return float(difference) if np.ndim(difference) == 0 else difference
+
+
+def _mirror_rows(grid: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of the rows ``grid[:n]`` copy a line sum from their mirror row, and which are summed.
+
+    Returns the index arrays ``(copied, sources, summed)``: ``copied`` are the
+    rows i with w = grid[i] < 0 whose mirror row grid.size - 1 - i, as far
+    from the other end of the grid, is exactly -w; ``sources`` those mirror
+    rows; ``summed`` the other rows.
+
+    A copy has the bits of the row's own sum.  Negation is exact, so every
+    term at -w is built from exact negations of the differences at w, and
+    each sum adds its terms in line order.  For S+/S-, -w - w_l = -(w + w_l)
+    has the same square, so S+(-w) is S-(w) and S-(-w) is S+(w).  For alpha,
+    each line's ``pole - zeta`` at -w + i*eta is -conj(``mirror - zeta``) at
+    w + i*eta and vice versa, and numpy's complex division gives
+    a / -conj(d) = -conj(a / d) for a real weight a, so alpha(-w + i*eta) is
+    conj(alpha(w + i*eta)).  An imaginary part that cancels to exactly 0 is
+    +0 at both w and -w, so that copy negates it as ``0 - x``, never -0.
+    """
+    head = grid[:n]
+    mirrored = (head < 0.0) & (head == -grid[::-1][:n])
+    copied = np.flatnonzero(mirrored)
+    return copied, grid.size - 1 - copied, np.flatnonzero(~mirrored)
 
 
 def _usable_cpus() -> int:
@@ -417,30 +434,18 @@ def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float
     return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 
-def _check_omega(omega) -> None:
-    """Raise ValueError unless every frequency in ``omega`` (scalar or array) is positive and finite."""
-    values = np.asarray(omega, dtype=float)
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` (a scalar or an array) is positive and finite throughout."""
+    values = np.asarray(value, dtype=float)
     bad = ~((values > 0.0) & (values < np.inf))
     if bad.any():
-        raise ValueError(f"omega must be positive and finite (got {float(values[bad][0])!r})")
-
-
-def _check_gamma(gamma: float) -> None:
-    """Raise ValueError unless the Lorentzian half-width is positive and finite."""
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite (got {gamma!r})")
+        raise ValueError(f"{name} must be positive and finite (got {float(values[bad][0])!r})")
 
 
 def _check_eta(eta: float) -> None:
     """Raise ValueError unless the curve offset eta (omega + i eta) is non-negative and finite."""
     if not 0.0 <= eta < np.inf:
         raise ValueError(f"eta must be non-negative and finite (got {eta!r})")
-
-
-def _check_density(density_n: float) -> None:
-    """Raise ValueError unless the number density is positive and finite."""
-    if not 0.0 < density_n < np.inf:
-        raise ValueError(f"density_n must be positive and finite (got {density_n!r})")
 
 
 def check_grid_span(lines: LineSpectrum, grid_min: float, grid_max: float, gamma: float) -> None:

@@ -25,15 +25,14 @@ calls the same checks at larger sizes, criterion by criterion:
 
 Three checks that only item 9 runs pin what every route shares, so a wrong
 constant that scales all routes together fails: ``check_reflection_symmetry``
-(the pipeline's S-(w) = S+(-w) bit for bit, and the grid samples, which take
-S+ and S- from one Lorentzian row per +-w pair, equal to the one-sided sums
-bit for bit), ``check_sign_rule`` (the exact
+(the pipeline's S-(w) = S+(-w) bit for bit, and the grid samples, summed or
+copied from their mirror samples, equal to the one-sided sums bit for bit), ``check_sign_rule`` (the exact
 two-level Im alpha at the line, which fixes the line weight p d^2/3) and
 ``check_energy_bookkeeping`` (F = omega^2 alpha at omega = 1.005, off the
 frequency where every power of omega agrees).  Like ``check_reflection_symmetry``
 for S-, ``check_crossing_symmetry`` also asserts alpha(-w + i eta) = conj
-alpha(w + i eta) bit for bit on direct line sums off the grid, the fact on
-which a curve copies its mirrored omega < 0 rows instead of summing them.
+alpha(w + i eta) bit for bit on direct line sums off the grid, apart from the
+curve copies that ``spectral._mirror_rows`` makes on that ground.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ def check_reflection_symmetry():
             return False, "S-(w) differs from S+(-w)"
         if widest is None or lines.n_lines > widest.lines.n_lines:
             widest = pair
-    # the grid samples, S+ and S- from one Lorentzian row per +-w pair, hold the one-sided sums'
+    # the grid samples, summed or copied (spectral._mirror_rows), hold the one-sided sums'
     # bits: on the target with the most lines (30, its own reflection), where 66 of this grid's
     # 100 w < 0 samples have no exact mirror sample, so both kinds of row are read
     span = widest.grid[-1]
@@ -240,9 +239,9 @@ def check_crossing_symmetry():
     gap = np.abs(alpha_at_minus - np.conj(curve.alpha)).max() / np.abs(curve.alpha).max()
     if gap > 1e-10:
         return False, f"max gap {gap:.2e}"
-    # alpha(-w + i eta) = conj alpha(w + i eta) bit for bit off the grid, on direct line sums:
-    # the curve copies its mirrored omega < 0 rows on that ground.  A row's sum does not
-    # depend on the other rows of its call, so -w and w share one.
+    # alpha(-w + i eta) = conj alpha(w + i eta) bit for bit off the grid, on direct line sums
+    # (see spectral._mirror_rows).  A row's sum does not depend on the other rows of its
+    # call, so -w and w share one.
     rng = np.random.default_rng(19)
     gamma = 0.01
     for n_lines in (3, 40):  # numpy sums up to 7 terms in turn, more in 8 interleaved partial sums

@@ -52,11 +52,14 @@ def test_density_must_be_positive_and_finite(density_n):
     curve = polarizability_curve(two_level_pair(1.0))
     for call in (
         lambda: dielectric(0.1 + 0.0j, density_n),
+        lambda: dielectric(0.1 + 0.0j, np.array([1e-6, density_n])),
         lambda: extinction_dilute(density_n, [1.0]),
+        lambda: extinction_dilute(np.array([1e-6, density_n]), [1.0, 1.0]),
         lambda: medium_response(curve, density_n),
     ):
-        with pytest.raises(ValueError, match="density_n must be positive and finite"):
+        with pytest.raises(ValueError) as raised:
             call()
+        assert str(raised.value) == f"density_n must be positive and finite (got {density_n!r})"
 
 
 # --- wavevector -------------------------------------------------------------------

@@ -127,8 +127,10 @@ def test_closed_form_rejects_lower_half_plane():
 @pytest.mark.parametrize("gamma", [0.0, -0.01, np.nan, np.inf, -np.inf])
 def test_closed_form_rejects_bad_gamma(gamma):
     lines = LineSpectrum(np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        closed_form_lorentzian(lines, gamma, 1.0 + 0.1j)
+    for value in (gamma, np.array([gamma])):
+        with pytest.raises(ValueError) as raised:
+            closed_form_lorentzian(lines, value, 1.0 + 0.1j)
+        assert str(raised.value) == f"gamma must be positive and finite (got {gamma!r})"
 
 
 # --- dispersion quadrature ------------------------------------------------------
@@ -262,8 +264,14 @@ def test_mirrored_rows_bitwise_equal_the_direct_sums(seed):
         TargetLevels(energies, d2, np.full(energies.size, 1.0 / energies.size)),
         TargetLevels.from_temperature(energies, d2, temperature),
     ]
-    # every, some and no omega < 0 sample has its exact negation on the grid
-    grids = [(symmetric_grid(), 2400), (np.linspace(-3.0, 3.0, 4801), 1253), (np.linspace(-3.0, 2.9, 4801), 0)]
+    # every, some and no omega < 0 sample has its exact negation on the grid; the first two have an
+    # exact 0 sample, and in the last the mirror row grid.size - 1 - i of many samples is negative too
+    grids = [
+        (symmetric_grid(), 2400),
+        (np.linspace(-3.0, 3.0, 4801), 1253),
+        (np.linspace(-3.0, 2.9, 4801), 0),
+        (np.linspace(-5.0, 3.0, 4801), 0),
+    ]
     for grid, mirrored in grids:
         assert np.count_nonzero((grid[::-1] == -grid) & (grid < 0.0)) == mirrored
         for target in targets:

@@ -273,12 +273,16 @@ def spy_line_sums(monkeypatch):
 def test_curve_cross_sections_and_medium_sum_no_grid_samples(monkeypatch):
     sizes = spy_line_sums(monkeypatch)
     gamma = 0.01
-    lines = line_spectrum(thermal_ladder(30))
+    # the 1 -> 2 line is inverted, so the amplifier band's edges fall inside the grid
+    dipole_sq = [[0.0, 1.0, 0.4], [1.0, 0.0, 0.7], [0.4, 0.7, 0.0]]
+    lines = line_spectrum(TargetLevels([0.0, 1.0, 2.5], dipole_sq, [0.5, 0.1, 0.4]))
     curve = polarizability_curve(broaden(lines, block_spanning_grid(lines, gamma), gamma))
     cross_sections(curve)
-    amplifier_bands(curve)
+    (band,) = amplifier_bands(curve)
+    assert curve.grid[0] < band[0] < band[1] < curve.grid[-1]
     medium_response(curve, 1e-6)
-    assert all(size == ("pair", 1) for size in sizes)  # band-edge bisection may make scalar calls
+    # the band-edge bisection reads the pair kernel one point at a time, and nothing else sums S+/S-
+    assert sizes and all(size == ("pair", 1) for size in sizes)
 
 
 def test_samples_summed_once_on_first_read(monkeypatch):
@@ -286,17 +290,25 @@ def test_samples_summed_once_on_first_read(monkeypatch):
     gamma = 0.01
     lines = line_spectrum(thermal_ladder(30))
     grid = block_spanning_grid(lines, gamma)
-    pair = broaden(lines, grid, gamma)
-    assert sizes == []
-    first = pair.s_plus, pair.s_minus
-    second = pair.s_plus, pair.s_minus
-    # one row per sample w >= 0 and per sample w < 0 whose mirror sample is not -w
-    rows = np.count_nonzero(grid >= 0.0) + np.count_nonzero((grid[::-1] != -grid) & (grid < 0.0))
-    assert sizes == [("pair", rows)] and grid.size // 2 < rows < grid.size
-    assert first[0] is second[0] and first[1] is second[1]
-    assert not first[0].flags.writeable and not first[1].flags.writeable
-    assert np.array_equal(first[0], dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
-    assert np.array_equal(first[1], dense_broadened_sum(-lines.omega, lines.weight, gamma, grid))
+    half = np.linspace(0.0, 4.5, 1201)
+    grids = [
+        (grid, range(grid.size // 2 + 1, grid.size)),  # some but not all w < 0 samples mirrored
+        (np.linspace(-9.0, 4.5, 1801), [1801]),  # none: the mirror sample of most w < 0 is negative too
+        (np.concatenate((-half[:0:-1], half)), [1201]),  # an exact 0 sample, and every w < 0 mirrored
+    ]
+    for grid, expected_rows in grids:
+        sizes.clear()
+        pair = broaden(lines, grid, gamma)
+        assert sizes == []
+        first = pair.s_plus, pair.s_minus
+        second = pair.s_plus, pair.s_minus
+        # one row per sample w >= 0 and per sample w < 0 whose mirror sample is not -w
+        rows = np.count_nonzero(grid >= 0.0) + np.count_nonzero((grid[::-1] != -grid) & (grid < 0.0))
+        assert sizes == [("pair", rows)] and rows in expected_rows
+        assert first[0] is second[0] and first[1] is second[1]
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        assert np.array_equal(first[0], dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
+        assert np.array_equal(first[1], dense_broadened_sum(-lines.omega, lines.weight, gamma, grid))
 
 
 def bits(a):
