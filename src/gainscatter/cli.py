@@ -11,13 +11,14 @@ the process creates.  A non-finite number (NaN in JSON, +-inf anywhere) is
 a validation error, never an artifact; NaN in a CSV is the blank
 "undefined" cell.  A command checks every one of its outputs before it
 writes the first, so a failing check leaves none of them.  CSV files are
-formatted and streamed in blocks of ``CSV_BLOCK`` rows, so the writer's memory
-is O(block) whatever the row count.  A block is one (rows x row-width) byte
-buffer with a fixed-width slot per cell: a float cell gets the digits and
-exponent of ``"%.16e"``, computed in numpy for the whole block, a bool 1/0,
-a str its UTF-8.  A cell shorter than its slot (no sign, a 2-digit exponent,
-a blank NaN, a short str) is NUL-filled, and the fill is removed from the
-finished block.
+formatted and streamed in blocks of about ``CSV_BLOCK_CELLS`` cells (whole
+rows, at least one), so the writer's memory is O(block) whatever the row
+count.  A block is one (rows x row-width) byte buffer with a fixed-width
+slot per cell: a float cell gets the digits and exponent of ``"%.16e"``,
+computed in numpy for the whole block, a bool 1/0, a str its UTF-8 (an
+all-ASCII column's code units, cast to bytes).  A cell shorter than its
+slot (no sign, a 2-digit exponent, a blank NaN, a short str) is NUL-filled,
+and the fill is removed from the finished block.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -34,7 +36,7 @@ import numpy as np
 from . import validate as validation_suite
 from .medium import extinction_dilute, intensity_profile, medium_response
 from .response import alpha_boundary, polarizability_curve
-from .scattering import amplifier_bands, cross_sections
+from .scattering import amplifier_bands, cross_sections, sigma_total_optical
 from .scenario import Scenario, ScenarioError, load_scenario
 from .screen import screen_intensity, verify_optical_theorem
 from .spectral import broaden, noise_temperature_samples, symmetric_spectrum
@@ -46,12 +48,13 @@ EXIT_VALIDATION = 2
 EXIT_NON_CONVERGED = 3
 
 
-# Rows formatted and written per block, so writer memory is O(block) whatever the
-# row count.  Measured with the canonical bench on a 2-vCPU VM: 1024-row blocks
-# leave its peak RSS 0.2 MiB above that of a writer with one "%" per value,
-# 2048-row blocks 0.9 MiB above it and no faster, and 512-row blocks write
-# about 10% slower.
-CSV_BLOCK = 1024
+# Cells formatted and written per block: CSV_BLOCK_CELLS // columns rows, or one
+# row where a row is wider, so writer memory is O(block) whatever the row count
+# and a narrow file pays a block's fixed cost as rarely as a wide one.  8192 is
+# 1024 rows of medium.csv's 8 columns.  Measured with the canonical bench on a
+# 2-vCPU VM (medians of 8 interleaved runs each): 4096-cell blocks took wall_s
+# 7% longer, and 16384-cell blocks were no faster and raised peak RSS 0.7 MiB.
+CSV_BLOCK_CELLS = 8192
 
 # A float cell "[-]d.dddddddddddddddde[+-]dd[d]" fills a 24-byte slot; the fast
 # path covers |x| in [_FAST_MIN, _FAST_MAX], where |x| * 10**(16 - e) neither
@@ -164,12 +167,23 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
         out[slow] = np.array(cells, "S24").view(np.uint8).reshape(-1, 24)
 
 
+def _code_units(column: np.ndarray) -> np.ndarray:
+    """A numpy str column as its UTF-32 code units: a contiguous (rows x width) uint32 array.
+
+    A cell shorter than the column's width is NUL-padded, as numpy stores it.
+    A column in the other byte order reads byte-swapped units: a NUL is still
+    0, and no other unit is below 128.
+    """
+    units = np.ascontiguousarray(column).view(np.uint32)
+    return units.reshape(len(column), column.dtype.itemsize // 4)
+
+
 def _utf8(column: np.ndarray) -> np.ndarray:
-    """A str column as NUL-padded UTF-8 bytes (numpy "S")."""
-    try:
-        return column.astype("S")  # ASCII
-    except UnicodeEncodeError:
-        return np.array([cell.encode() for cell in column.tolist()], dtype="S")
+    """A str column as NUL-padded UTF-8 bytes (numpy "S"): if all ASCII, its code units as bytes."""
+    units = _code_units(column)
+    if (units < 128).all():
+        return units.astype(np.uint8).view(f"S{units.shape[1]}")[:, 0]
+    return np.array([cell.encode() for cell in column.tolist()], dtype="S")
 
 
 def _block_bytes(block: list[np.ndarray]) -> bytearray:
@@ -230,15 +244,18 @@ def _atomic_write(path: Path, chunks) -> None:
 
 def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     yield (",".join(header) + "\n").encode()
-    for start in range(0, len(columns[0]), CSV_BLOCK):
-        yield _block_bytes([column[start : start + CSV_BLOCK] for column in columns])
+    rows = max(1, CSV_BLOCK_CELLS // len(columns))
+    for start in range(0, len(columns[0]), rows):
+        yield _block_bytes([column[start : start + rows] for column in columns])
 
 
 def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:
     """The columns as arrays; unequal lengths, +-inf or a NUL in a str cell is a ValueError.
 
     The writer's NUL fill would drop a NUL from a cell, and so would numpy's
-    conversion of a trailing one, so str cells are checked as given.
+    conversion of a trailing one, so str cells are checked as given: a list's
+    cells as strings, a numpy column's as code units, where numpy has already
+    dropped the trailing NULs and a NUL in a cell is one followed by a non-NUL.
     """
     arrays = [np.asarray(column) for column in columns]
     if len({len(column) for column in arrays}) > 1:
@@ -249,8 +266,12 @@ def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]
         if array.dtype.kind == "f" and np.isinf(array).any():
             raise ValueError(f"{path}: column {name} holds an infinite value")
         if array.dtype.kind == "U":
-            cells = array.tolist() if isinstance(column, np.ndarray) else map(str, column)
-            if "\0" in "".join(cells):
+            if isinstance(column, np.ndarray):
+                nul = _code_units(array) == 0
+                has_nul = (nul[:, :-1] & ~nul[:, 1:]).any()
+            else:
+                has_nul = "\0" in "".join(map(str, column))
+            if has_nul:
                 raise ValueError(f"{path}: column {name} holds a NUL character")
     return arrays
 
@@ -264,7 +285,7 @@ def _json_text(path: Path, payload) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write ``columns`` under ``header``, formatted and written CSV_BLOCK rows at a time.
+    """Write ``columns`` under ``header``, streamed in blocks of about CSV_BLOCK_CELLS cells.
 
     A float column holding +-inf is a ValueError naming the file and the
     column, and nothing is written; NaN is the blank "undefined" cell.
@@ -366,9 +387,10 @@ def cmd_cross_sections(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
-    scenario = pipeline.scenario
+    scenario, curve = pipeline.scenario, pipeline.curve
     med = pipeline.medium
-    h_dilute = extinction_dilute(scenario.medium_density, pipeline.xs.sigma_tot, med.dilute_ok)
+    sigma_tot = sigma_total_optical(curve.positive_alpha, curve.positive_grid)
+    h_dilute = extinction_dilute(scenario.medium_density, sigma_tot, med.dilute_ok)
     # Slab profile at the frequency of strongest extinction unless pinned.
     if scenario.slab_omega is not None:
         idx = int(np.argmin(np.abs(med.grid - scenario.slab_omega)))
@@ -435,6 +457,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for a command: one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -452,9 +479,12 @@ def run(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario, grid_points_override=args.grid_points)
         out_dir = Path(args.out) if args.out else Path(scenario.output_dir)
-        # a non-finite result is named by the writers' own checks, not by numpy warnings
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return handler(Pipeline(scenario), out_dir, args.quiet)
+        # a non-finite result is named by the writers' own checks, not by numpy warnings;
+        # any other warning (extinction_dilute outside the dilute regime) is one stderr line
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return handler(Pipeline(scenario), out_dir, args.quiet)
     except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

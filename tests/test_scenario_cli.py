@@ -403,6 +403,18 @@ def test_cmd_medium_inverted_gain(tmp_path):
     assert np.all(np.diff(intensity) > 0.0)  # gain: strictly increasing
 
 
+@pytest.mark.parametrize("flags", [["--quiet"], []], ids=["quiet", "verbose"])
+def test_cmd_medium_outside_the_dilute_regime_warns_on_one_line(tmp_path, capsys, flags):
+    # at n = 1e-2, |4 pi n alpha| >= 1e-2 near the line: first-order values and a warning
+    path = write_scenario(tmp_path, INVERTED.replace("density_n = 1e-6", "density_n = 1e-2"))
+    out = tmp_path / "out"
+    assert run(["medium", "--scenario", str(path), "--out", str(out)] + flags) == 0
+    assert (out / "medium.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("warning: extinction_dilute called outside the dilute regime")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("slab_omega", [-1.0, 0.0, 50.0])
 def test_cmd_medium_rejects_slab_omega_off_the_grid(tmp_path, capsys, slab_omega):
     path = write_scenario(tmp_path, INVERTED + f"slab.omega = {slab_omega!r}\n")

@@ -5,13 +5,14 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gainscatter import cli, validate
-from gainscatter.cli import CSV_BLOCK, run, write_csv, write_json
+from gainscatter.cli import CSV_BLOCK_CELLS, run, write_csv, write_json
 
 
 def per_value_format(x) -> str:
@@ -64,7 +65,11 @@ def test_float_cells_match_percent_format():
     assert [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w] == []
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK, CSV_BLOCK + 1, 3 * CSV_BLOCK + 17])
+# the rows of one block of an 8-column table
+ROWS_OF_8 = CSV_BLOCK_CELLS // 8
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, ROWS_OF_8, ROWS_OF_8 + 1, 3 * ROWS_OF_8 + 17])
 def test_write_csv_matches_per_value_format(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
@@ -73,21 +78,28 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows):
     with_nan[rng.random(n_rows) < 0.2] = np.nan
     flags = rng.random(n_rows) < 0.5
     words = np.array(rng.choice(["amplifying", "absorbing", "neutral"], n_rows))
-    header = ["x", "maybe", "flag", "band"]
-    columns = [floats, with_nan, flags, words]
+    accented = np.array(rng.choice(["é", "", "ascii"], n_rows))
+    header = ["x", "maybe", "flag", "band", "x_reversed", "word", "no_flag", "band_reversed"]
+    # the reversed columns are non-contiguous views
+    columns = [floats, with_nan, flags, words, floats[::-1], accented, ~flags, words[::-1]]
     path = tmp_path / "out" / "table.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == per_value_csv(header, columns).encode()
 
 
-
 @st.composite
 def tables(draw):
-    """Float, bool and str columns of 0 to 3 blocks + 1 rows; floats hold specials at random rows."""
-    n_rows = draw(st.integers(0, 3 * CSV_BLOCK + 1))
+    """A cell budget and 1 to 9 float, bool and str columns of 0 to 3 blocks + 1 rows.
+
+    The budget is the writer's, or one so small that a block may be one row
+    wider than it; floats hold specials at random rows.
+    """
+    budget = draw(st.one_of(st.just(CSV_BLOCK_CELLS), st.integers(1, 16)))
+    kinds = draw(st.lists(st.sampled_from(["float", "bool", "str"]), min_size=1, max_size=9))
+    n_rows = draw(st.integers(0, 3 * max(1, budget // len(kinds)) + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
-    for kind in draw(st.lists(st.sampled_from(["float", "bool", "str"]), min_size=1, max_size=4)):
+    for kind in kinds:
         if kind == "float":
             column = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
             specials = [np.nan, -0.0, 5e-324, -1e-310, 1e300, -1e300, *EDGES]
@@ -98,7 +110,7 @@ def tables(draw):
         else:
             column = np.array(rng.choice(["nan", "banana", "NaN", "%s", "", "é"], n_rows))
         columns.append(column)
-    return [f"c{j}" for j in range(len(columns))], columns
+    return budget, [f"c{j}" for j in range(len(columns))], columns
 
 
 @settings(
@@ -110,19 +122,64 @@ def tables(draw):
 )
 @given(tables())
 def test_write_csv_property_matches_per_value_format(tmp_path, table):
-    header, columns = table
-    write_csv(tmp_path / "t.csv", header, columns)
+    budget, header, columns = table
+    real, blocks = cli._block_bytes, []
+
+    def recording(block):
+        blocks.append(len(block[0]))
+        return real(block)
+
+    with mock.patch.object(cli, "CSV_BLOCK_CELLS", budget):
+        with mock.patch.object(cli, "_block_bytes", recording):
+            write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, columns).encode()
+    # blocks of at most the budget's cells, or one row where a row is wider; all but the last full
+    assert all(n * len(columns) <= budget or n == 1 for n in blocks)
+    assert sum(blocks) == len(columns[0])
+    assert all(n == max(1, budget // len(columns)) for n in blocks[:-1])
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.array(["amplifying", "absorbing", "neutral"]),
+        np.array(["é", "ascii", "€uro", "𝄞"]),
+        np.array(["", "", ""]),
+        np.array(["", "a"]),
+        np.array([], dtype=str),
+        np.array(["abc", "é", "de", "f", "ghij"])[::2],
+        np.array(["abc", "de", "f", "ghij"])[::-1],
+        np.array(["big", "endian"], dtype=">U6"),
+    ],
+    ids=[
+        "ascii", "non-ascii", "empty-cells", "empty-and-ascii", "zero-rows", "strided", "reversed",
+        "big-endian",
+    ],
+)
+def test_utf8_matches_astype_or_per_cell_encode(column):
+    got = cli._utf8(column)
+    try:
+        want = column.astype("S")  # ASCII
+    except UnicodeEncodeError:
+        want = np.array([cell.encode() for cell in column.tolist()], dtype="S")
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_write_csv_rejects_nul_in_str_cells(tmp_path):
     # the writer fills short cells with NUL and removes the fill, so a NUL in a cell would vanish
     with pytest.raises(ValueError, match="t.csv: column b holds a NUL character"):
         write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(2), np.array(["ok", "a\0b"])])
+    # a NUL anywhere in a numpy cell but at its end: first, interior, or before trailing NULs
+    for cells in (["\0a", "b"], ["ab", "a\0\0b"], ["wide cell", "x\0y\0\0", "z"]):
+        with pytest.raises(ValueError, match="t.csv: column d holds a NUL character"):
+            write_csv(tmp_path / "t.csv", ["d"], [np.array(cells)])
     # a trailing NUL, which numpy's str conversion would drop silently
     with pytest.raises(ValueError, match="t.csv: column c holds a NUL character"):
         write_csv(tmp_path / "t.csv", ["c"], [["a\0"]])
     assert list(tmp_path.iterdir()) == []
+    # a numpy column whose cells had trailing NULs holds none: numpy dropped them
+    write_csv(tmp_path / "t.csv", ["e"], [np.array(["a\0", "b\0\0", ""])])
+    assert (tmp_path / "t.csv").read_bytes() == b"e\na\nb\n\n"
 
 
 def test_import_builds_no_writer_tables():
@@ -172,9 +229,10 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_block_bytes", failing)
     path = tmp_path / "table.csv"
+    rows = CSV_BLOCK_CELLS // 2  # a block of the two columns
     with pytest.raises(RuntimeError, match="formatting failed"):
-        write_csv(path, ["a", "b"], [np.arange(3.0 * CSV_BLOCK), np.ones(3 * CSV_BLOCK)])
-    assert calls == [[CSV_BLOCK, CSV_BLOCK]] * 2  # the first block was streamed
+        write_csv(path, ["a", "b"], [np.arange(3.0 * rows), np.ones(3 * rows)])
+    assert calls == [[rows, rows]] * 2  # the first block was streamed
     assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
 
 
