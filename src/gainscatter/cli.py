@@ -1,7 +1,9 @@
 """Command-line surface: scenario-driven pipelines emitting CSV/JSON.
 
 Subcommands: spectrum, response, cross-sections, medium, verify, validate.
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 validation error (also a grid or slab too large
+to allocate), 3 numerical non-convergence.  Every command tabulates the
+boundary polarizability alpha(omega + i0+) on the scenario file's grid.
 
 Outputs are deterministic: numbers are written with 17 significant digits
 in scientific notation, lines end with \\n, and files are written to a
@@ -334,7 +336,7 @@ class Pipeline:
 
     @cached_property
     def curve(self):
-        return polarizability_curve(self.pair, eta=self.scenario.eta)
+        return polarizability_curve(self.pair)
 
     @cached_property
     def xs(self):
@@ -451,7 +453,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name in needs_scenario:
             p.add_argument("--scenario", required=True, help="scenario file path")
-            p.add_argument("--grid-points", type=int, default=None, help="override grid.points")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true")
     return parser
@@ -477,7 +478,7 @@ def run(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
-        scenario = load_scenario(args.scenario, grid_points_override=args.grid_points)
+        scenario = load_scenario(args.scenario)
         out_dir = Path(args.out) if args.out else Path(scenario.output_dir)
         # a non-finite result is named by the writers' own checks, not by numpy warnings;
         # any other warning (extinction_dilute outside the dilute regime) is one stderr line
@@ -485,7 +486,7 @@ def run(argv=None) -> int:
             warnings.showwarning = _warning_line
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return handler(Pipeline(scenario), out_dir, args.quiet)
-    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

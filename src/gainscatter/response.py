@@ -49,24 +49,21 @@ KK_EVAL_POINTS = 1024  # at most this many points of the Kramers-Kronig check
 def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, zeta):
     """Analytic alpha(zeta) for Lorentzian-broadened lines; valid for Im zeta >= 0."""
     zeta_arr = np.asarray(zeta, dtype=complex)
-    if line_omega.size == 0:
-        out = np.zeros_like(zeta_arr)
-    else:
-        pole = line_omega - 1j * gamma
-        mirror = -line_omega - 1j * gamma
-        weight = line_weight.astype(complex)  # cast once, not in every block's divide
+    pole = line_omega - 1j * gamma
+    mirror = -line_omega - 1j * gamma
+    weight = line_weight.astype(complex)  # cast once, not in every block's divide
 
-        def row_sum(points, out, near, far):
-            # (weight / (pole - z) - weight / (mirror - z)), in place
-            z = points[:, None]
-            np.subtract(pole, z, out=near)
-            np.divide(weight, near, out=near)
-            np.subtract(mirror, z, out=far)
-            np.divide(weight, far, out=far)
-            np.subtract(near, far, out=near)
-            near.sum(axis=-1, out=out)
+    def row_sum(points, out, near, far):
+        # (weight / (pole - z) - weight / (mirror - z)), in place
+        z = points[:, None]
+        np.subtract(pole, z, out=near)
+        np.divide(weight, near, out=near)
+        np.subtract(mirror, z, out=far)
+        np.divide(weight, far, out=far)
+        np.subtract(near, far, out=near)
+        near.sum(axis=-1, out=out)
 
-        out = _line_sum_blocks(row_sum, zeta_arr, line_omega.size, 2)
+    out = _line_sum_blocks(row_sum, zeta_arr, line_omega.size, 2)
     if np.isscalar(zeta) or zeta_arr.ndim == 0:
         return complex(out)
     return out

@@ -11,10 +11,9 @@ key would corrupt a physics run.  Recognized keys:
     populations     = [1.0, 0.0]          exactly one of populations /
     temperature     = 0.5                 temperature must be given
     gamma           = 0.01                Lorentzian half-width (> 0)
-    eta             = 0.0                 curve offset (>= 0, default 0)
-    grid.min        = -3.0                response/spectrum grid
-    grid.max        = 3.0
-    grid.points     = 2001
+    grid.min        = -3.0                response/spectrum grid (the only
+    grid.max        = 3.0                 way to set it; alpha is always
+    grid.points     = 2001                the boundary value, omega + i0+)
     medium.density_n = 1e-6               enables the medium pipeline
                                           (needs grid.max > 0)
     slab.z_max      = 100.0               slab profile extent (optional)
@@ -29,7 +28,8 @@ key would corrupt a physics run.  Recognized keys:
 
 Validation is fail-fast: every referenced precondition is checked before
 any computation starts, and the first violated invariant is named.  Scalars
-must be finite numbers, counts integers.  Defaults are resolved here.
+must be finite numbers, counts integers.  Defaults are resolved here and
+only here: ``Scenario`` has no field defaults.
 The target (levels, dipoles, populations) is checked and reduced to its
 line set; the scenario keeps the lines, not the levels.
 
@@ -52,7 +52,6 @@ from .spectral import (
     DEFAULT_GAMMA,
     LineSpectrum,
     TargetLevels,
-    _check_eta,
     _check_positive,
     check_grid_span,
     line_spectrum,
@@ -66,7 +65,6 @@ _KNOWN_KEYS = {
     "populations",
     "temperature",
     "gamma",
-    "eta",
     "grid.min",
     "grid.max",
     "grid.points",
@@ -90,26 +88,26 @@ class ScenarioError(ValueError):
 class Scenario:
     """Validated scenario: line set plus grid/medium/screen parameters, defaults resolved.
 
-    ``lines`` is the target's line set, built once at parse.  ``screen_omega``
-    (and so the default eps schedule) is None only for a target without lines
-    and no ``screen.omega`` key.
+    Every field is set by the parse; ``lines`` is the target's line set.
+    ``screen_omega`` (and so the default eps schedule) is None only for a
+    target without lines and no ``screen.omega`` key; ``medium_density``,
+    ``slab_z_max`` and ``slab_omega`` are None when their keys are absent.
     """
 
     lines: LineSpectrum
     gamma: float
-    eta: float
     grid_min: float
     grid_max: float
     grid_points: int
-    medium_density: float | None = None
-    slab_z_max: float | None = None
-    slab_points: int = 101
-    slab_omega: float | None = None
-    screen_z: float = DEFAULT_Z
-    screen_r_max: float | None = None
-    screen_eps_schedule: tuple | None = None
-    screen_omega: float | None = None
-    output_dir: str = "out"
+    medium_density: float | None
+    slab_z_max: float | None
+    slab_points: int
+    slab_omega: float | None
+    screen_z: float
+    screen_r_max: float
+    screen_eps_schedule: tuple | None
+    screen_omega: float | None
+    output_dir: str
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_min, self.grid_max, self.grid_points)
@@ -170,16 +168,16 @@ def _parse_lines(text: str, source: str) -> dict:
     return values
 
 
-def parse_scenario(text: str, source: str = "<scenario>", grid_points_override: int | None = None) -> Scenario:
+def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse and validate scenario text (fail-fast, first violation named)."""
     values = _parse_lines(text, source)
     try:
-        return _validated(values, grid_points_override)
+        return _validated(values)
     except (ValueError, OverflowError) as exc:  # a value rule's or a library check's message
         raise ScenarioError(f"{source}: {exc}") from exc
 
 
-def _validated(values: dict, grid_points_override: int | None) -> Scenario:
+def _validated(values: dict) -> Scenario:
     """The Scenario that ``values`` describe; a ValueError names the first violated rule."""
 
     def number(key, default=None, integer=False):
@@ -203,15 +201,10 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
 
     gamma = number("gamma", DEFAULT_GAMMA)
     _check_positive("gamma", gamma)
-    eta = number("eta", 0.0)
-    _check_eta(eta)
 
     grid_min = number("grid.min")
     grid_max = number("grid.max")
-    if grid_points_override is not None:
-        grid_points = int(grid_points_override)
-    else:
-        grid_points = number("grid.points", integer=True)
+    grid_points = number("grid.points", integer=True)
     if None in (grid_min, grid_max, grid_points):
         raise ValueError("grid.min, grid.max and grid.points are required")
     if not grid_min < grid_max:
@@ -259,7 +252,6 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
     return Scenario(
         lines=lines,
         gamma=gamma,
-        eta=eta,
         grid_min=grid_min,
         grid_max=grid_max,
         grid_points=grid_points,
@@ -275,11 +267,11 @@ def _validated(values: dict, grid_points_override: int | None) -> Scenario:
     )
 
 
-def load_scenario(path, grid_points_override: int | None = None) -> Scenario:
+def load_scenario(path) -> Scenario:
     """Read and validate a UTF-8 scenario file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    return parse_scenario(text, source=str(path), grid_points_override=grid_points_override)
+    return parse_scenario(text, source=str(path))

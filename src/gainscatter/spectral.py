@@ -194,8 +194,8 @@ class LineSpectrum:
 
     @cached_property
     def _self_reflected(self) -> bool:
-        """Whether the lines are their own reflection, -omega[::-1] == omega, as in every thermal target."""
-        return self.n_lines > 0 and np.array_equal(self.omega, -self.omega[::-1])
+        """Whether the lines are their own reflection, -omega[::-1] == omega: every thermal target, and no lines."""
+        return np.array_equal(self.omega, -self.omega[::-1])
 
 
 def line_spectrum(target: TargetLevels) -> LineSpectrum:
@@ -349,7 +349,7 @@ def _line_sum_blocks(row_sum, points: np.ndarray, n_lines: int, n_work: int, n_o
     if n_out == 1:
         out = out[0]
     cpus = _usable_cpus()
-    row_bytes = n_work * n_lines * out.itemsize
+    row_bytes = max(1, n_work * n_lines * out.itemsize)  # no lines: zero-size scratch, sums of 0
     rows = max(1, min(flat.size, LINE_SUM_BYTES // (cpus * row_bytes)))
     starts = range(0, flat.size, rows)
     n_workers = max(1, min(cpus, len(starts)))
@@ -421,9 +421,6 @@ def _pair_sums(lines: LineSpectrum, gamma: float, omega) -> np.ndarray:
 
 def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, omega):
     omega_arr = np.asarray(omega, dtype=float)
-    if line_omega.size == 0:
-        out = np.zeros_like(omega_arr)
-        return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
     def row_sum(points, out, x):
         _lorentzian(points, line_omega, gamma, x)

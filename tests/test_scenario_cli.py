@@ -103,6 +103,8 @@ def test_parse_rejects_bad_population_sum():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(GROUND + "\ngama = 0.02\n")
+    with pytest.raises(ScenarioError, match="unknown key 'eta'"):  # the CLI tabulates alpha(omega + i0+) only
+        parse_scenario(GROUND + "\neta = 0.0\n")
 
 
 def test_parse_rejects_population_and_temperature():
@@ -136,14 +138,16 @@ def test_parse_rejects_infeasible_screen():
         ("gamma = 0.01", 'gamma = "x"', "gamma"),
         ("gamma = 0.01", "gamma = 0.0", "gamma"),
         ("gamma = 0.01", "gamma = -0.01", "gamma"),
-        ("gamma = 0.01", "gamma = 0.01\neta = true", "eta"),
-        ("gamma = 0.01", "gamma = 0.01\neta = -0.5", "eta must be non-negative and finite (got -0.5)"),
+        ("gamma = 0.01", "gamma = 0.01\neta = true", "unknown key 'eta'"),
         ("medium.density_n = 1e-6", "medium.density_n = 1e999", "medium.density_n"),
         ("grid.points = 2401", "grid.points = 2401.7", "grid.points"),
         ("populations = [1.0, 0.0]", "temperature = [1]", "temperature"),
         ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]", "dipole_sq = [[0, 1e999], [1e999, 0]]", "dipole_sq"),
         ("energies = [0.0, 1.0]", 'energies = {"0": 1}', "energies"),
         ("medium.density_n = 1e-6", 'screen.eps_schedule = [20.0, "x"]', "screen.eps_schedule"),
+        # 7.11 PiB: far above the 128 TiB a process can map without asking for more, so never allocatable
+        ("grid.points = 2401", "grid.points = 1000000000000000", "Unable to allocate 7.11 PiB"),
+        ("medium.density_n = 1e-6", "medium.density_n = 1e-6\nslab.points = 1000000000000000", "Unable to allocate"),
     ],
     ids=[
         "gamma-list",
@@ -151,22 +155,26 @@ def test_parse_rejects_infeasible_screen():
         "gamma-zero",
         "gamma-negative",
         "eta-bool",
-        "eta-negative",
         "density-inf",
         "points-fraction",
         "temperature-list",
         "dipole-inf",
         "energies-dict",
         "eps-str",
+        "grid-points-unallocatable",
+        "slab-points-unallocatable",
     ],
 )
 def test_mistyped_or_non_finite_values_exit_2(tmp_path, capsys, old, new, named):
     assert old in GROUND
     path = write_scenario(tmp_path, GROUND.replace(old, new))
-    code = run(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    out = tmp_path / "o"
+    # medium is the one command whose pipeline reads both the grid and the slab
+    code = run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 
@@ -564,17 +572,6 @@ def test_cmd_response_columns(tmp_path):
     assert im[np.argmin(np.abs(omega - 1.0))] > 0.0
 
 
-def test_grid_points_override(tmp_path):
-    path = write_scenario(tmp_path, GROUND)
-    out = tmp_path / "out"
-    code = run(
-        ["spectrum", "--scenario", str(path), "--out", str(out), "--grid-points", "501", "--quiet"]
-    )
-    assert code == 0
-    cols = read_csv(out / "spectrum.csv")
-    assert len(cols["omega"]) == 501
-
-
 def test_run_builds_the_argument_parser_once(tmp_path, monkeypatch, capsys):
     built = []
     real_init = argparse.ArgumentParser.__init__
@@ -595,9 +592,9 @@ def test_run_builds_the_argument_parser_once(tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["spectrum", "--quiet"])  # --scenario missing
         assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: gainscatter spectrum")
-        argv = ["spectrum", "--scenario", str(path), "--out", str(out), "--grid-points", "501", "--quiet"]
-        assert run(argv) == 0
-        assert len(read_csv(out / "spectrum.csv")["omega"]) == 501
+        with pytest.raises(SystemExit) as exc:  # grid.points in the file is the only grid setting
+            run(["spectrum", "--scenario", str(path), "--out", str(out), "--grid-points", "501", "--quiet"])
+        assert exc.value.code == 2 and "unrecognized arguments: --grid-points 501" in capsys.readouterr().err
     finally:
         cli._parser.cache_clear()
     assert built.count("gainscatter") == 1  # the subcommands' parsers are built with it, once
