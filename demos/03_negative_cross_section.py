@@ -10,6 +10,7 @@ amplifier band of a partially inverted target.
 import numpy as np
 
 from gainscatter import (
+    BAND_LABELS,
     alpha_boundary,
     amplifier_bands,
     broaden,
@@ -54,7 +55,8 @@ bands = amplifier_bands(curve)
 for lo, hi in bands:
     print(f"  sigma_tot < 0 for omega in [{lo:.4f}, {hi:.4f}]  (centered on the inverted line)")
 xs = cross_sections(curve)
-flagged = np.flatnonzero(xs.band_flags == "amplifying")
+labels = np.array(BAND_LABELS)[xs.band_flags]  # each code's label, as cross_sections.csv writes it
+flagged = np.flatnonzero(labels == "amplifying")
 print(f"  {flagged.size} of {xs.grid.size} tabulated frequencies flagged amplifying")
 i = int(np.argmin(np.abs(xs.grid - 1.0)))
 print(

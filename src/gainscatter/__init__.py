@@ -35,6 +35,7 @@ from .response import (
     polarizability_dispersion,
 )
 from .scattering import (
+    BAND_LABELS,
     TOL_BAND,
     CrossSectionSet,
     amplifier_bands,

@@ -15,12 +15,16 @@ a validation error, never an artifact; NaN in a CSV is the blank
 writes the first, so a failing check leaves none of them.  CSV files are
 formatted and streamed in blocks of about ``CSV_BLOCK_CELLS`` cells (whole
 rows, at least one), so the writer's memory is O(block) whatever the row
-count.  A block is one (rows x row-width) byte buffer with a fixed-width
-slot per cell: a float cell gets the digits and exponent of ``"%.16e"``,
-computed in numpy for the whole block, a bool 1/0, a str its UTF-8 (an
-all-ASCII column's code units, cast to bytes).  A cell shorter than its
-slot (no sign, a 2-digit exponent, a blank NaN, a short str) is NUL-filled,
-and the fill is removed from the finished block.
+count.  A column is float, bool or labelled: a labelled column
+``(codes, labels)`` writes ``labels[code]`` in each row, so a text column
+is a few labels and a code per row (``cross_sections.csv``'s ``band_flag``
+is ``(CrossSectionSet.band_flags, scattering.BAND_LABELS)``); any other
+column is a TypeError.  A block is one (rows x row-width) byte buffer with
+a fixed-width slot per cell: a float cell gets the digits and exponent of
+``"%.16e"``, computed in numpy for the whole block, a bool 1/0, a label its
+UTF-8.  A cell shorter than its slot (no sign, a 2-digit exponent, a blank
+NaN, a short label) is NUL-filled, and the fill is removed from the
+finished block.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from . import validate as validation_suite
 from .medium import extinction_dilute, intensity_profile, medium_response
 from .response import alpha_boundary, polarizability_curve
-from .scattering import amplifier_bands, cross_sections, sigma_total_optical
+from .scattering import BAND_LABELS, amplifier_bands, cross_sections, sigma_total_optical
 from .scenario import Scenario, ScenarioError, load_scenario
 from .screen import screen_intensity, verify_optical_theorem
 from .spectral import broaden, noise_temperature_samples, symmetric_spectrum
@@ -169,50 +173,31 @@ def _float_cells(x: np.ndarray, out: np.ndarray) -> None:
         out[slow] = np.array(cells, "S24").view(np.uint8).reshape(-1, 24)
 
 
-def _code_units(column: np.ndarray) -> np.ndarray:
-    """A numpy str column as its UTF-32 code units: a contiguous (rows x width) uint32 array.
-
-    A cell shorter than the column's width is NUL-padded, as numpy stores it.
-    A column in the other byte order reads byte-swapped units: a NUL is still
-    0, and no other unit is below 128.
-    """
-    units = np.ascontiguousarray(column).view(np.uint32)
-    return units.reshape(len(column), column.dtype.itemsize // 4)
-
-
-def _utf8(column: np.ndarray) -> np.ndarray:
-    """A str column as NUL-padded UTF-8 bytes (numpy "S"): if all ASCII, its code units as bytes."""
-    units = _code_units(column)
-    if (units < 128).all():
-        return units.astype(np.uint8).view(f"S{units.shape[1]}")[:, 0]
-    return np.array([cell.encode() for cell in column.tolist()], dtype="S")
-
-
 def _block_bytes(block: list[np.ndarray]) -> bytearray:
-    """CSV rows of one block: 17 significant digits, blank for NaN, 1/0 for bool, str as UTF-8.
+    """CSV rows of one block: 17 significant digits, blank for NaN, 1/0 for bool, labels as UTF-8.
 
     Every column has a fixed-width slot, followed by its separator, in one
     (rows x row-width) uint8 buffer: 24 bytes for a float, 1 for a bool, the
-    longest cell's UTF-8 for a str.  A cell shorter than its slot is NUL
-    filled, and the fill is removed from the finished block, so no text is
-    ever replaced.  A run of float columns is formatted in one pass.
+    longest label's UTF-8 for a labelled column's cells (numpy "S" bytes). A
+    cell shorter than its slot is NUL filled, and the fill is removed from
+    the finished block, so no text is ever replaced.  A run of float columns
+    is formatted in one pass.
     """
     n = len(block[0])
     kinds = [column.dtype.kind for column in block]
-    cells = [_utf8(column) if kind == "U" else column for column, kind in zip(block, kinds)]
-    widths = [{"b": 1, "U": c.itemsize}.get(kind, 24) for c, kind in zip(cells, kinds)]
+    widths = [{"b": 1, "S": column.itemsize}.get(kind, 24) for column, kind in zip(block, kinds)]
     starts = np.cumsum([0] + [width + 1 for width in widths])
     raw = bytearray(n * starts[-1])
     buf = np.frombuffer(raw, np.uint8).reshape(n, -1)
     buf[:, starts[1:-1] - 1] = 44  # ","
     buf[:, -1] = 10  # "\n"
-    for j, (column, kind) in enumerate(zip(cells, kinds)):
+    for j, (column, kind) in enumerate(zip(block, kinds)):
         if kind == "b":
             buf[:, starts[j]] = np.frombuffer(b"01", np.uint8)[column.astype(np.intp)]
-        elif kind == "U":
+        elif kind == "S":
             buf[:, starts[j] : starts[j + 1] - 1] = column.view(np.uint8).reshape(n, -1)
-        elif j == 0 or kinds[j - 1] in "bU":  # a run of floats starts: slots 25 bytes apart
-            end = next((k for k in range(j, len(block)) if kinds[k] in "bU"), len(block))
+        elif j == 0 or kinds[j - 1] in "bS":  # a run of floats starts: slots 25 bytes apart
+            end = next((k for k in range(j, len(block)) if kinds[k] in "bS"), len(block))
             x = np.stack(block[j:end], axis=1, dtype=np.float64)
             slots = (buf[:, starts[j] :], x.shape + (24,), (buf.shape[1], 25, 1))
             _float_cells(x, np.lib.stride_tricks.as_strided(*slots))
@@ -252,64 +237,74 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
 
 
 def _checked_columns(path: Path, header: list[str], columns) -> list[np.ndarray]:
-    """The columns as arrays; unequal lengths, +-inf or a NUL in a str cell is a ValueError.
+    """The columns as the arrays ``_block_bytes`` formats: float, bool, or labels as UTF-8 (numpy "S").
 
-    The writer's NUL fill would drop a NUL from a cell, and so would numpy's
-    conversion of a trailing one, so str cells are checked as given: a list's
-    cells as strings, a numpy column's as code units, where numpy has already
-    dropped the trailing NULs and a NUL in a cell is one followed by a non-NUL.
+    A labelled column, a tuple ``(codes, labels)``, holds ``labels[code]`` in
+    each row, indexed as a sequence is (-1 is the last label).  Any other
+    column is a TypeError; +-inf, a NUL in a label (the NUL fill would drop
+    it), a code outside the labels or unequal lengths is a ValueError.  Each
+    names the file.
     """
-    arrays = [np.asarray(column) for column in columns]
-    if len({len(column) for column in arrays}) > 1:
-        raise ValueError(
-            f"{path}: columns have unequal lengths {[len(column) for column in arrays]}"
-        )
-    for name, column, array in zip(header, columns, arrays):
-        if array.dtype.kind == "f" and np.isinf(array).any():
-            raise ValueError(f"{path}: column {name} holds an infinite value")
-        if array.dtype.kind == "U":
-            if isinstance(column, np.ndarray):
-                nul = _code_units(array) == 0
-                has_nul = (nul[:, :-1] & ~nul[:, 1:]).any()
-            else:
-                has_nul = "\0" in "".join(map(str, column))
-            if has_nul:
-                raise ValueError(f"{path}: column {name} holds a NUL character")
+    arrays = []
+    for name, column in zip(header, columns):
+        where = f"{path}: column {name}"
+        if isinstance(column, tuple):
+            codes, labels = np.asarray(column[0]), column[1]
+            if codes.dtype.kind not in "iu" or not all(isinstance(label, str) for label in labels):
+                raise TypeError(f"{where} is labelled: it takes integer codes and str labels")
+            if any("\0" in label for label in labels):
+                raise ValueError(f"{where} has a label holding a NUL character")
+            try:
+                array = np.array([label.encode() for label in labels], dtype="S")[codes]
+            except IndexError:
+                raise ValueError(f"{where} holds a code outside its {len(labels)} labels") from None
+        else:
+            array = np.asarray(column)
+            if array.dtype.kind not in "fb":
+                raise TypeError(f"{where} has dtype {array.dtype}, not float, bool or labelled")
+            if array.dtype.kind == "f" and np.isinf(array).any():
+                raise ValueError(f"{where} holds an infinite value")
+        arrays.append(array)
+    if len({len(array) for array in arrays}) > 1:
+        raise ValueError(f"{path}: columns have unequal lengths {[len(array) for array in arrays]}")
     return arrays
-
-
-def _json_text(path: Path, payload) -> str:
-    """``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError naming ``path``."""
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write ``columns`` under ``header``, streamed in blocks of about CSV_BLOCK_CELLS cells.
-
-    A float column holding +-inf is a ValueError naming the file and the
-    column, and nothing is written; NaN is the blank "undefined" cell.
-    """
-    _atomic_write(path, _csv_chunks(header, _checked_columns(path, header, columns)))
-
-
-def write_json(path: Path, payload) -> None:
-    """Write ``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError."""
-    _atomic_write(path, [_json_text(path, payload).encode()])
 
 
 def _write_all(*artifacts) -> None:
     """Write each artifact in order: a CSV ``(path, header, columns)`` or a JSON ``(path, payload)``.
 
-    Every one is checked before the first is written, so a check that fails
-    on any of them leaves none of them.
+    Every one is checked, once, before the first is written, so a check that
+    fails on any of them leaves none of them, and what is written is what
+    the check produced.  A JSON report is sorted, indented JSON, and NaN or
+    +-inf in it is a ValueError naming the file.
     """
-    for artifact in artifacts:
-        (_checked_columns if len(artifact) == 3 else _json_text)(*artifact)
-    for artifact in artifacts:
-        (write_csv if len(artifact) == 3 else write_json)(*artifact)
+    checked = []
+    for path, *content in artifacts:
+        if len(content) == 2:
+            chunks = _csv_chunks(content[0], _checked_columns(path, *content))
+        else:
+            try:
+                text = json.dumps(content[0], indent=2, sort_keys=True, allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            chunks = [text.encode()]
+        checked.append((path, chunks))
+    for path, chunks in checked:
+        _atomic_write(path, chunks)
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``columns`` under ``header``, streamed in blocks of about CSV_BLOCK_CELLS cells.
+
+    ``_checked_columns`` says which columns it takes; NaN is the blank
+    "undefined" cell.
+    """
+    _write_all((path, header, columns))
+
+
+def write_json(path: Path, payload) -> None:
+    """Write ``payload`` as sorted, indented JSON; NaN or +-inf is a ValueError."""
+    _write_all((path, payload))
 
 
 class Pipeline:
@@ -378,7 +373,7 @@ def cmd_cross_sections(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     xs = pipeline.xs
     bands = amplifier_bands(pipeline.curve)
     header = ["omega", "sigma_el", "sigma_tot", "sigma_in", "band_flag"]
-    columns = [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, xs.band_flags]
+    columns = [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, (xs.band_flags, BAND_LABELS)]
     _write_all(
         (out_dir / "cross_sections.csv", header, columns),
         (out_dir / "bands.json", [{"lo": lo, "hi": hi} for lo, hi in bands]),

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair, _check_eta, _check_positive, _frozen, _line_sum_blocks, _mirror_rows
+from .spectral import LineSpectrum, SpectralPair, _check_positive, _frozen, _line_sum_blocks, _mirror_rows
 
 __all__ = [
     "PolarizabilityCurve",
@@ -205,28 +205,23 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
 
 @dataclass(frozen=True)
 class PolarizabilityCurve:
-    """Complex polarizability of ``pair``'s line model on ``pair.grid``, summed on first read.
+    """The boundary value alpha(omega + i0+) of ``pair``'s line model on ``pair.grid``, summed on first read.
 
-    ``eta`` is the imaginary offset of the sample points zeta = omega +
-    i*eta.  eta = 0 denotes the physical boundary value, evaluated
-    analytically with the Lorentzian width as regulator (production
-    default); eta > 0 curves are used where a genuine upper-half-plane
-    offset is wanted (crossing-symmetry and Kramers-Kronig checks).
+    It is evaluated analytically, with the Lorentzian width as regulator.
+    An offset curve alpha(omega + i*eta) is not a curve of this type: the
+    cross sections, bands and media it feeds read Im alpha = pi (S+ - S-),
+    which holds on the boundary only; the library route to one is
+    ``closed_form_lorentzian(lines, gamma, omega + 1j * eta)``.
     ``positive_alpha`` sums the lines over ``positive_grid`` only, the part
     cross sections and media tabulate; ``alpha`` adds the omega <= 0 rows to
     it.  Either is cached, so each row is summed at most once, and a row -w
-    whose mirror row is w copies conj(alpha(w + i*eta)) from it
+    whose mirror row is w copies conj(alpha(w + i0+)) from it
     (``spectral._mirror_rows``).
     """
 
-    eta: float
     pair: SpectralPair
 
     provenance = "closed-form-lorentzian"  # how alpha was computed; bench/layers.py reads it
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", float(self.eta))
-        _check_eta(self.eta)
 
     @property
     def grid(self) -> np.ndarray:
@@ -240,16 +235,16 @@ class PolarizabilityCurve:
 
     def _alpha_at(self, omega: np.ndarray) -> np.ndarray:
         lines = self.pair.lines
-        return _alpha_line_sum(lines.omega, lines.weight, self.pair.gamma, omega + 1j * self.eta)
+        return _alpha_line_sum(lines.omega, lines.weight, self.pair.gamma, omega + 0.0j)
 
     @cached_property
     def positive_alpha(self) -> np.ndarray:
-        """alpha(omega + i*eta) on ``positive_grid``, summed on first read."""
+        """alpha(omega + i0+) on ``positive_grid``, summed on first read."""
         return _frozen(self._alpha_at(self.positive_grid), complex)
 
     @cached_property
     def alpha(self) -> np.ndarray:
-        """alpha(omega + i*eta) on the whole grid; the omega > 0 rows are ``positive_alpha``.
+        """alpha(omega + i0+) on the whole grid; the omega > 0 rows are ``positive_alpha``.
 
         Of the omega <= 0 rows, the mirrored ones copy their mirror row's
         conjugate; the others are summed on first read.
@@ -265,12 +260,9 @@ class PolarizabilityCurve:
         return _frozen(alpha, complex)
 
 
-def polarizability_curve(pair: SpectralPair, eta: float = 0.0) -> PolarizabilityCurve:
-    """alpha(omega + i*eta) on the pair's grid, in closed form, summed when first read.
-
-    With the default eta = 0 this is the boundary value alpha(omega + i0+).
-    """
-    return PolarizabilityCurve(eta, pair)
+def polarizability_curve(pair: SpectralPair) -> PolarizabilityCurve:
+    """The boundary value alpha(omega + i0+) on the pair's grid, in closed form, summed when first read."""
+    return PolarizabilityCurve(pair)
 
 
 def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np.ndarray:
@@ -331,9 +323,8 @@ def kramers_kronig_residual(curve: PolarizabilityCurve) -> float:
     Returns the maximum deviation over the central 80% of the grid, relative
     to the peak |Re alpha| there (pointwise ratios are meaningless where
     Re alpha crosses zero).  Requires a near-uniform grid whose edges have
-    |Im alpha| below ``EDGE_DECAY_FRACTION`` of its peak, and a curve offset
-    eta at most gamma/10 of the generating pair.  The transform is taken at
-    up to ``KK_EVAL_POINTS`` evenly strided points; it treats
+    |Im alpha| below ``EDGE_DECAY_FRACTION`` of its peak.  The transform is
+    taken at up to ``KK_EVAL_POINTS`` evenly strided points; it treats
     the grid as uniform and computes the principal-value sums at every index
     as FFT correlations with trapezoid weights at the grid ends (see
     ``_pv_reconstruct``).
@@ -342,8 +333,6 @@ def kramers_kronig_residual(curve: PolarizabilityCurve) -> float:
     spacing = np.diff(grid)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("Kramers-Kronig check needs a uniform grid")
-    if curve.eta > curve.pair.gamma / 10.0 + 1e-15:
-        raise ValueError("curve offset eta must be at most gamma/10 for this check")
     im = curve.alpha.imag
     peak = float(np.abs(im).max())
     if peak > 0.0:

@@ -28,6 +28,7 @@ from .spectral import SpectralPair, _check_positive, _defined_log_ratio, _frozen
 
 __all__ = [
     "TOL_BAND",
+    "BAND_LABELS",
     "scattering_amplitude",
     "differential_elastic",
     "sigma_elastic",
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 TOL_BAND = 1e-12  # |sigma_tot| below this counts as neutral for band classification
+# The band label of each code of ``CrossSectionSet.band_flags``, indexed as a
+# sequence is: 0 neutral, +1 absorbing, -1 (the last) amplifying.
+BAND_LABELS = ("neutral", "absorbing", "amplifying")
 _BISECTION_TOL = 1e-6
 
 
@@ -163,8 +167,9 @@ class CrossSectionSet:
     """Elastic/total/inelastic cross sections with per-sample band flags.
 
     sigma_in is stored as the sum-rule difference sigma_tot - sigma_el and
-    may be negative; band_flags holds "amplifying" where sigma_tot <
-    -TOL_BAND, "absorbing" where > +TOL_BAND, "neutral" between.
+    may be negative; band_flags is an int8 code, -1 where sigma_tot <
+    -TOL_BAND, +1 where sigma_tot > +TOL_BAND and 0 between, whose label
+    ("amplifying", "absorbing", "neutral") is ``BAND_LABELS[code]``.
     """
 
     grid: np.ndarray
@@ -176,7 +181,7 @@ class CrossSectionSet:
     def __post_init__(self):
         for name in ("grid", "sigma_el", "sigma_tot", "sigma_in"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
-        object.__setattr__(self, "band_flags", _frozen(self.band_flags, None))
+        object.__setattr__(self, "band_flags", _frozen(self.band_flags, np.int8))
         if np.any(self.grid <= 0.0):
             raise ValueError("cross sections are tabulated for positive frequencies only")
         if np.any(self.sigma_el < 0.0):
@@ -189,7 +194,5 @@ def cross_sections(curve: PolarizabilityCurve) -> CrossSectionSet:
     sig_el = sigma_elastic(alpha, grid)
     sig_tot = sigma_total_optical(alpha, grid)
     sig_in = sig_tot - sig_el
-    flags = np.where(
-        sig_tot < -TOL_BAND, "amplifying", np.where(sig_tot > TOL_BAND, "absorbing", "neutral")
-    )
+    flags = (sig_tot > TOL_BAND).view(np.int8) - (sig_tot < -TOL_BAND).view(np.int8)
     return CrossSectionSet(grid, sig_el, sig_tot, sig_in, flags)

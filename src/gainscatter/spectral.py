@@ -301,11 +301,11 @@ def _mirror_rows(grid: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.n
     A copy has the bits of the row's own sum.  Negation is exact, so every
     term at -w is built from exact negations of the differences at w, and
     each sum adds its terms in line order.  For S+/S-, -w - w_l = -(w + w_l)
-    has the same square, so S+(-w) is S-(w) and S-(-w) is S+(w).  For alpha,
-    each line's ``pole - zeta`` at -w + i*eta is -conj(``mirror - zeta``) at
-    w + i*eta and vice versa, and numpy's complex division gives
-    a / -conj(d) = -conj(a / d) for a real weight a, so alpha(-w + i*eta) is
-    conj(alpha(w + i*eta)).  An imaginary part that cancels to exactly 0 is
+    has the same square, so S+(-w) is S-(w) and S-(-w) is S+(w).  For the
+    boundary value alpha(w + i0+), each line's ``pole - zeta`` at -w is
+    -conj(``mirror - zeta``) at w and vice versa, and numpy's complex division
+    gives a / -conj(d) = -conj(a / d) for a real weight a, so alpha(-w + i0+)
+    is conj(alpha(w + i0+)).  An imaginary part that cancels to exactly 0 is
     +0 at both w and -w, so that copy negates it as ``0 - x``, never -0.
     """
     head = grid[:n]
@@ -437,12 +437,6 @@ def _check_positive(name: str, value) -> None:
     bad = ~((values > 0.0) & (values < np.inf))
     if bad.any():
         raise ValueError(f"{name} must be positive and finite (got {float(values[bad][0])!r})")
-
-
-def _check_eta(eta: float) -> None:
-    """Raise ValueError unless the curve offset eta (omega + i eta) is non-negative and finite."""
-    if not 0.0 <= eta < np.inf:
-        raise ValueError(f"eta must be non-negative and finite (got {eta!r})")
 
 
 def check_grid_span(lines: LineSpectrum, grid_min: float, grid_max: float, gamma: float) -> None:

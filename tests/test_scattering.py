@@ -5,6 +5,7 @@ import pytest
 
 from conftest import two_level_pair
 from gainscatter import (
+    BAND_LABELS,
     TOL_BAND,
     alpha_boundary,
     amplifier_bands,
@@ -236,10 +237,12 @@ def test_cross_section_set_invariants():
     assert np.all(xs.sigma_el >= 0.0)
     # sum rule holds exactly as stored
     assert np.array_equal(xs.sigma_in, xs.sigma_tot - xs.sigma_el)
-    amplifying = xs.band_flags == "amplifying"
-    absorbing = xs.band_flags == "absorbing"
+    assert xs.band_flags.dtype == np.int8 and not xs.band_flags.flags.writeable
+    labels = np.array(BAND_LABELS)[xs.band_flags]  # as cross_sections.csv writes them
+    amplifying, absorbing = labels == "amplifying", labels == "absorbing"
     assert np.all(xs.sigma_tot[amplifying] < -TOL_BAND)
     assert np.all(xs.sigma_tot[absorbing] > TOL_BAND)
+    assert np.all(np.abs(xs.sigma_tot[labels == "neutral"]) <= TOL_BAND)
     assert np.any(amplifying)  # p_e = 0.9 inverts the line
 
 

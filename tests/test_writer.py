@@ -27,6 +27,8 @@ def per_value_format(x) -> str:
 
 
 def per_value_csv(header, columns) -> str:
+    # a labelled column (codes, labels) holds labels[code] in each row
+    columns = [[c[1][code] for code in c[0].tolist()] if isinstance(c, tuple) else c for c in columns]
     rows = [",".join(header)]
     for values in zip(*columns):
         rows.append(",".join(per_value_format(v) for v in values))
@@ -77,11 +79,11 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows):
     with_nan = rng.standard_normal(n_rows)
     with_nan[rng.random(n_rows) < 0.2] = np.nan
     flags = rng.random(n_rows) < 0.5
-    words = np.array(rng.choice(["amplifying", "absorbing", "neutral"], n_rows))
-    accented = np.array(rng.choice(["é", "", "ascii"], n_rows))
+    bands = (rng.integers(-1, 2, n_rows, dtype=np.int8), ("neutral", "absorbing", "amplifying"))
+    words = (rng.integers(0, 3, n_rows), ("é", "", "ascii"))
     header = ["x", "maybe", "flag", "band", "x_reversed", "word", "no_flag", "band_reversed"]
-    # the reversed columns are non-contiguous views
-    columns = [floats, with_nan, flags, words, floats[::-1], accented, ~flags, words[::-1]]
+    # the reversed columns are non-contiguous views; code -1 is the last label
+    columns = [floats, with_nan, flags, bands, floats[::-1], words, ~flags, (bands[0][::-1], bands[1])]
     path = tmp_path / "out" / "table.csv"
     write_csv(path, header, columns)
     assert path.read_bytes() == per_value_csv(header, columns).encode()
@@ -89,13 +91,13 @@ def test_write_csv_matches_per_value_format(tmp_path, n_rows):
 
 @st.composite
 def tables(draw):
-    """A cell budget and 1 to 9 float, bool and str columns of 0 to 3 blocks + 1 rows.
+    """A cell budget and 1 to 9 float, bool and labelled columns of 0 to 3 blocks + 1 rows.
 
     The budget is the writer's, or one so small that a block may be one row
     wider than it; floats hold specials at random rows.
     """
     budget = draw(st.one_of(st.just(CSV_BLOCK_CELLS), st.integers(1, 16)))
-    kinds = draw(st.lists(st.sampled_from(["float", "bool", "str"]), min_size=1, max_size=9))
+    kinds = draw(st.lists(st.sampled_from(["float", "bool", "labelled"]), min_size=1, max_size=9))
     n_rows = draw(st.integers(0, 3 * max(1, budget // len(kinds)) + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
@@ -107,10 +109,11 @@ def tables(draw):
                 column[row] = draw(st.sampled_from(specials))
         elif kind == "bool":
             column = rng.random(n_rows) < 0.5
-        else:
-            column = np.array(rng.choice(["nan", "banana", "NaN", "%s", "", "é"], n_rows))
+        else:  # codes of any integer type; a negative one counts from the last label
+            codes = rng.integers(-6, 6, n_rows).astype(draw(st.sampled_from([np.int8, np.int64, ">i2"])))
+            column = (codes, ("nan", "banana", "NaN", "%s", "", "é"))
         columns.append(column)
-    return budget, [f"c{j}" for j in range(len(columns))], columns
+    return budget, [f"c{j}" for j in range(len(columns))], columns, n_rows
 
 
 @settings(
@@ -122,7 +125,7 @@ def tables(draw):
 )
 @given(tables())
 def test_write_csv_property_matches_per_value_format(tmp_path, table):
-    budget, header, columns = table
+    budget, header, columns, n_rows = table
     real, blocks = cli._block_bytes, []
 
     def recording(block):
@@ -135,51 +138,53 @@ def test_write_csv_property_matches_per_value_format(tmp_path, table):
     assert (tmp_path / "t.csv").read_bytes() == per_value_csv(header, columns).encode()
     # blocks of at most the budget's cells, or one row where a row is wider; all but the last full
     assert all(n * len(columns) <= budget or n == 1 for n in blocks)
-    assert sum(blocks) == len(columns[0])
+    assert sum(blocks) == n_rows
     assert all(n == max(1, budget // len(columns)) for n in blocks[:-1])
 
 
 @pytest.mark.parametrize(
-    "column",
+    "labels, codes",
     [
-        np.array(["amplifying", "absorbing", "neutral"]),
-        np.array(["é", "ascii", "€uro", "𝄞"]),
-        np.array(["", "", ""]),
-        np.array(["", "a"]),
-        np.array([], dtype=str),
-        np.array(["abc", "é", "de", "f", "ghij"])[::2],
-        np.array(["abc", "de", "f", "ghij"])[::-1],
-        np.array(["big", "endian"], dtype=">U6"),
+        (("amplifying", "absorbing", "neutral"), np.array([0, 1, 2, -1], np.int8)),
+        (("é", "ascii", "€uro", "𝄞"), np.array([0, 1, 2, 3, -4])),
+        (("",), np.zeros(3, np.int8)),
+        (("", "a"), np.array([0, 1])),
+        (("a",), np.array([], np.int8)),
+        (("abc", "é", "de", "f", "ghij"), np.arange(5)[::2]),
+        (("abc", "de", "f", "ghij"), np.arange(4)[::-1]),
+        (("big", "endian"), np.array([1, 0], dtype=">i2")),
     ],
-    ids=[
-        "ascii", "non-ascii", "empty-cells", "empty-and-ascii", "zero-rows", "strided", "reversed",
-        "big-endian",
-    ],
+    ids=["ascii", "non-ascii", "empty-cells", "empty-and-ascii", "zero-rows", "strided", "reversed", "big-endian"],
 )
-def test_utf8_matches_astype_or_per_cell_encode(column):
-    got = cli._utf8(column)
-    try:
-        want = column.astype("S")  # ASCII
-    except UnicodeEncodeError:
-        want = np.array([cell.encode() for cell in column.tolist()], dtype="S")
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+def test_utf8_matches_astype_or_per_cell_encode(tmp_path, labels, codes):
+    # a labelled column writes each row's label as its UTF-8, whatever the layout of its codes
+    write_csv(tmp_path / "t.csv", ["c"], [(codes, labels)])
+    cells = [labels[code].encode() for code in codes.tolist()]
+    assert (tmp_path / "t.csv").read_bytes() == b"c\n" + b"".join(cell + b"\n" for cell in cells)
 
 
 def test_write_csv_rejects_nul_in_str_cells(tmp_path):
-    # the writer fills short cells with NUL and removes the fill, so a NUL in a cell would vanish
-    with pytest.raises(ValueError, match="t.csv: column b holds a NUL character"):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(2), np.array(["ok", "a\0b"])])
-    # a NUL anywhere in a numpy cell but at its end: first, interior, or before trailing NULs
-    for cells in (["\0a", "b"], ["ab", "a\0\0b"], ["wide cell", "x\0y\0\0", "z"]):
-        with pytest.raises(ValueError, match="t.csv: column d holds a NUL character"):
-            write_csv(tmp_path / "t.csv", ["d"], [np.array(cells)])
-    # a trailing NUL, which numpy's str conversion would drop silently
-    with pytest.raises(ValueError, match="t.csv: column c holds a NUL character"):
-        write_csv(tmp_path / "t.csv", ["c"], [["a\0"]])
+    # the writer fills short cells with NUL and removes the fill, so a NUL in a label would vanish;
+    # a NUL first, inside or last in a label, used by a row or not
+    for labels in (("\0a", "b"), ("ab", "a\0\0b"), ("wide label", "x\0")):
+        with pytest.raises(ValueError, match="t.csv: column d has a label holding a NUL character"):
+            write_csv(tmp_path / "t.csv", ["a", "d"], [np.zeros(2), (np.zeros(2, np.int8), labels)])
+    # a code outside its labels is no cell at all
+    for code in (2, -3):
+        with pytest.raises(ValueError, match="t.csv: column d holds a code outside its 2 labels"):
+            write_csv(tmp_path / "t.csv", ["d"], [(np.array([0, code]), ("a", "b"))])
     assert list(tmp_path.iterdir()) == []
-    # a numpy column whose cells had trailing NULs holds none: numpy dropped them
-    write_csv(tmp_path / "t.csv", ["e"], [np.array(["a\0", "b\0\0", ""])])
-    assert (tmp_path / "t.csv").read_bytes() == b"e\na\nb\n\n"
+
+
+def test_write_csv_takes_float_bool_and_labelled_columns_only(tmp_path):
+    # str, object, integer and complex columns, and labelled ones with float codes or a bytes label
+    for column in (
+        np.array(["amplifying", "neutral"]), np.array([1.0, "a"], object), np.array([1, 2], np.int64), [1, 2],
+        np.array([1j, 2.0]), (np.array([0.0, 1.0]), ("a", "b")), (np.array([0, 1]), ("a", b"b")),
+    ):
+        with pytest.raises(TypeError, match="t.csv: column b "):
+            write_csv(tmp_path / "out" / "t.csv", ["a", "b"], [np.zeros(2), column])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_builds_no_writer_tables():
