@@ -1,46 +1,53 @@
-"""Spectral densities of a dipole target: lines, broadening, noise temperature.
+"""Spectral densities of a dipole target: transitions, broadening, noise temperature.
 
-A two-level target stores its state in the populations.  Ground-state
-occupation puts the S+ line at +omega_0 (the target can absorb); an
-inverted target puts it at -omega_0 instead, which is the same thing as an
-S- line at +omega_0 (the target can only emit).  The noise temperature
-reads that asymmetry off as a signed temperature.
+A target stores its state in the populations.  Each level pair with a
+dipole is one transition at omega_0 > 0 that absorbs with weight
+p_lower d^2/3 and emits with weight p_upper d^2/3.  The S+ lines are the
+absorb weights at +omega_0 and the emit weights at -omega_0, which is the
+same thing as an S- line at +omega_0 (the target can emit there).  The
+noise temperature reads the asymmetry of each transition off as a signed
+temperature; an inverted transition emits more than it absorbs.
 """
 
 import numpy as np
 
 from gainscatter import (
+    LineSpectrum,
     TargetLevels,
     broaden,
     detailed_balance_residual,
     line_spectrum,
     noise_temperature,
+    noise_temperature_values,
     thermal_populations,
 )
 
 omega_0 = 1.0
 dipole_sq = [[0.0, 1.0], [1.0, 0.0]]
 
-print("=== exact line sets ===")
+print("=== a two-level transition and its S+ lines ===")
 for name, populations in [
     ("ground state ", [1.0, 0.0]),
     ("inverted     ", [0.0, 1.0]),
     ("equal split  ", [0.5, 0.5]),
 ]:
-    target = TargetLevels([0.0, omega_0], dipole_sq, populations)
-    lines = line_spectrum(target)
-    entries = ", ".join(f"S+ line at {w:+.1f} (weight {wt:.3f})" for w, wt in zip(lines.omega, lines.weight))
-    print(f"  {name}: {entries}")
+    lines = line_spectrum(TargetLevels([0.0, omega_0], dipole_sq, populations))
+    entries = ", ".join(f"{w:+.1f} (weight {wt:.3f})" for w, wt in zip(lines.omega, lines.weight))
+    print(f"  {name}: absorb {lines.absorb[0]:.3f}, emit {lines.emit[0]:.3f}; S+ lines at {entries}")
 
 print()
-print("=== thermal populations and detailed balance ===")
+print("=== thermal populations and detailed balance, transition by transition ===")
+energies = [0.0, omega_0, 2.5 * omega_0]
+ladder_dipole_sq = [[0.0, 1.0, 0.4], [1.0, 0.0, 0.7], [0.4, 0.7, 0.0]]
 for t in (0.5, 2.0, -0.5):
-    p = thermal_populations([0.0, omega_0], t)
-    target = TargetLevels([0.0, omega_0], dipole_sq, p)
-    lines = line_spectrum(target)
-    tn = noise_temperature(lines, omega_0)
-    tag = f"residual {detailed_balance_residual(lines, t):.1e}" if t > 0 else "inverted (no thermal check)"
-    print(f"  T = {t:+.2f}: populations [{p[0]:.3f}, {p[1]:.3f}], T_n = {tn:+.4f}, {tag}")
+    p = thermal_populations(energies, t)
+    lines = line_spectrum(TargetLevels(energies, ladder_dipole_sq, p))
+    tn = noise_temperature_values(lines.omega0, lines.absorb, lines.emit)
+    print(f"  T = {t:+.2f}: populations [{p[0]:.3f}, {p[1]:.3f}, {p[2]:.3f}]")
+    for w0, absorb, emit, tn_k in zip(lines.omega0, lines.absorb, lines.emit, tn):
+        transition = LineSpectrum([w0], [absorb], [emit])
+        tag = f"residual {detailed_balance_residual(transition, t):.1e}" if t > 0 else "inverted (no thermal check)"
+        print(f"    omega_0 = {w0:.1f}: absorb {absorb:.4f}, emit {emit:.4f}, T_n = {tn_k:+.4f}, {tag}")
 
 print()
 print("=== broadened densities around the line ===")

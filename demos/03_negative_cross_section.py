@@ -5,6 +5,12 @@ pins the sign of Im alpha.  Sweep the excited-state population of a
 two-level target through the inversion point and watch sigma_tot cross
 zero exactly where the noise temperature flips sign; then list the
 amplifier band of a partially inverted target.
+
+sigma_in = sigma_tot - sigma_el is no test of inversion here.  A passive
+target has sigma_tot = sigma_el + sigma_abs with sigma_abs >= 0, which
+needs Im alpha >= (2/3) omega^3 |alpha|^2.  These lines (weight d^2/3 = 1/3
+against gamma = 0.01) break that bound, so sigma_in < 0 on the ground-state
+absorber too, where nothing emits.
 """
 
 import numpy as np
@@ -37,8 +43,12 @@ for p_e in (0.0, 0.25, 0.5, 0.75, 1.0):
     s_tot = float(sigma_total_optical(alpha, omega_0))
     tn = noise_temperature(pair, omega_0)
     tn_str = f"{tn:+.3f}" if tn is not None else "undefined"
+    if p_e == 0.0:
+        ground_ratio = s_el / s_tot
     print(f"  {p_e:9.2f}   {s_el:11.4e}  {s_tot:+12.4e}  {tn_str}")
 print("  sigma_el stays non-negative; sigma_tot changes sign with the inversion.")
+print(f"  At p_excited = 0, sigma_el/sigma_tot = {ground_ratio:.1f} > 1: the passive absorber is outside the bound")
+print("  Im alpha >= (2/3) omega^3 |alpha|^2, so its sigma_in = sigma_tot - sigma_el < 0 as well.")
 
 print()
 print("=== amplifier band of a pumped three-level target ===")
@@ -63,4 +73,5 @@ print(
     f"  at omega = {xs.grid[i]:.2f}: sigma_el = {xs.sigma_el[i]:.3e}, "
     f"sigma_tot = {xs.sigma_tot[i]:+.3e}, sigma_in = {xs.sigma_in[i]:+.3e}"
 )
-print("  sigma_in = sigma_tot - sigma_el < 0 here: stimulated emission bookkeeping.")
+print("  sigma_in = sigma_tot - sigma_el < 0 here, as on the absorber: these lines break the passive")
+print("  bound, so only the sign of sigma_tot tells the amplifier band apart.")

@@ -65,6 +65,7 @@ from .spectral import (
     line_spectrum,
     noise_temperature,
     noise_temperature_samples,
+    noise_temperature_values,
     symmetric_spectrum,
     thermal_populations,
 )

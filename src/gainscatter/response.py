@@ -74,12 +74,10 @@ def closed_form_lorentzian(lines: LineSpectrum, gamma: float, zeta):
 
     Each line adds weight/(w_line - i*gamma - zeta) minus the same term for
     the reflected line; see the module docstring for the contour derivation.
-    Requires Im zeta > 0 like the dispersion route it checks.
+    Requires a positive, finite Im zeta like the dispersion route it checks.
     """
     _check_positive("gamma", gamma)
-    zeta_arr = np.asarray(zeta, dtype=complex)
-    if np.any(zeta_arr.imag <= 0.0):
-        raise ValueError("Im zeta must be positive (retarded response only)")
+    _check_positive("Im zeta", np.imag(zeta))  # retarded response only
     return _alpha_line_sum(lines.omega, lines.weight, gamma, zeta)
 
 
@@ -145,17 +143,16 @@ def _panel_edges(lo: float, hi: float, centers, scales) -> np.ndarray:
 def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
     """Quadrature evaluation of the dispersion integral over the pair's grid.
 
-    Requires Im zeta > 0.  When Re zeta lies inside the grid the integrand's
-    near-pole part is subtracted analytically (the constant D(Re zeta) over
-    a symmetric window integrates to a logarithm), so accuracy is uniform
-    down to vanishing Im zeta.  The pair's grid spans its lines (``SpectralPair``
-    checks that) and must resolve the integrand near Re zeta: local spacing
-    above max(gamma, Im zeta)/4 is rejected.
+    Requires a positive, finite Im zeta.  When Re zeta lies inside the grid
+    the integrand's near-pole part is subtracted analytically (the constant
+    D(Re zeta) over a symmetric window integrates to a logarithm), so
+    accuracy is uniform down to vanishing Im zeta.  The pair's grid spans
+    its lines (``SpectralPair`` checks that) and must resolve the integrand
+    near Re zeta: local spacing above max(gamma, Im zeta)/4 is rejected.
     """
     zeta = complex(zeta)
     eta = zeta.imag
-    if eta <= 0.0:
-        raise ValueError("Im zeta must be positive (retarded response only)")
+    _check_positive("Im zeta", eta)  # retarded response only
     grid = pair.grid
     lo, hi = float(grid[0]), float(grid[-1])
     lines = pair.lines

@@ -6,7 +6,12 @@ through the optical theorem, sigma_tot = (4 pi omega / c) Im alpha.  Nothing
 in that chain fixes the sign of Im alpha: where the level populations are
 inverted, sigma_tot is negative and the target amplifies the beam.  The
 inelastic cross section is defined purely by the sum rule sigma_in =
-sigma_tot - sigma_el and may be negative (stimulated-emission bookkeeping).
+sigma_tot - sigma_el and may be negative.  A passive target has sigma_in >= 0
+only inside the unitarity bound Im alpha >= (2/3) omega^3 |alpha|^2, which
+the line model does not enforce: the canonical passive targets break it (on
+the ground-state absorber sigma_el/sigma_tot is 22 at omega = 1, and
+sigma_in < 0 in 2231 of its 2400 positive rows), so sigma_in < 0 is no sign
+of inversion there.
 
 ``sigma_total_spectral`` is the independent spectral route: sigma_tot =
 4 pi^2 omega [1 - exp(-omega/T_n)] S+(omega), written through the noise

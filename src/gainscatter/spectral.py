@@ -1,12 +1,13 @@
 """Quantum dipole targets and their spectral functions.
 
 A target is a set of energy levels with squared dipole matrix elements and
-initial-state occupation probabilities.  From these we build the emission /
-absorption spectral densities S+(omega) and S-(omega): population-weighted
-sums of delta lines at the signed transition frequencies, optionally
-broadened into Lorentzians for grid work.  Detailed balance and the
-frequency-dependent noise temperature T_n(omega) both live here; an inverted
-pair of levels shows up as T_n < 0 at its transition frequency.
+initial-state occupation probabilities.  From these we build its dipole
+transitions (an absorb and an emit weight per level pair) and from those the
+emission / absorption spectral densities S+(omega) and S-(omega): sums of
+delta lines at the signed transition frequencies, optionally broadened into
+Lorentzians for grid work.  Detailed balance and the frequency-dependent
+noise temperature T_n(omega) both live here; an inverted pair of levels
+shows up as T_n < 0 at its transition frequency.
 
 Internal units: hbar = c = k_B = 1.  Energies and frequencies are measured
 in a common reference frequency, squared dipole moments in a reference
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -140,26 +140,44 @@ def thermal_populations(energies, temperature: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineSpectrum:
-    """The exact (unbroadened) S+ line set: one entry per ordered level pair.
+    """The target's dipole transitions, and the exact (unbroadened) S+ lines they give.
 
-    ``omega`` holds the signed transition frequencies E_final - E_initial and
-    ``weight`` the corresponding population-weighted dipole strengths
-    p_initial * |<F|p|I>|^2 / 3.  The S- line set is never stored: it equals
-    this set reflected through omega = 0 with the same weights.
+    One transition per level pair i < j with a nonzero squared dipole d^2:
+    ``omega0`` = E_j - E_i > 0, ``absorb`` = p_i d^2 / 3 (the S+ weight at
+    +omega0) and ``emit`` = p_j d^2 / 3 (the S+ weight at -omega0).  A
+    transition's net weight absorb - emit is negative on an inverted pair.
+
+    ``omega`` and ``weight`` are the signed line view that the line sums
+    read: the stable sort of the frequencies (-omega0, +omega0) with weights
+    (emit, absorb), zero weights dropped.  That is one line per ordered
+    level pair of nonzero weight, at E_final - E_initial with weight
+    p_initial d^2 / 3, ascending in frequency.  The S- line set is never
+    stored: it equals this view reflected through omega = 0 with the same
+    weights.
     """
 
-    omega: np.ndarray
-    weight: np.ndarray
+    omega0: np.ndarray
+    absorb: np.ndarray
+    emit: np.ndarray
+    omega: np.ndarray = field(init=False, repr=False)
+    weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        omega = _frozen(self.omega)
-        weight = _frozen(self.weight)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "weight", weight)
-        if omega.shape != weight.shape or omega.ndim != 1:
-            raise ValueError("omega and weight must be flat lists of equal length")
-        if np.any(weight < 0.0):
-            raise ValueError("line weights must be non-negative")
+        for name in ("omega0", "absorb", "emit"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        omega0, absorb, emit = self.omega0, self.absorb, self.emit
+        if omega0.ndim != 1 or not omega0.shape == absorb.shape == emit.shape:
+            raise ValueError("omega0, absorb and emit must be flat lists of equal length")
+        _check_positive("omega0", omega0)
+        for name, values in (("absorb", absorb), ("emit", emit)):
+            if not np.all((values >= 0.0) & (values < np.inf)):
+                raise ValueError(f"{name} weights must be finite and non-negative")
+        omega = np.concatenate((-omega0, omega0))
+        weight = np.concatenate((emit, absorb))
+        kept = np.flatnonzero(weight)
+        order = kept[np.argsort(omega[kept], kind="stable")]
+        object.__setattr__(self, "omega", _frozen(omega[order]))
+        object.__setattr__(self, "weight", _frozen(weight[order]))
 
     @property
     def n_lines(self) -> int:
@@ -169,29 +187,6 @@ class LineSpectrum:
     def max_abs_omega(self) -> float:
         return float(np.abs(self.omega).max()) if self.omega.size else 0.0
 
-    def aggregated(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique line frequencies with summed weights."""
-        if self.omega.size == 0:
-            return np.empty(0), np.empty(0)
-        uniq, inverse = np.unique(self.omega, return_inverse=True)
-        summed = np.zeros_like(uniq)
-        np.add.at(summed, inverse, self.weight)
-        return uniq, summed
-
-    @cached_property
-    def _weight_by_omega(self) -> dict[float, float]:
-        """Summed S+ weight per unique line frequency, aggregated on first use."""
-        uniq, summed = self.aggregated()
-        return dict(zip(uniq.tolist(), summed.tolist()))
-
-    def s_plus_weight_at(self, omega: float) -> float:
-        """Total S+ delta weight sitting exactly at ``omega`` (0 if none)."""
-        return self._weight_by_omega.get(float(omega), 0.0)
-
-    def s_minus_weight_at(self, omega: float) -> float:
-        """Total S- delta weight at ``omega``, i.e. the S+ weight at -omega."""
-        return self.s_plus_weight_at(-float(omega))
-
     @cached_property
     def _self_reflected(self) -> bool:
         """Whether the lines are their own reflection, -omega[::-1] == omega: every thermal target, and no lines."""
@@ -199,19 +194,14 @@ class LineSpectrum:
 
 
 def line_spectrum(target: TargetLevels) -> LineSpectrum:
-    """All dipole transition lines of a target.
-
-    One line per ordered pair (initial, final) of distinct levels, at the
-    signed frequency E_final - E_initial with weight p_initial *
-    dipole_sq[initial, final] / 3.  Zero-weight lines are dropped.
-    """
-    pairs = (target.populations[:, None] != 0.0) & (target.dipole_sq != 0.0)
-    np.fill_diagonal(pairs, False)
-    initial, final = np.nonzero(pairs)  # row-major order, which the stable sort keeps for ties
-    omegas = target.energies[final] - target.energies[initial]
-    weights = target.populations[initial] * target.dipole_sq[initial, final] / 3.0
-    order = np.argsort(omegas, kind="stable")
-    return LineSpectrum(omegas[order], weights[order])
+    """All dipole transitions of a target: one per level pair i < j with dipole_sq[i, j] != 0."""
+    lower, upper = np.nonzero(np.triu(target.dipole_sq, k=1))  # row-major order
+    dipole_sq = target.dipole_sq[lower, upper]
+    return LineSpectrum(
+        target.energies[upper] - target.energies[lower],
+        target.populations[lower] * dipole_sq / 3.0,
+        target.populations[upper] * dipole_sq / 3.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -463,28 +453,20 @@ def broaden(lines: LineSpectrum, grid, gamma: float) -> SpectralPair:
 
 
 def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
-    """Worst relative violation of S-(w) = S+(w) exp(-w/T) on exact line weights.
+    """Worst relative violation of emit = absorb exp(-omega0/T), transition by transition.
 
-    Checked at every positive frequency carrying S+ or S- weight.  A
-    frequency where S+ vanishes but S- does not gives an infinite residual
-    (an inverted pair can never look thermal at positive temperature).
+    Transitions with neither weight are skipped.  One that emits but cannot
+    absorb gives an infinite residual (an inverted pair can never look
+    thermal at positive temperature).
     """
     if temperature <= 0.0:
         raise ValueError("detailed balance is defined against a positive temperature")
-    weight = lines._weight_by_omega
-    support = np.unique(np.abs(list(weight)))
-    support = support[support > 0.0]
-    worst = 0.0
-    for w in support:
-        s_plus = weight.get(w, 0.0)
-        s_minus = weight.get(-w, 0.0)
-        if s_plus == 0.0 and s_minus == 0.0:
-            continue
-        if s_plus == 0.0:
-            return float("inf")
-        expected = np.exp(-w / temperature)
-        worst = max(worst, abs(s_minus / s_plus - expected) / expected)
-    return float(worst)
+    active = (lines.absorb > 0.0) | (lines.emit > 0.0)
+    absorb, emit = lines.absorb[active], lines.emit[active]
+    if np.any(absorb == 0.0):
+        return float("inf")
+    expected = np.exp(-lines.omega0[active] / temperature)
+    return float(np.max(np.abs(emit / absorb - expected) / expected, initial=0.0))
 
 
 def _defined_log_ratio(s_plus, s_minus):
@@ -524,21 +506,18 @@ def noise_temperature_values(omega, s_plus, s_minus) -> np.ndarray:
     return out
 
 
-def noise_temperature(spectrum: Union[SpectralPair, LineSpectrum], omega: float):
-    """Noise temperature T_n(omega) = omega / ln[S+(omega)/S-(omega)].
+def noise_temperature(pair: SpectralPair, omega: float):
+    """Noise temperature T_n(omega) = omega / ln[S+(omega)/S-(omega)] of the broadened lines.
 
     Returns a signed float, negative wherever the populations are inverted
     at this frequency, or None where ``noise_temperature_values`` leaves it
-    undefined.
+    undefined.  The exact-weight T_n of each transition is
+    ``noise_temperature_values(lines.omega0, lines.absorb, lines.emit)``.
     """
     omega = float(omega)
     if omega == 0.0:
         raise ValueError("noise temperature is undefined at zero frequency")
-    if isinstance(spectrum, LineSpectrum):
-        s_plus = spectrum.s_plus_weight_at(omega)
-        s_minus = spectrum.s_minus_weight_at(omega)
-    else:
-        s_plus, s_minus = spectrum._sums_at(omega)
+    s_plus, s_minus = pair._sums_at(omega)
     value = float(noise_temperature_values(omega, s_plus, s_minus))
     return None if np.isnan(value) else value
 

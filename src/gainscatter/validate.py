@@ -101,6 +101,11 @@ def _two_level(p_excited: float, gamma=0.01, span=3.0, points=4801):
     return broaden(line_spectrum(target), np.linspace(-span, span, points), gamma)
 
 
+def _signed_lines(omega, weight) -> LineSpectrum:
+    """A line at each signed frequency omega: a transition at |omega| that absorbs (omega > 0) or emits (omega < 0)."""
+    return LineSpectrum(np.abs(omega), np.where(omega > 0.0, weight, 0.0), np.where(omega < 0.0, weight, 0.0))
+
+
 def check_population_conservation():
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -159,9 +164,8 @@ def check_noise_temperature(samples=20, seed=14):
         energies, d2 = _random_ladder(rng)
         t = 10.0 ** rng.uniform(-1, 2)
         lines = line_spectrum(TargetLevels.from_temperature(energies, d2, t))
-        for w in np.unique(np.abs(lines.omega)):
-            tn = noise_temperature(lines, float(w))
-            worst = max(worst, abs(tn - t) / t)
+        tn = noise_temperature_values(lines.omega0, lines.absorb, lines.emit)  # NaN where undefined; np.max keeps it
+        worst = np.max(np.abs(tn - t) / t, initial=worst)
     pair = _two_level(0.9)
     inverted_tn = noise_temperature(pair, 1.0)
     if inverted_tn is None:
@@ -182,9 +186,7 @@ def check_oracle_agreement(samples=20, seed=15):
     for _ in range(samples):
         n_lines = int(rng.integers(1, 4))
         gamma = 10.0 ** rng.uniform(-2.3, -1.3)
-        lines = LineSpectrum(
-            np.sort(rng.uniform(-2.0, 2.0, n_lines)), rng.uniform(0.1, 1.0, n_lines)
-        )
+        lines = _signed_lines(np.sort(rng.uniform(-2.0, 2.0, n_lines)), rng.uniform(0.1, 1.0, n_lines))
         span = 60.0
         points = int(np.ceil(2.0 * span * 8.0 / gamma)) + 1  # 8 samples per gamma
         pair = broaden(lines, np.linspace(-span, span, points), gamma)
@@ -210,9 +212,9 @@ def check_sign_rule():
 
 def check_linearity():
     gamma = 0.01
-    a = LineSpectrum(np.array([0.8]), np.array([0.5]))
-    b = LineSpectrum(np.array([1.6]), np.array([0.25]))
-    union = LineSpectrum(np.array([0.8, 1.6]), np.array([0.5, 0.25]))
+    a = LineSpectrum([0.8], [0.5], [0.0])
+    b = LineSpectrum([1.6], [0.25], [0.0])
+    union = LineSpectrum([0.8, 1.6], [0.5, 0.25], [0.0, 0.0])
     grid = np.linspace(-40.0, 40.0, 32001)
     zeta = 1.1 + 0.02j
     total = polarizability_dispersion(broaden(union, grid, gamma), zeta)
@@ -244,7 +246,7 @@ def check_crossing_symmetry():
     rng = np.random.default_rng(19)
     gamma = 0.01
     for n_lines in (3, 40):  # numpy sums up to 7 terms in turn, more in 8 interleaved partial sums
-        lines = LineSpectrum(np.sort(rng.uniform(-3.0, 3.0, n_lines)), rng.uniform(0.0, 1.0, n_lines))
+        lines = _signed_lines(np.sort(rng.uniform(-3.0, 3.0, n_lines)), rng.uniform(0.0, 1.0, n_lines))
         span = lines.max_abs_omega + BROADEN_MARGIN * gamma
         w = rng.uniform(-span, span, 64)
         both = np.concatenate((-w, w))

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gainscatter import TargetLevels, broaden, line_spectrum, spectral
-from gainscatter.validate import _random_ladder as random_ladder
+from gainscatter.validate import _random_ladder as random_ladder, _signed_lines as signed_lines
 
 
 def random_target(rng, n_max=6):

@@ -209,19 +209,24 @@ def patch_everywhere(monkeypatch, original, mutant):
 
 
 def test_battery_catches_route_preserving_mutations(monkeypatch):
-    # each mutation scales every route to sigma_tot together, so only a check
-    # that pins an absolute value can see it
+    # each mutation scales (or flips) every route to sigma_tot together, so
+    # only a check that pins an absolute value can see it
     line_spectrum, amplitude = spectral.line_spectrum, scattering.scattering_amplitude
 
     def line_weight_over_1_5(target):  # p d^2 / 1.5 in place of p d^2 / 3
         lines = line_spectrum(target)
-        return LineSpectrum(lines.omega, 2.0 * lines.weight)
+        return LineSpectrum(lines.omega0, 2.0 * lines.absorb, 2.0 * lines.emit)
+
+    def absorb_and_emit_swapped(target):  # net weight c = b - a in place of a - b
+        lines = line_spectrum(target)
+        return LineSpectrum(lines.omega0, lines.emit, lines.absorb)
 
     def amplitude_omega_cubed(alpha, omega, e_i, e_f):  # F = omega^3 alpha in place of omega^2 alpha
         return omega * amplitude(alpha, omega, e_i, e_f)
 
     for original, mutant, check in (
         (line_spectrum, line_weight_over_1_5, validate.check_sign_rule),
+        (line_spectrum, absorb_and_emit_swapped, validate.check_sign_rule),  # the ground state's Im alpha(1) flips
         (amplitude, amplitude_omega_cubed, validate.check_energy_bookkeeping),
     ):
         with monkeypatch.context() as patched:

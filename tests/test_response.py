@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import block_spanning_grid, random_ladder, random_target, thermal_ladder, two_level, two_level_pair
+from conftest import (
+    block_spanning_grid,
+    random_ladder,
+    random_target,
+    signed_lines,
+    thermal_ladder,
+    two_level,
+    two_level_pair,
+)
 from gainscatter import (
     LineSpectrum,
     PolarizabilityCurve,
@@ -38,7 +46,7 @@ def brute_force_alpha(lines, gamma, zetas, span=400.0, points=4_000_001):
 
 def random_lines(rng, n_max=3):
     n = int(rng.integers(1, n_max + 1))
-    return LineSpectrum(np.sort(rng.uniform(-2.0, 2.0, n)), rng.uniform(0.1, 1.0, n))
+    return signed_lines(np.sort(rng.uniform(-2.0, 2.0, n)), rng.uniform(0.1, 1.0, n))
 
 
 def dense_pair(lines, gamma, span=60.0, spacing_factor=8.0):
@@ -62,7 +70,7 @@ def test_closed_form_against_brute_force_quadrature():
 
 
 def test_closed_form_empty_lines():
-    empty = LineSpectrum(np.empty(0), np.empty(0))
+    empty = LineSpectrum(np.empty(0), np.empty(0), np.empty(0))
     assert closed_form_lorentzian(empty, 0.01, 1.0 + 1.0j) == 0.0
 
 
@@ -111,7 +119,7 @@ def test_positive_half_bitwise_equals_the_dense_reference_across_a_block_boundar
 
 def test_closed_form_delta_limit():
     # gamma -> 0 with Im zeta fixed: each line tends to weight/(w_line - zeta)
-    lines = LineSpectrum(np.array([0.8]), np.array([0.5]))
+    lines = LineSpectrum([0.8], [0.5], [0.0])
     zeta = 0.3 + 1.0j
     got = closed_form_lorentzian(lines, 1e-6, zeta)
     want = 0.5 / (0.8 - zeta) - 0.5 / (-0.8 - zeta)
@@ -119,14 +127,24 @@ def test_closed_form_delta_limit():
 
 
 def test_closed_form_rejects_lower_half_plane():
-    lines = LineSpectrum(np.array([1.0]), np.array([1.0]))
+    lines = LineSpectrum([1.0], [1.0], [0.0])
     with pytest.raises(ValueError):
         closed_form_lorentzian(lines, 0.01, 1.0 - 0.1j)
 
 
+@pytest.mark.parametrize("offset", [np.nan, np.inf])
+def test_both_routes_reject_a_non_finite_offset(offset):
+    pair = two_level_pair(0.0)
+    zeta = 0.5 + 1j * offset  # 1j * inf has a NaN real part, so zeta is nan + inf j there
+    with pytest.raises(ValueError, match=r"^Im zeta must be positive and finite \(got (nan|inf)\)$"):
+        closed_form_lorentzian(pair.lines, pair.gamma, np.array([zeta, 1.0 + 0.1j]))
+    with pytest.raises(ValueError, match=r"^Im zeta must be positive and finite \(got (nan|inf)\)$"):
+        polarizability_dispersion(pair, zeta)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -0.01, np.nan, np.inf, -np.inf])
 def test_closed_form_rejects_bad_gamma(gamma):
-    lines = LineSpectrum(np.array([1.0]), np.array([1.0]))
+    lines = LineSpectrum([1.0], [1.0], [0.0])
     for value in (gamma, np.array([gamma])):
         with pytest.raises(ValueError) as raised:
             closed_form_lorentzian(lines, value, 1.0 + 0.1j)
@@ -144,7 +162,7 @@ def test_dispersion_zero_for_symmetric_populations():
 
 
 def test_dispersion_far_field_bound():
-    lines = LineSpectrum(np.array([1.0]), np.array([0.4]))
+    lines = LineSpectrum([1.0], [0.4], [0.0])
     pair = dense_pair(lines, 0.01, span=30.0)
     lam = 1e6
     alpha = polarizability_dispersion(pair, 1j * lam)
@@ -177,9 +195,9 @@ def test_dispersion_rejects_coarse_grid():
 
 def test_dispersion_linearity_in_line_sets():
     gamma = 0.01
-    a = LineSpectrum(np.array([0.8]), np.array([0.5]))
-    b = LineSpectrum(np.array([1.6]), np.array([0.25]))
-    union = LineSpectrum(np.array([0.8, 1.6]), np.array([0.5, 0.25]))
+    a = LineSpectrum([0.8], [0.5], [0.0])
+    b = LineSpectrum([1.6], [0.25], [0.0])
+    union = LineSpectrum([0.8, 1.6], [0.5, 0.25], [0.0, 0.0])
     grid = np.linspace(-40.0, 40.0, 64001)
     zeta = 1.1 + 0.02j
     total = polarizability_dispersion(broaden(union, grid, gamma), zeta)
@@ -319,7 +337,7 @@ def test_curve_eta_validation():
 
 def test_kramers_kronig_zero_curve():
     grid = np.linspace(-1.0, 1.0, 201)
-    curve = polarizability_curve(broaden(LineSpectrum(np.empty(0), np.empty(0)), grid, 0.01))
+    curve = polarizability_curve(broaden(LineSpectrum(np.empty(0), np.empty(0), np.empty(0)), grid, 0.01))
     assert np.array_equal(curve.alpha, np.zeros(201, complex))
     assert kramers_kronig_residual(curve) == 0.0
 
@@ -416,7 +434,7 @@ def test_boundary_alpha_linearity_random_targets():
         w = rng.uniform(0.1, lines.max_abs_omega)
         direct = alpha_boundary(pair, w)
         total = 0.0 + 0.0j
-        for w0, wt in zip(lines.omega, lines.weight):
-            single = broaden(LineSpectrum(np.array([w0]), np.array([wt])), grid, 0.01)
+        for omega0, absorb, emit in zip(lines.omega0, lines.absorb, lines.emit):  # one transition at a time
+            single = broaden(LineSpectrum([omega0], [absorb], [emit]), grid, 0.01)
             total += alpha_boundary(single, w)
         assert abs(direct - total) <= 1e-12 * max(abs(direct), 1e-300)

@@ -13,6 +13,7 @@ from conftest import (
     block_spanning_grid,
     random_ladder,
     random_target,
+    signed_lines,
     thermal_ladder,
     two_level,
     two_level_pair,
@@ -29,6 +30,7 @@ from gainscatter import (
     medium_response,
     noise_temperature,
     noise_temperature_samples,
+    noise_temperature_values,
     polarizability_curve,
     symmetric_spectrum,
     thermal_populations,
@@ -105,8 +107,9 @@ def test_line_spectrum_inverted():
     assert lines.n_lines == 1
     assert lines.omega[0] == -1.0
     assert np.isclose(lines.weight[0], 0.7 / 3.0, rtol=0, atol=1e-15)
-    # equivalently: an S- line at +omega_0
-    assert np.isclose(lines.s_minus_weight_at(1.0), 0.7 / 3.0, rtol=0, atol=1e-15)
+    # equivalently: the one transition at omega_0 only emits
+    assert lines.omega0.tolist() == [1.0] and lines.absorb.tolist() == [0.0]
+    assert np.isclose(lines.emit[0], 0.7 / 3.0, rtol=0, atol=1e-15)
 
 
 def test_line_spectrum_equal_populations():
@@ -116,16 +119,20 @@ def test_line_spectrum_equal_populations():
     assert np.allclose(lines.weight, [1.0 / 6.0, 1.0 / 6.0])
 
 
-def test_line_spectrum_aggregates_coincident_frequencies():
-    # evenly spaced ladder: both upward hops share omega = 1
+def test_line_spectrum_keeps_coincident_transitions():
+    # evenly spaced ladder: both hops share omega0 = 1, and the 0 -> 2 pair has no dipole
     target = TargetLevels(
         [0.0, 1.0, 2.0],
         [[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]],
         [0.5, 0.3, 0.2],
     )
     lines = line_spectrum(target)
-    want = (0.5 * 1.0 + 0.3 * 0.5) / 3.0
-    assert np.isclose(lines.s_plus_weight_at(1.0), want, rtol=1e-15, atol=0)
+    assert lines.omega0.tolist() == [1.0, 1.0]
+    assert lines.absorb.tolist() == [0.5 * 1.0 / 3.0, 0.3 * 0.5 / 3.0]
+    assert lines.emit.tolist() == [0.3 * 1.0 / 3.0, 0.2 * 0.5 / 3.0]
+    # the line view: the emit lines at -1, then the absorb lines at +1, each in pair order
+    assert lines.omega.tolist() == [-1.0, -1.0, 1.0, 1.0]
+    assert lines.weight.tolist() == lines.emit.tolist() + lines.absorb.tolist()
 
 
 def loop_line_spectrum(target):
@@ -189,7 +196,7 @@ def test_broaden_half_width():
 def test_broaden_total_weight_trapezoid_oracle():
     # oracle: trapezoid quadrature of the sampled density over a wide grid
     gamma = 0.01
-    lines = LineSpectrum(np.array([-0.4, 1.0]), np.array([0.2, 0.5]))
+    lines = signed_lines(np.array([-0.4, 1.0]), np.array([0.2, 0.5]))
     span = 1.0 + 2.1e4 * gamma  # wide enough that the Lorentzian tail mass < 1e-4
     grid = np.linspace(-span, span, 300001)
     pair = broaden(lines, grid, gamma)
@@ -245,7 +252,7 @@ def test_blocked_line_sums_bitwise_equal_dense_reference():
 
 
 def test_line_sums_of_empty_line_set():
-    empty = LineSpectrum(np.empty(0), np.empty(0))
+    empty = LineSpectrum(np.empty(0), np.empty(0), np.empty(0))
     pair = broaden(empty, np.linspace(-1.0, 1.0, 11), 0.01)
     assert np.array_equal(pair.s_plus, np.zeros(11)) and np.array_equal(pair.s_minus, np.zeros(11))
     assert np.array_equal(pair.s_plus_at(np.ones((2, 3))), np.zeros((2, 3)))
@@ -506,9 +513,22 @@ def test_line_sum_memory_independent_of_line_count():
     assert peak < 32 * 2**20
 
 
-def test_line_spectrum_rejects_negative_weight():
-    with pytest.raises(ValueError, match="non-negative"):
-        LineSpectrum(np.array([-1.0, 1.0]), np.array([0.5, -0.5]))
+@pytest.mark.parametrize(
+    "field, bad",
+    [(field, bad) for field in ("omega0", "absorb", "emit") for bad in (-0.5, np.nan, np.inf, -np.inf)]
+    + [("omega0", 0.0)],  # a transition has a positive frequency; a zero weight is fine
+)
+def test_line_spectrum_rejects_a_bad_transition(field, bad):
+    transitions = {"omega0": [1.0, 2.0], "absorb": [0.5, 0.0], "emit": [0.0, 0.25]}
+    transitions[field][1] = bad
+    message = "omega0 must be positive and finite" if field == "omega0" else f"{field} weights must be finite"
+    with pytest.raises(ValueError, match=message):
+        LineSpectrum(**transitions)
+
+
+def test_line_spectrum_rejects_unequal_fields():
+    with pytest.raises(ValueError, match="flat lists of equal length"):
+        LineSpectrum([1.0, 2.0], [0.5], [0.0, 0.25])
 
 
 def test_spectral_pair_needs_line_set():
@@ -531,50 +551,30 @@ def test_detailed_balance_inverted_is_infinite():
 
 
 def test_detailed_balance_three_level_oracle():
-    # oracle: direct Boltzmann ratio per aggregated line frequency
+    # oracle: the direct Boltzmann ratio of each level pair's populations
     t = 1.0
     energies = [0.0, 1.0, 2.5]
     d2 = [[0.0, 1.0, 0.4], [1.0, 0.0, 0.7], [0.4, 0.7, 0.0]]
     target = TargetLevels.from_temperature(energies, d2, t)
     lines = line_spectrum(target)
-    for w in np.unique(np.abs(lines.omega)):
-        s_plus = lines.s_plus_weight_at(w)
-        s_minus = lines.s_minus_weight_at(w)
-        assert abs(s_minus / s_plus - np.exp(-w / t)) / np.exp(-w / t) <= 1e-12
+    assert lines.omega0.tolist() == [1.0, 2.5, 1.5]
+    for (i, j), absorb, emit in zip([(0, 1), (0, 2), (1, 2)], lines.absorb, lines.emit):
+        boltzmann = np.exp(-(energies[j] - energies[i]) / t)
+        assert abs(emit / absorb - boltzmann) / boltzmann <= 1e-12
     assert detailed_balance_residual(lines, t) <= 1e-12
 
 
-def test_detailed_balance_residual_on_coincident_lines(monkeypatch):
-    # equal spacing: the 0->1, 1->2, 2->3 and 3->4 lines coincide at omega = 1, and so on
-    rng = np.random.default_rng(4)
-    d2 = rng.uniform(0.1, 1.0, size=(5, 5))
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    t = 0.8
-    for populations in (thermal_populations(np.arange(5.0), t), rng.dirichlet(np.ones(5))):
-        lines = line_spectrum(TargetLevels(np.arange(5.0), d2, populations))
-        assert lines.aggregated()[0].size < lines.n_lines
-        want = 0.0
-        reference = LineSpectrum(lines.omega, lines.weight)  # its own weight table
-        for w in np.unique(np.abs(lines.omega)):
-            ratio = reference.s_minus_weight_at(w) / reference.s_plus_weight_at(w)
-            want = max(want, abs(ratio - np.exp(-w / t)) / np.exp(-w / t))
-        calls = []
-        real = LineSpectrum.aggregated
-        monkeypatch.setattr(LineSpectrum, "aggregated", lambda self: calls.append(1) or real(self))
-        assert detailed_balance_residual(lines, t) == want  # the per-frequency lookups, exactly
-        monkeypatch.undo()
-        assert len(calls) == 1
-
-
-def test_line_weights_aggregated_once_per_line_set(monkeypatch):
-    calls = []
-    real = LineSpectrum.aggregated
-    monkeypatch.setattr(LineSpectrum, "aggregated", lambda self: calls.append(1) or real(self))
-    lines = line_spectrum(two_level(0.3))
-    first = noise_temperature(lines, 1.0)
-    assert noise_temperature(lines, 1.0) == first > 0.0  # p_e = 0.3: not inverted
-    assert len(calls) == 1
+def test_detailed_balance_residual_per_transition_on_coincident_lines():
+    # evenly spaced levels: the 0->1 and 1->2 transitions coincide at omega0 = 1
+    lines = line_spectrum(TargetLevels([0.0, 1.0, 2.0], [[0, 1, 0], [1, 0, 1], [0, 1, 0]], [0.5, 0.3, 0.2]))
+    # their summed weights look thermal at T = 1/ln 1.6 (emit 0.5/3 against absorb 0.8/3), but
+    # neither transition does: emit/absorb is 0.6 on one and 2/3 on the other
+    t = 1.0 / np.log(1.6)
+    want = max(abs(0.6 / 0.625 - 1.0), abs((0.2 / 0.3) / 0.625 - 1.0))
+    assert detailed_balance_residual(lines, t) == pytest.approx(want, rel=1e-12)
+    # a thermal target balances transition by transition, coincident or not
+    d2 = 1.0 - np.eye(5)
+    assert detailed_balance_residual(line_spectrum(TargetLevels.from_temperature(np.arange(5.0), d2, 0.8)), 0.8) <= 1e-12
 
 
 # --- noise temperature --------------------------------------------------------
@@ -583,23 +583,23 @@ def test_line_weights_aggregated_once_per_line_set(monkeypatch):
 def test_noise_temperature_inverted_value():
     # populations [1/3, 2/3]: T_n = 1/ln(1/2) = -1/ln 2
     lines = line_spectrum(TargetLevels([0.0, 1.0], [[0, 1], [1, 0]], [1 / 3, 2 / 3]))
-    tn = noise_temperature(lines, 1.0)
+    (tn,) = noise_temperature_values(lines.omega0, lines.absorb, lines.emit)
     assert tn == pytest.approx(-1.0 / np.log(2.0), rel=1e-12)
 
 
 def test_noise_temperature_equal_populations_undefined():
     lines = line_spectrum(two_level(0.5))
-    assert noise_temperature(lines, 1.0) is None
+    assert np.isnan(noise_temperature_values(lines.omega0, lines.absorb, lines.emit)).all()
 
 
 def test_noise_temperature_one_sided_line_undefined():
-    lines = line_spectrum(two_level(1.0))  # S+ weight at +1 is exactly zero
-    assert noise_temperature(lines, 1.0) is None
+    lines = line_spectrum(two_level(1.0))  # the absorb weight is exactly zero
+    assert np.isnan(noise_temperature_values(lines.omega0, lines.absorb, lines.emit)).all()
 
 
 def test_noise_temperature_rejects_zero_frequency():
     with pytest.raises(ValueError):
-        noise_temperature(line_spectrum(two_level(0.0)), 0.0)
+        noise_temperature(two_level_pair(0.0), 0.0)
 
 
 def test_noise_temperature_negative_iff_inverted_broadened():
