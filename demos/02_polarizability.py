@@ -22,7 +22,7 @@ from gainscatter import (
 gamma = 0.01
 target = TargetLevels([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])
 lines = line_spectrum(target)
-pair = broaden(lines, np.linspace(-60.0, 60.0, 96001), gamma)
+pair = broaden(lines, [-60.0, 60.0], gamma)
 
 print("=== quadrature vs closed form ===")
 for zeta in (1.0 + 0.01j, 0.5 + 0.1j, 2.0 + 1.0j):

@@ -457,7 +457,9 @@ def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
 
     Transitions with neither weight are skipped.  One that emits but cannot
     absorb gives an infinite residual (an inverted pair can never look
-    thermal at positive temperature).
+    thermal at positive temperature), and so does one that emits where
+    exp(-omega0/T) underflows to 0.  One whose emit and absorb exp(-omega0/T)
+    are both exactly 0 agrees: its residual is 0.
     """
     if temperature <= 0.0:
         raise ValueError("detailed balance is defined against a positive temperature")
@@ -466,7 +468,10 @@ def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
     if np.any(absorb == 0.0):
         return float("inf")
     expected = np.exp(-lines.omega0[active] / temperature)
-    return float(np.max(np.abs(emit / absorb - expected) / expected, initial=0.0))
+    agrees = (emit == 0.0) & (absorb * expected == 0.0)
+    with np.errstate(divide="ignore"):  # emit > 0 over an underflowed exp(-omega0/T) is inf
+        residual = np.abs(emit / absorb - expected) / np.where(agrees, 1.0, expected)
+    return float(np.max(np.where(agrees, 0.0, residual), initial=0.0))
 
 
 def _defined_log_ratio(s_plus, s_minus):

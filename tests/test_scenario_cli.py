@@ -812,6 +812,32 @@ def test_identity_chain_and_sign_theorem_fail_when_the_spectral_route_is_all_zer
         assert not ok and detail.endswith(" 0 points"), detail
 
 
+@pytest.mark.parametrize(
+    "check, route",
+    [
+        (validate.check_detailed_balance, "detailed_balance_residual"),
+        (validate.check_oracle_agreement, "polarizability_dispersion"),
+        (validate.check_sign_rule, "im_alpha"),
+        (validate.check_rayleigh_closure, "sigma_elastic"),
+        (validate.check_identity_chain, "sigma_total_spectral"),
+        (validate.check_screen_sign_blind, "optical_theorem_sigma"),
+    ],
+)
+def test_a_nan_gap_after_the_first_sample_fails_its_check(monkeypatch, check, route):
+    original = getattr(validate, route)
+    calls = []
+
+    def nan_on_the_second_call(*args):
+        calls.append(route)
+        value = original(*args)
+        return value * np.nan if len(calls) == 2 else value
+
+    monkeypatch.setattr(validate, route, nan_on_the_second_call)
+    ok, detail = check()
+    assert len(calls) >= 2
+    assert not ok and "nan" in detail, detail
+
+
 def test_noise_temperature_check_names_an_undefined_inverted_t_n(monkeypatch):
     two_level = validate._two_level
     monkeypatch.setattr(validate, "_two_level", lambda p_excited, **kw: two_level(0.5, **kw))

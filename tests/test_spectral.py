@@ -550,6 +550,16 @@ def test_detailed_balance_inverted_is_infinite():
     assert detailed_balance_residual(lines, 1.0) == np.inf
 
 
+def test_detailed_balance_where_the_boltzmann_factor_underflows():
+    # exp(-omega0/T) = exp(-1000) is 0: a thermal target emits exactly 0 and agrees, while
+    # an equal-population pair still emits and is infinitely far from balance
+    thermal = line_spectrum(TargetLevels.from_temperature([0.0, 10.0], [[0, 1], [1, 0]], 0.01))
+    assert thermal.emit.tolist() == [0.0]
+    assert detailed_balance_residual(thermal, 0.01) == 0.0
+    equal = line_spectrum(TargetLevels([0.0, 10.0], [[0, 1], [1, 0]], [0.5, 0.5]))
+    assert detailed_balance_residual(equal, 0.01) == np.inf
+
+
 def test_detailed_balance_three_level_oracle():
     # oracle: the direct Boltzmann ratio of each level pair's populations
     t = 1.0
