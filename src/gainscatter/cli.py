@@ -1,8 +1,8 @@
 """Command-line surface: scenario-driven pipelines emitting CSV/JSON.
 
 Subcommands: spectrum, response, cross-sections, medium, verify, validate.
-Exit codes: 0 success, 2 validation error (also a grid or slab too large
-to allocate), 3 numerical non-convergence.  Every command tabulates the
+Exit codes: 0 success, 2 validation error (also a grid too large to
+allocate), 3 numerical non-convergence.  Every command tabulates the
 boundary polarizability alpha(omega + i0+) on the scenario file's grid.
 
 Outputs are deterministic: numbers are written with 17 significant digits
@@ -388,14 +388,11 @@ def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     med = pipeline.medium
     sigma_tot = sigma_total_optical(curve.positive_alpha, curve.positive_grid)
     h_dilute = extinction_dilute(scenario.medium_density, sigma_tot, med.dilute_ok)
-    # Slab profile at the frequency of strongest extinction unless pinned.
-    if scenario.slab_omega is not None:
-        idx = int(np.argmin(np.abs(med.grid - scenario.slab_omega)))
-    else:
-        idx = int(np.argmax(np.abs(med.h)))
+    # Slab profile at the frequency of strongest extinction, over two gain or loss
+    # lengths 2/|h|, or over [0, 1] where 2/|h| is not finite (h = 0 too).
+    idx = int(np.argmax(np.abs(med.h)))
     h = float(med.h[idx])
-    z_max = scenario.slab_z_max or (2.0 / abs(h) if h != 0.0 else 1.0)  # slab.z_max > 0 if set
-    z = np.linspace(0.0, z_max, scenario.slab_points)
+    z = np.linspace(0.0, 2.0 / abs(h) if abs(h) > 2.0 / sys.float_info.max else 1.0, 101)
     profile = intensity_profile(h, z)
     header = ["omega", "re_eps", "im_eps", "re_k", "im_k", "h_exact", "h_dilute", "dilute_ok"]
     eps, k = med.epsilon, med.k
@@ -410,17 +407,11 @@ def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
 
 
 def cmd_verify(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
-    scenario = pipeline.scenario
-    omega, z, r_max = scenario.screen_omega, scenario.screen_z, scenario.screen_r_max
+    omega = pipeline.scenario.screen_omega
     if omega is None:
         raise ScenarioError("screen.omega required: the target has no dipole lines")
-    report = verify_optical_theorem(
-        alpha_boundary(pipeline.pair, omega),
-        omega,
-        z=z,
-        eps_schedule=scenario.screen_eps_schedule,
-        r_max=r_max,
-    )
+    report = verify_optical_theorem(alpha_boundary(pipeline.pair, omega), omega)
+    z, r_max = report["z"], report["r_max"]
     r_perp = np.linspace(0.0, r_max, 512)
     intensity = screen_intensity(complex(*report["forward_amplitude"]), omega, z, r_perp)
     _write_all(

@@ -48,7 +48,6 @@ TOL_BAND = 1e-12  # |sigma_tot| below this counts as neutral for band classifica
 # The band label of each code of ``CrossSectionSet.band_flags``, indexed as a
 # sequence is: 0 neutral, +1 absorbing, -1 (the last) amplifying.
 BAND_LABELS = ("neutral", "absorbing", "amplifying")
-_BISECTION_TOL = 1e-6
 
 
 def scattering_amplitude(alpha: complex, omega: float, e_i, e_f) -> complex:
@@ -131,8 +130,9 @@ def amplifier_bands(curve: PolarizabilityCurve):
 
     The curve should resolve the line shape (at least ~8 samples per
     gamma).  Band edges inside the grid are refined by bisection on the sign
-    of the pair's Im alpha to 1e-6; an edge at the end of the positive grid
-    stays the sample.
+    of the pair's Im alpha to float resolution: the edge and one of its
+    neighbouring floats bracket the sign change.  An edge at the end of the
+    positive grid stays the sample.
     """
     grid = curve.positive_grid
     sigma = sigma_total_optical(curve.positive_alpha, grid)
@@ -148,13 +148,14 @@ def amplifier_bands(curve: PolarizabilityCurve):
             return hi
         if (f_lo < 0.0) == (f_hi < 0.0):
             return 0.5 * (lo + hi)  # no crossing inside: sampled edge is the best answer
-        while hi - lo > _BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:  # until lo and hi are neighbouring floats
             if (f(mid) < 0.0) == (f_lo < 0.0):
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+        return mid
 
     n = grid.size
     padded = np.concatenate(([False], amplifying, [False]))

@@ -16,20 +16,16 @@ key would corrupt a physics run.  Recognized keys:
     grid.points     = 2001                the boundary value, omega + i0+)
     medium.density_n = 1e-6               enables the medium pipeline
                                           (needs grid.max > 0)
-    slab.z_max      = 100.0               slab profile extent (optional)
-    slab.points     = 101
-    slab.omega      = 1.0                 profile frequency in (0, grid.max]
-                                          (default: that of max |h|)
-    screen.z        = 1e4                 enables/configures verification
-    screen.r_max    = 1e3                 default z/10
-    screen.eps_schedule = [17.7, ...]     default geometric, 6 steps (at least 3)
     screen.omega    = 1.0                 default: strongest line frequency
     output_dir      = "out"               default output directory
 
 Validation is fail-fast: every referenced precondition is checked before
 any computation starts, and the first violated invariant is named.  Scalars
-must be finite numbers, counts integers.  Defaults are resolved here and
-only here: ``Scenario`` has no field defaults.
+must be finite numbers, ``grid.points`` an integer.  The file's defaults
+are resolved here and only here: ``Scenario`` has no field defaults.  The
+screen's geometry and the slab's extent are not file settings: ``verify``
+and ``medium`` resolve them, and parse checks ``screen.omega`` against
+``verify``'s default screen.
 The target (levels, dipoles, populations) is checked and reduced to its
 line set; the scenario keeps the lines, not the levels.
 
@@ -47,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .screen import DEFAULT_Z, _eps_fit, check_screen, default_eps_schedule, default_r_max
+from .screen import DEFAULT_Z, check_screen, default_r_max
 from .spectral import (
     DEFAULT_GAMMA,
     LineSpectrum,
@@ -69,12 +65,6 @@ _KNOWN_KEYS = {
     "grid.max",
     "grid.points",
     "medium.density_n",
-    "slab.z_max",
-    "slab.points",
-    "slab.omega",
-    "screen.z",
-    "screen.r_max",
-    "screen.eps_schedule",
     "screen.omega",
     "output_dir",
 }
@@ -86,12 +76,13 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario: line set plus grid/medium/screen parameters, defaults resolved.
+    """Validated scenario: the target's line set, its grid, the medium density and the screen frequency.
 
     Every field is set by the parse; ``lines`` is the target's line set.
-    ``screen_omega`` (and so the default eps schedule) is None only for a
-    target without lines and no ``screen.omega`` key; ``medium_density``,
-    ``slab_z_max`` and ``slab_omega`` are None when their keys are absent.
+    ``screen_omega`` is None only for a target without lines and no
+    ``screen.omega`` key; ``medium_density`` is None when its key is absent.
+    The screen's distance, radius and tapers, and the slab's extent, are
+    numerics of ``verify`` and ``medium``, not settings of the file.
     """
 
     lines: LineSpectrum
@@ -100,12 +91,6 @@ class Scenario:
     grid_max: float
     grid_points: int
     medium_density: float | None
-    slab_z_max: float | None
-    slab_points: int
-    slab_omega: float | None
-    screen_z: float
-    screen_r_max: float
-    screen_eps_schedule: tuple | None
     screen_omega: float | None
     output_dir: str
 
@@ -221,30 +206,11 @@ def _validated(values: dict) -> Scenario:
         if grid_max <= 0.0:
             raise ValueError(f"medium.density_n needs grid.max > 0 (got {grid_max!r})")
 
-    slab_z_max = number("slab.z_max")
-    if slab_z_max is not None and slab_z_max <= 0.0:
-        raise ValueError("slab.z_max must be positive")
-    slab_points = number("slab.points", 101, integer=True)
-    if slab_points < 2:
-        raise ValueError("slab.points must be at least 2")
-    slab_omega = number("slab.omega")
-    if slab_omega is not None and not 0.0 < slab_omega <= grid_max:
-        raise ValueError(f"slab.omega must lie in (0, grid.max = {grid_max!r}] (got {slab_omega!r})")
-
-    screen_z = number("screen.z", DEFAULT_Z)
-    screen_r_max = number("screen.r_max", default_r_max(screen_z))
     screen_omega = number("screen.omega")
     if screen_omega is None and lines.n_lines:
         screen_omega = float(abs(lines.omega[np.argmax(lines.weight)]))  # strongest line
-    eps_schedule = values.get("screen.eps_schedule")
-    if eps_schedule is not None:  # a flat list: _number rejects a row
-        key = "screen.eps_schedule"
-        eps_schedule = tuple(_number(key, e) for e in _numbers(key, eps_schedule))
     if screen_omega is not None:  # else the screen pipeline is unused
-        check_screen(screen_omega, screen_z, screen_r_max, eps_schedule or ())
-        if eps_schedule is None:
-            eps_schedule = tuple(default_eps_schedule(screen_omega, screen_z, screen_r_max).tolist())
-        _eps_fit(eps_schedule, full=True)  # verify fits the full form too: a too-short schedule fails here
+        check_screen(screen_omega, DEFAULT_Z, default_r_max(DEFAULT_Z))  # verify's default screen
     output_dir = values.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValueError(f"output_dir must be a string (got {output_dir!r})")
@@ -256,12 +222,6 @@ def _validated(values: dict) -> Scenario:
         grid_max=grid_max,
         grid_points=grid_points,
         medium_density=medium_density,
-        slab_z_max=slab_z_max,
-        slab_points=slab_points,
-        slab_omega=slab_omega,
-        screen_z=screen_z,
-        screen_r_max=screen_r_max,
-        screen_eps_schedule=eps_schedule,
         screen_omega=screen_omega,
         output_dir=output_dir,
     )

@@ -225,10 +225,21 @@ def test_amplifier_bands_three_level_single_band():
 def test_band_edges_refined_to_tolerance():
     curve = polarizability_curve(two_level_pair(1.0))
     (lo, hi), = amplifier_bands(curve)
-    # refined edges sit where Im alpha changes sign, to 1e-6
+    # refined edges sit where Im alpha changes sign
     assert abs(float(im_alpha(curve.pair, lo))) <= abs(float(im_alpha(curve.pair, lo + 1e-4)))
     grid_step = float(curve.grid[1] - curve.grid[0])
     assert grid_step > 1e-6  # refinement actually had to bisect
+
+
+def test_band_edges_refined_to_float_resolution():
+    # each inner edge and one of its neighbouring floats bracket the sign change of
+    # Im alpha: opposite signs, or an exact zero
+    pair = broaden(line_spectrum(three_level_amplifier()), np.linspace(-2.5, 2.5, 8001), 0.01)
+    (lo, hi), = amplifier_bands(polarizability_curve(pair))
+    for edge in (lo, hi):
+        at = float(im_alpha(pair, edge))
+        beside = [float(im_alpha(pair, np.nextafter(edge, way))) for way in (-np.inf, np.inf)]
+        assert at == 0.0 or any(b == 0.0 or (b < 0.0) != (at < 0.0) for b in beside), (edge, at, beside)
 
 
 def test_cross_section_set_invariants():

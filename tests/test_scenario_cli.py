@@ -19,7 +19,6 @@ from conftest import thermal_ladder
 from gainscatter import alpha_boundary, cli, response, scenario as scenario_module, spectral, validate
 from gainscatter.cli import run
 from gainscatter.scenario import ScenarioError, load_scenario, parse_scenario
-from gainscatter.screen import default_eps_schedule
 
 GROUND = """
 energies = [0.0, 1.0]
@@ -66,8 +65,6 @@ def test_parse_valid_scenario():
     assert scenario.gamma == 0.01
     assert scenario.grid().size == 2401
     assert scenario.screen_omega == 1.0
-    assert scenario.screen_r_max == 1e3
-    assert scenario.screen_eps_schedule == tuple(default_eps_schedule(1.0, 1e4, 1e3))
 
 
 def count_line_spectrum_calls(monkeypatch) -> list:
@@ -100,11 +97,26 @@ def test_parse_rejects_bad_population_sum():
         parse_scenario(bad)
 
 
-def test_parse_rejects_unknown_key():
+def test_parse_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(GROUND + "\ngama = 0.02\n")
     with pytest.raises(ScenarioError, match="unknown key 'eta'"):  # the CLI tabulates alpha(omega + i0+) only
         parse_scenario(GROUND + "\neta = 0.0\n")
+    # verify resolves the screen's distance, radius and tapers, and medium the slab: a file sets none
+    for line in (
+        "screen.z = 1e4",
+        "screen.r_max = 1e3",
+        "screen.eps_schedule = [40.0, 20.0, 10.0]",
+        "slab.z_max = 100.0",
+        "slab.points = 101",
+        "slab.omega = 1.0",
+    ):
+        key = line.split(" = ")[0]
+        path = write_scenario(tmp_path, GROUND + line + "\n")
+        out = tmp_path / "out"
+        assert run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{GROUND.count(chr(10)) + 1}: unknown key {key!r}\n"
+        assert not out.exists()
 
 
 def test_parse_rejects_population_and_temperature():
@@ -123,12 +135,9 @@ def test_parse_rejects_narrow_grid():
 
 
 def test_parse_rejects_infeasible_screen():
-    with pytest.raises(ScenarioError, match="paraxial"):
-        parse_scenario(GROUND + "\nscreen.r_max = 5000.0\n")
-    with pytest.raises(ScenarioError, match="taper-decay"):
-        parse_scenario(GROUND + "\nscreen.eps_schedule = [0.001]\n")
+    # at the default z = 1e4, omega = 0.05 puts the screen 500 c/omega away, short of far field
     with pytest.raises(ScenarioError, match="far-field"):
-        parse_scenario(GROUND + "\nscreen.z = 500.0\n")
+        parse_scenario(GROUND + "\nscreen.omega = 0.05\n")
 
 
 @pytest.mark.parametrize(
@@ -144,10 +153,8 @@ def test_parse_rejects_infeasible_screen():
         ("populations = [1.0, 0.0]", "temperature = [1]", "temperature"),
         ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]", "dipole_sq = [[0, 1e999], [1e999, 0]]", "dipole_sq"),
         ("energies = [0.0, 1.0]", 'energies = {"0": 1}', "energies"),
-        ("medium.density_n = 1e-6", 'screen.eps_schedule = [20.0, "x"]', "screen.eps_schedule"),
         # 7.11 PiB: far above the 128 TiB a process can map without asking for more, so never allocatable
         ("grid.points = 2401", "grid.points = 1000000000000000", "Unable to allocate 7.11 PiB"),
-        ("medium.density_n = 1e-6", "medium.density_n = 1e-6\nslab.points = 1000000000000000", "Unable to allocate"),
     ],
     ids=[
         "gamma-list",
@@ -160,16 +167,14 @@ def test_parse_rejects_infeasible_screen():
         "temperature-list",
         "dipole-inf",
         "energies-dict",
-        "eps-str",
         "grid-points-unallocatable",
-        "slab-points-unallocatable",
     ],
 )
 def test_mistyped_or_non_finite_values_exit_2(tmp_path, capsys, old, new, named):
     assert old in GROUND
     path = write_scenario(tmp_path, GROUND.replace(old, new))
     out = tmp_path / "o"
-    # medium is the one command whose pipeline reads both the grid and the slab
+    # medium is the one command whose pipeline reads the grid and the density
     code = run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
@@ -223,9 +228,8 @@ def test_literal_eval_type_and_recursion_errors_exit_2(tmp_path, capsys, command
         ("populations = [1.0, 0.0]", "populations = [true, false]", "populations"),
         ("dipole_sq = [[0.0, 1.0], [1.0, 0.0]]", "dipole_sq = [[0, true], [true, 0]]", "dipole_sq"),
         ("energies = [0.0, 1.0]", "energies = [[0.0], [1.0, 2.0]]", "energies"),
-        ("medium.density_n = 1e-6", 'screen.eps_schedule = "x"', "screen.eps_schedule"),
     ],
-    ids=["energies-bool", "populations-bool", "dipole-bool", "energies-ragged", "eps-str"],
+    ids=["energies-bool", "populations-bool", "dipole-bool", "energies-ragged"],
 )
 def test_list_values_hold_numbers_only(tmp_path, capsys, old, new, named):
     # booleans are not numbers in a list either, and a matrix has equal-length rows
@@ -423,14 +427,15 @@ def test_cmd_medium_outside_the_dilute_regime_warns_on_one_line(tmp_path, capsys
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("slab_omega", [-1.0, 0.0, 50.0])
-def test_cmd_medium_rejects_slab_omega_off_the_grid(tmp_path, capsys, slab_omega):
-    path = write_scenario(tmp_path, INVERTED + f"slab.omega = {slab_omega!r}\n")
+def test_cmd_medium_slab_of_a_vanishing_extinction_is_finite(tmp_path):
+    # max |h| = 4.19e-309 here: 2/|h| overflows, so the slab spans [0, 1] as for h = 0
+    text = INVERTED.replace("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 1e-305], [1e-305, 0.0]]")
     out = tmp_path / "out"
-    assert run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "slab.omega" in err
-    assert not out.exists()
+    assert run(["medium", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    slab = read_csv(out / "slab.csv")
+    z, intensity = as_floats(slab["z"]), as_floats(slab["intensity_ratio"])
+    assert z.tolist() == np.linspace(0.0, 1.0, 101).tolist()
+    assert np.isfinite(intensity).all()
 
 
 def test_cmd_medium_rejects_a_grid_without_positive_frequencies(tmp_path, capsys):
@@ -487,59 +492,32 @@ def test_cmd_verify_amplitude_is_the_boundary_alpha(tmp_path):
     assert report["forward_amplitude"] == [f.real, f.imag]
 
 
-def test_cmd_verify_runs_the_schedule_parse_checked(tmp_path):
-    # z/10 and 0.1*z differ in the last bit at this z; parse and verify must agree
-    text = GROUND + "\nscreen.z = 18132.7\n"
-    scenario = parse_scenario(text)
+@pytest.mark.parametrize("text", [GROUND, INVERTED], ids=["absorber", "amplifier"])
+@pytest.mark.parametrize("omega", [0.0999999, 0.1, 1.0, 3.0])
+def test_cmd_verify_converges_at_every_accepted_screen_frequency(tmp_path, capsys, text, omega):
+    # 0.1 is the far-field floor of verify's screen, z = 1e4 >= 1e3 c/omega: below it the
+    # file is rejected at parse, and at and above it the screen integral converges
+    path = write_scenario(tmp_path, text + f"screen.omega = {omega!r}\n")
     out = tmp_path / "out"
-    assert run(["verify", "--scenario", str(write_scenario(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "verify.json").read_text())
-    assert report["r_max"] == scenario.screen_r_max == 18132.7 / 10.0
-    assert report["eps_schedule"] == list(scenario.screen_eps_schedule)
-
-
-def test_cmd_verify_infeasible_screen_named_inequality(tmp_path, capsys):
-    path = write_scenario(tmp_path, GROUND + "\nscreen.r_max = 9999.0\n")
-    code = run(["verify", "--scenario", str(path), "--out", str(tmp_path / "o"), "--quiet"])
-    assert code == 2
-    assert "r_max <= z/10" in capsys.readouterr().err
+    code = run(["verify", "--scenario", str(path), "--out", str(out), "--quiet"])
+    if omega < 0.1:
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: far-field condition violated: ")
+        assert not out.exists()
+    else:
+        assert code == 0
+        report = json.loads((out / "verify.json").read_text())
+        assert report["omega"] == omega and report["converged"] is True
 
 
 @pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium", "verify"])
 @pytest.mark.parametrize(
     "line, message",
-    [
-        (
-            "screen.r_max = 1e-200",  # the edge phase underflows to 0
-            "infeasible screen radius r_max = 1e-200: need r_max > 0 and an edge phase omega*r_max^2/(2 z) "
-            "(here 0) that a finite taper_eps damps below 1e-08",
-        ),
-        (
-            "screen.r_max = 0",
-            "infeasible screen radius r_max = 0: need r_max > 0 and an edge phase omega*r_max^2/(2 z) "
-            "(here 0) that a finite taper_eps damps below 1e-08",
-        ),
-        ("screen.omega = 0", "omega must be positive and finite (got 0.0)"),
-        ("screen.eps_schedule = [40.0, 80.0]", "eps schedule too short to extrapolate: need 3 members (got 2)"),
-        (
-            "screen.r_max = 1e-100",  # default tapers near 1e207, whose squares overflow in the fit
-            "infeasible screen radius r_max = 1e-100: the edge phase omega*r_max^2/(2 z) (here 5e-205) is "
-            "too small to fit, since the default eps schedule's largest taper_eps (1.76839e+207) leaves "
-            "1 + eps^2 not finite",
-        ),
-        (
-            "screen.r_max = 1.41e-151",  # the default schedule's largest member overflows to inf
-            "infeasible screen radius r_max = 1.41e-151: the edge phase omega*r_max^2/(2 z) (here 9.9405e-307) "
-            "is too small to fit, since the default eps schedule's largest taper_eps (inf) leaves "
-            "1 + eps^2 not finite",
-        ),
-        ("screen.eps_schedule = [1e160, 2e160, 4e160]", "taper_eps 1e+160 is too large to fit: 1 + eps^2 is not finite"),
-    ],
-    ids=["tiny-r_max", "zero-r_max", "zero-omega", "two-member-schedule", "unfittable-phase", "overflowing-phase",
-         "unfittable-taper"],
+    [("screen.omega = 0", "omega must be positive and finite (got 0.0)")],
+    ids=["zero-omega"],
 )
 def test_infeasible_screen_exits_2_at_parse(tmp_path, capsys, command, line, message):
-    # the screen rules run before a default schedule is built, whatever the command
+    # the screen frequency is checked against verify's screen at parse, whatever the command
     path = write_scenario(tmp_path, GROUND + line + "\n")
     out = tmp_path / "out"
     assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2

@@ -297,3 +297,10 @@ def test_verify_rejects_bad_omega():
             missing_intensity_sigma(1j, omega, 1e4, 1.0, 1e3)
         with pytest.raises(ValueError, match="omega"):
             screen_intensity(1j, omega, 1e4, [0.0, 10.0])
+
+
+def test_verify_rejects_a_schedule_too_short_for_the_full_form_fit():
+    # the full form fits three basis columns, so it needs three tapers before any pass runs
+    alpha = alpha_boundary(two_level_pair(1.0), 1.0)
+    with pytest.raises(ValueError, match=r"eps schedule too short to extrapolate: need 3 members \(got 2\)"):
+        verify_optical_theorem(alpha, 1.0, eps_schedule=[40.0, 80.0])

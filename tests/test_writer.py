@@ -284,14 +284,13 @@ def test_non_finite_artifact_exits_2_without_file(tmp_path, capsys, scenario, co
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def test_failing_check_on_a_later_file_leaves_no_earlier_file(tmp_path, capsys):
-    # the slab profile exp(-h z) overflows at z_max = 1e7 (h = -4.2e-4), so slab.csv,
-    # the second file of the command, fails its check after medium.csv's has passed
+def test_failing_check_on_a_later_file_leaves_no_earlier_file(tmp_path, monkeypatch, capsys):
+    # a slab profile holding +inf makes slab.csv, the second file of the command, fail
+    # its check after medium.csv's has passed
+    monkeypatch.setattr(cli, "intensity_profile", lambda h, z: np.full(np.shape(z), np.inf))
     amplifier = next(f for f in validate._scenario_files() if f.name == "amplifier.txt")
-    path = tmp_path / "scenario.txt"
-    path.write_text(amplifier.read_text() + "slab.z_max = 1e7\n")
     out = tmp_path / "out"
-    assert run(["medium", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert run(["medium", "--scenario", str(amplifier), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {out / 'slab.csv'}: column intensity_ratio")
     assert not out.exists() or list(out.iterdir()) == []
 
