@@ -15,27 +15,24 @@ from gainscatter import (
     TargetLevels,
     alpha_boundary,
     broaden,
-    default_eps_schedule,
-    extrapolate_missing_intensity,
     line_spectrum,
     optical_theorem_sigma,
     screen_intensity,
     verify_optical_theorem,
 )
 
-omega, z = 1.0, 1e4
-r_max = z / 10.0
+omega = 1.0  # there F = omega^2 alpha is alpha itself
 
 print("=== taper extrapolation for hand-picked amplitudes ===")
-schedule = default_eps_schedule(omega, z, r_max)
-print("  eps schedule:", ", ".join(f"{e:.3f}" for e in schedule))
 for f in (0.5 + 1.2j, 0.5 - 1.2j, -0.8 + 0.3j):
-    estimates, extrapolated = extrapolate_missing_intensity(f, omega, z, schedule, r_max)
+    report = verify_optical_theorem(f, omega)
+    extrapolated = report["sigma_extrapolated"]
     want = optical_theorem_sigma(f, omega)
     print(
         f"  F = {f}: screen {extrapolated:+.6e}, closed form {want:+.6e}, "
         f"gap {abs(extrapolated - want)/abs(want):.1e}"
     )
+print("  eps schedule (set by omega and z alone):", ", ".join(f"{e:.3f}" for e in report["eps_schedule"]))
 
 print()
 print("=== full pipeline on physical targets ===")
@@ -50,7 +47,7 @@ def boundary_alpha(populations):
 
 
 for name, populations in [("absorber", [1.0, 0.0]), ("amplifier", [0.0, 1.0])]:
-    report = verify_optical_theorem(boundary_alpha(populations), omega, z=z)
+    report = verify_optical_theorem(boundary_alpha(populations), omega)
     print(
         f"  {name:9s}: sigma_screen = {report['sigma_extrapolated']:+.5e}, "
         f"sigma_optical = {report['sigma_closed_form']:+.5e}, "
@@ -59,8 +56,8 @@ for name, populations in [("absorber", [1.0, 0.0]), ("amplifier", [0.0, 1.0])]:
 
 print()
 print("=== what the screen actually sees (amplifier) ===")
-report = verify_optical_theorem(boundary_alpha([0.0, 1.0]), omega, z=z)
-f_forward = complex(*report["forward_amplitude"])
+report = verify_optical_theorem(boundary_alpha([0.0, 1.0]), omega)
+f_forward, z = complex(*report["forward_amplitude"]), report["z"]
 for r in (0.0, 250.0, 500.0, 750.0):
     ratio = screen_intensity(f_forward, omega, z, r)
     print(f"  r_perp = {r:6.1f}: I/I0 = {ratio:.6f}")

@@ -49,7 +49,6 @@ from .scattering import (
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .screen import (
     default_eps_schedule,
-    extrapolate_missing_intensity,
     missing_intensity_sigma,
     optical_theorem_sigma,
     screen_intensity,

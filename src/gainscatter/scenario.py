@@ -24,8 +24,9 @@ any computation starts, and the first violated invariant is named.  Scalars
 must be finite numbers, ``grid.points`` an integer.  The file's defaults
 are resolved here and only here: ``Scenario`` has no field defaults.  The
 screen's geometry and the slab's extent are not file settings: ``verify``
-and ``medium`` resolve them, and parse checks ``screen.omega`` against
-``verify``'s default screen.
+screens at the library's default distance, where the screen module fixes
+the radius (z/10) and the tapers, and ``medium`` resolves the slab.  Parse
+checks ``screen.omega`` against ``verify``'s default screen.
 The target (levels, dipoles, populations) is checked and reduced to its
 line set; the scenario keeps the lines, not the levels.
 
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .screen import DEFAULT_Z, check_screen, default_r_max
+from .screen import DEFAULT_Z, check_screen
 from .spectral import (
     DEFAULT_GAMMA,
     LineSpectrum,
@@ -210,7 +211,7 @@ def _validated(values: dict) -> Scenario:
     if screen_omega is None and lines.n_lines:
         screen_omega = float(abs(lines.omega[np.argmax(lines.weight)]))  # strongest line
     if screen_omega is not None:  # else the screen pipeline is unused
-        check_screen(screen_omega, DEFAULT_Z, default_r_max(DEFAULT_Z))  # verify's default screen
+        check_screen(screen_omega, DEFAULT_Z)  # verify's default screen
     output_dir = values.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ValueError(f"output_dir must be a string (got {output_dir!r})")

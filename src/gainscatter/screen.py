@@ -33,11 +33,16 @@ extrapolates cleanly too.  The public integrals and the convergence verdict
 use the interference form, which the missing-intensity argument integrates.
 ``verify_optical_theorem`` forms both sums from one pass per taper, each
 with the operations and summation order of a pass of its own.
+
+The screen is set by its distance z alone.  It is integrated out to
+r_max = z/10, the paraxial bound, and ``verify_optical_theorem`` always
+uses ``default_eps_schedule``.  Far field (z >= FAR_FIELD_MIN c/omega) puts
+the edge phase omega r_max^2/(2 z) = omega z/200 at 5 or more, so every
+scheduled taper is at most about 177 and the fit's 1 + eps^2 stays finite.
+What remains to name is an edge phase that overflows to inf.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -48,10 +53,8 @@ from .spectral import _check_positive
 __all__ = [
     "screen_intensity",
     "check_screen",
-    "default_r_max",
     "missing_intensity_sigma",
     "default_eps_schedule",
-    "extrapolate_missing_intensity",
     "optical_theorem_sigma",
     "verify_optical_theorem",
     "DEFAULT_Z",
@@ -59,7 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_Z = 1e4           # default screen distance, in c/omega units
-PARAXIAL_RATIO = 0.1      # r_perp may not exceed z/10
 FAR_FIELD_MIN = 1e3       # z must be at least this many wavelengths-over-2pi (c/omega)
 TAPER_DECAY = 1e-8        # feasibility: taper must be below this at r_max
 _SCHEDULE_DECAY = 1e-12   # default schedules push the truncation error to here
@@ -73,91 +75,63 @@ _GL_ORDER = 12
 NODE_CHUNK = 1 << 14
 
 
-def _check_geometry(omega: float, z: float, r_max: float) -> None:
-    """Raise ValueError unless omega is positive and finite, z far field and r_max paraxial."""
+def _r_max(z: float) -> float:
+    """The screen radius: the paraxial bound z/10."""
+    return z / 10.0
+
+
+def _edge_phase(omega: float, z: float) -> float:
+    """The quadratic phase omega r_max^2/(2 z) at the screen edge."""
+    r_max = _r_max(z)
+    return omega * r_max * r_max / (2.0 * z)
+
+
+def check_screen(omega: float, z: float) -> None:
+    """Raise ValueError naming the first violated screen-feasibility condition.
+
+    A positive, finite omega and z, far field z >= FAR_FIELD_MIN c/omega,
+    and a finite edge phase omega r_max^2/(2 z), which
+    ``default_eps_schedule`` divides by.
+    """
     _check_positive("omega", omega)
+    _check_positive("z", z)
     if z < FAR_FIELD_MIN / omega:
         raise ValueError(
             f"far-field condition violated: z = {z:g} < {FAR_FIELD_MIN:g}*c/omega = "
             f"{FAR_FIELD_MIN / omega:g}"
         )
-    if r_max > PARAXIAL_RATIO * z:
+    if not _edge_phase(omega, z) < np.inf:
         raise ValueError(
-            f"paraxial condition violated: r_max = {r_max:g} exceeds z/10 = "
-            f"{PARAXIAL_RATIO * z:g} (need r_max <= z/10)"
+            f"edge phase overflows: omega*r_max^2/(2 z) with r_max = z/10 is not finite "
+            f"at omega = {omega:g}, z = {z:g}"
         )
-
-
-def check_screen(omega: float, z: float, r_max: float, eps_schedule=()) -> None:
-    """Raise ValueError naming the first violated screen-feasibility condition.
-
-    A positive, finite omega, far field z >= FAR_FIELD_MIN c/omega, paraxial
-    0 < r_max <= z/10, and an edge phase omega r_max^2/(2 z) that a finite
-    taper_eps damps below TAPER_DECAY at r_max and that leaves every member
-    of ``default_eps_schedule`` fittable; each scheduled taper_eps damps the
-    edge that far and is fittable.  A taper is fittable when 1 + eps^2, the
-    factor of the eps -> 0 fit, is finite.  ``default_eps_schedule`` divides
-    by the edge phase, so check before building one.
-    """
-    _check_geometry(omega, z, r_max)
-    phase_max = omega * r_max * r_max / (2.0 * z)
-    decay = np.log(1.0 / TAPER_DECAY)  # the taper exponent eps * phase needed at r_max
-    if not (r_max > 0.0 and decay / np.finfo(float).max < phase_max < np.inf):
-        raise ValueError(
-            f"infeasible screen radius r_max = {r_max:g}: need r_max > 0 and an edge phase "
-            f"omega*r_max^2/(2 z) (here {phase_max:g}) that a finite taper_eps damps below {TAPER_DECAY:g}"
-        )
-    # the default schedule's largest member, as it would be built
-    largest = float(_SCHEDULE_EXPONENT) / float(phase_max) / EPS_SCHEDULE_RATIO ** (EPS_SCHEDULE_STEPS - 1)
-    if not _fittable(largest):
-        raise ValueError(
-            f"infeasible screen radius r_max = {r_max:g}: the edge phase omega*r_max^2/(2 z) (here "
-            f"{phase_max:g}) is too small to fit, since the default eps schedule's largest taper_eps "
-            f"({largest:g}) leaves 1 + eps^2 not finite"
-        )
-    eps = np.asarray(eps_schedule, dtype=float)
-    bad = ~((eps >= decay / phase_max) & (eps < np.inf))
-    if bad.any():
-        raise ValueError(
-            f"taper-decay condition violated: exp(-eps*omega*r_max^2/(2 z)) > {TAPER_DECAY:g} at r_max; "
-            f"need a positive, finite taper_eps >= {decay / phase_max:.6g} (got {float(eps[bad][0]):g})"
-        )
-    for e in eps.tolist():
-        if not _fittable(e):
-            raise ValueError(f"taper_eps {e:g} is too large to fit: 1 + eps^2 is not finite")
-
-
-def _fittable(eps: float) -> bool:
-    """Whether 1 + eps^2, the factor of the eps -> 0 fit, is finite."""
-    return math.isfinite(1.0 + eps * eps)  # a Python float overflows to inf without a warning
-
-
-def default_r_max(z: float) -> float:
-    """Default screen radius: the paraxial bound z/10."""
-    return z / 10.0
 
 
 def screen_intensity(f_forward: complex, omega: float, z: float, r_perp):
-    """Intensity ratio I/I0 at transverse radius r_perp on the screen.
+    """Intensity ratio I/I0 at transverse radius r_perp on the screen, r_perp <= r_max.
 
     Includes both the interference cross-term and the |F|^2 scattered term.
     """
+    check_screen(omega, z)
     r = np.asarray(r_perp, dtype=float)
-    _check_geometry(omega, z, float(r.max()) if r.size else 0.0)
+    if r.size and r.max() > _r_max(z):
+        raise ValueError(
+            f"paraxial condition violated: r_perp = {r.max():g} exceeds r_max = z/10 = {_r_max(z):g}"
+        )
     r_dist = z + r * r / (2.0 * z)
     cross = 2.0 * (f_forward * np.exp(1j * omega * (r_dist - z))).real / r_dist
     ratio = 1.0 + cross + np.abs(f_forward) ** 2 / r_dist**2
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
-def _radial_nodes(omega: float, z: float, eps: float, r_max: float):
+def _radial_nodes(omega: float, z: float, eps: float):
     """Gauss-Legendre nodes/weights on panels tracking the Fresnel oscillation.
 
     Panels carry at most ~pi/8 of quadratic phase each; extra edges resolve
     the taper scale when the taper dies faster than the oscillation.
     """
-    phase_total = omega * r_max * r_max / (2.0 * z)
-    n_panels = max(int(np.ceil(phase_total / _PHASE_PER_PANEL)), 4)
+    r_max = _r_max(z)
+    n_panels = max(int(np.ceil(_edge_phase(omega, z) / _PHASE_PER_PANEL)), 4)
     edges = r_max * np.sqrt(np.linspace(0.0, 1.0, n_panels + 1))
     r_taper = np.sqrt(2.0 * z / (eps * omega))  # taper e-folding radius
     if r_taper < r_max:
@@ -166,29 +140,35 @@ def _radial_nodes(omega: float, z: float, eps: float, r_max: float):
     return _gl_panels(edges, _GL_ORDER)
 
 
-def missing_intensity_sigma(f_forward: complex, omega: float, z: float, taper_eps: float, r_max: float) -> float:
+def missing_intensity_sigma(f_forward: complex, omega: float, z: float, taper_eps: float) -> float:
     """Tapered missing-intensity integral 2 pi int (1 - I/I0) taper r dr.
 
     ``taper_eps`` is dimensionless: the taper is exp(-eps omega r^2/(2 z)),
-    i.e. eps in units of the local Fresnel phase.  ``check_screen`` must
-    accept the screen and taper: a taper undecayed at r_max would let the
-    truncated oscillatory tail pollute the estimate.  The deficit is the
-    interference form -2 Re[F exp(i phase)]/z.
+    i.e. eps in units of the local Fresnel phase.  It must be finite and
+    damp the taper below TAPER_DECAY at r_max: a taper undecayed there would
+    let the truncated oscillatory tail pollute the estimate.  The deficit is
+    the interference form -2 Re[F exp(i phase)]/z.
     """
-    check_screen(omega, z, r_max, [taper_eps])
-    return _deficit_sums(f_forward, omega, z, taper_eps, r_max)[0]
+    check_screen(omega, z)
+    least = np.log(1.0 / TAPER_DECAY) / _edge_phase(omega, z)
+    if not least <= taper_eps < np.inf:
+        raise ValueError(
+            f"taper-decay condition violated: exp(-eps*omega*r_max^2/(2 z)) > {TAPER_DECAY:g} at r_max; "
+            f"need a positive, finite taper_eps >= {least:.6g} (got {taper_eps:g})"
+        )
+    return _deficit_sums(f_forward, omega, z, taper_eps)[0]
 
 
-def _deficit_sums(f_forward, omega, z, taper_eps, r_max, full=False) -> list[float]:
+def _deficit_sums(f_forward, omega, z, taper_eps, full=False) -> list[float]:
     """``[interference]`` at one taper, or ``[interference, full]`` with ``full``, in one pass.
 
     The full form adds |F|^2/r_d^2 and divides by the true distance r_d.  The
     forms share each chunk's nodes, phase, taper and oscillating factor; each
     form's sums keep the operations, chunks and order of a pass of its own.
-    The caller runs ``check_screen`` on the screen and taper first.
+    The caller checks the screen and taper first.
     """
     a = omega / z
-    nodes, weights = _radial_nodes(omega, z, taper_eps, r_max)
+    nodes, weights = _radial_nodes(omega, z, taper_eps)
     parts = ([], []) if full else ([],)
     for lo in range(0, nodes.size, NODE_CHUNK):
         r, w = nodes[lo : lo + NODE_CHUNK], weights[lo : lo + NODE_CHUNK]
@@ -204,42 +184,26 @@ def _deficit_sums(f_forward, omega, z, taper_eps, r_max, full=False) -> list[flo
     return [float(2.0 * np.pi * sum(sums[1:], sums[0])) for sums in parts]
 
 
-def default_eps_schedule(omega: float, z: float, r_max: float) -> np.ndarray:
+def default_eps_schedule(omega: float, z: float) -> np.ndarray:
     """Geometric taper schedule, descending, all members feasible.
 
     The smallest member pushes the edge taper down to ~1e-12 so truncation
-    noise stays far below the extrapolation tolerance.
+    noise stays far below the extrapolation tolerance.  It divides by the
+    edge phase, so ``check_screen`` the screen first.
     """
-    phase_max = omega * r_max * r_max / (2.0 * z)
-    eps_min = _SCHEDULE_EXPONENT / phase_max
+    eps_min = _SCHEDULE_EXPONENT / _edge_phase(omega, z)
     return eps_min / EPS_SCHEDULE_RATIO ** np.arange(EPS_SCHEDULE_STEPS - 1, -1, -1)
 
 
-def _eps_fit(eps_schedule, full=False):
-    """The eps -> 0 extrapolation over ``eps_schedule``, as a function of the estimates there.
+def _eps_fit(eps, estimates, full=False) -> float:
+    """The eps -> 0 intercept of the estimates over the schedule ``eps``.
 
     Linear in sigma(eps) (1 + eps^2), exact for the interference kernel; the
-    full form adds the (1 + eps^2)/eps basis of the |F|^2 term's taper
-    integral.  A schedule shorter than the basis is a ValueError, before any pass.
+    full form adds the (1 + eps^2)/eps basis of the |F|^2 term's taper integral.
     """
-    eps = np.asarray(eps_schedule, dtype=float)
-    columns = 3 if full else 2
-    if eps.size < columns:
-        raise ValueError(f"eps schedule too short to extrapolate: need {columns} members (got {eps.size})")
-
-    def intercept(estimates) -> float:
-        basis = [np.ones_like(eps), eps] + ([(1.0 + eps**2) / eps] if full else [])
-        coeffs, *_ = np.linalg.lstsq(np.column_stack(basis), estimates * (1.0 + eps**2), rcond=None)
-        return float(coeffs[0])
-
-    return intercept
-
-
-def extrapolate_missing_intensity(f_forward: complex, omega: float, z: float, eps_schedule, r_max: float):
-    """``missing_intensity_sigma`` over the schedule, and its eps -> 0 extrapolation."""
-    fit = _eps_fit(eps_schedule)
-    estimates = np.array([missing_intensity_sigma(f_forward, omega, z, eps, r_max) for eps in eps_schedule])
-    return estimates, fit(estimates)
+    basis = [np.ones_like(eps), eps] + ([(1.0 + eps**2) / eps] if full else [])
+    coeffs, *_ = np.linalg.lstsq(np.column_stack(basis), estimates * (1.0 + eps**2), rcond=None)
+    return float(coeffs[0])
 
 
 def optical_theorem_sigma(f_forward: complex, omega: float) -> float:
@@ -248,45 +212,37 @@ def optical_theorem_sigma(f_forward: complex, omega: float) -> float:
     return 4.0 * np.pi * complex(f_forward).imag / omega
 
 
-def verify_optical_theorem(
-    alpha: complex,
-    omega: float,
-    z: float = DEFAULT_Z,
-    eps_schedule=None,
-    r_max: float | None = None,
-) -> dict:
+def verify_optical_theorem(alpha: complex, omega: float, z: float = DEFAULT_Z) -> dict:
     """Screen integral versus closed-form optical theorem for a polarizability.
 
     ``alpha`` is the target's boundary polarizability at ``omega`` (e.g.
     ``alpha_boundary(pair, omega)``); the forward amplitude F = omega^2 alpha
-    is all the screen sees of the target.  One pass per taper gives the
-    estimates of the interference form and of the full form (the ``_full``
-    fields, a diagnostic), and each is extrapolated.  ``converged`` is true
-    when the interference-form extrapolation matches (4 pi/omega) Im F
-    within 1e-3 relative, or within 1e-9 of the amplitude scale when sigma
-    is essentially zero.  A field that is not finite (|F|^2 overflows past
-    |F| ~ 1e154) is a ValueError naming it.
+    is all the screen sees of the target.  One pass per taper of
+    ``default_eps_schedule`` gives the estimates of the interference form
+    and of the full form (the ``_full`` fields, a diagnostic), and each is
+    extrapolated.  ``converged`` is true when the interference-form
+    extrapolation matches (4 pi/omega) Im F within 1e-3 relative, or within
+    1e-9 of the amplitude scale when sigma is essentially zero.  A field
+    that is not finite (|F|^2 overflows past |F| ~ 1e154) is a ValueError
+    naming it.
     """
-    if r_max is None:
-        r_max = default_r_max(z)
-    check_screen(omega, z, r_max, () if eps_schedule is None else eps_schedule)
+    check_screen(omega, z)
     e = np.array([1.0, 0.0, 0.0])
     f_forward = scattering_amplitude(alpha, omega, e, e)
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule(omega, z, r_max)
+    eps_schedule = default_eps_schedule(omega, z)
 
     sigma_closed = optical_theorem_sigma(f_forward, omega)
-    fit, fit_full = _eps_fit(eps_schedule), _eps_fit(eps_schedule, full=True)
-    per_taper = [_deficit_sums(f_forward, omega, z, eps, r_max, full=True) for eps in eps_schedule]
+    per_taper = [_deficit_sums(f_forward, omega, z, eps, full=True) for eps in eps_schedule]
     estimates, estimates_full = np.array(per_taper).T
-    extrapolated, extrapolated_full = fit(estimates), fit_full(estimates_full)
+    extrapolated = _eps_fit(eps_schedule, estimates)
+    extrapolated_full = _eps_fit(eps_schedule, estimates_full, full=True)
     scale = 4.0 * np.pi * abs(f_forward) / omega
     gap = abs(extrapolated - sigma_closed)
     converged = bool(gap <= max(1e-3 * abs(sigma_closed), 1e-9 * scale))
     report = {
         "omega": float(omega),
         "z": float(z),
-        "r_max": float(r_max),
+        "r_max": float(_r_max(z)),
         "forward_amplitude": [f_forward.real, f_forward.imag],
         "sigma_closed_form": sigma_closed,
         "eps_schedule": [float(e_) for e_ in eps_schedule],

@@ -67,7 +67,6 @@ from .scattering import (
 from .scenario import parse_scenario
 from .screen import (
     default_eps_schedule,
-    extrapolate_missing_intensity,
     missing_intensity_sigma,
     optical_theorem_sigma,
     verify_optical_theorem,
@@ -382,46 +381,37 @@ def check_negative_sigma_routes():
     values = [sigma_optical, sigma_spectral, report["sigma_extrapolated"]]
     ok = all(v < 0.0 for v in values) and report["converged"]
     spread = (max(values) - min(values)) / abs(sigma_optical)
-    ok = ok and spread <= 1e-3
+    ok = ok and spread <= 1e-9
     return ok, f"sigma_tot ~ {sigma_optical:.4e}, route spread {spread:.2e}"
 
 
 def check_screen_sign_blind(samples=8, seed=18):
     rng = np.random.default_rng(seed)
-    z = 1e4
-    schedule = default_eps_schedule(1.0, z, z / 10.0)
     worst = 0.0
     for i in range(samples):  # F cycles through the four quadrants
         f = complex(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
         f = complex(f.real * (-1) ** i, f.imag * (-1) ** (i // 2))
-        _, got = extrapolate_missing_intensity(f, 1.0, z, schedule, z / 10.0)
+        got = verify_optical_theorem(f, 1.0)["sigma_extrapolated"]  # at omega = 1, F = alpha
         want = optical_theorem_sigma(f, 1.0)
         worst = np.max(abs(got - want) / abs(want), initial=worst)
-    return worst <= 1e-3, f"max relative gap {worst:.2e}"
+    return worst <= 1e-9, f"max relative gap {worst:.2e}"
 
 
 def check_screen_convergence_order():
     z, omega = 1e6, 1.0
-    r_max = z / 10.0
     f = 1.0 + 0.8j
     want = optical_theorem_sigma(f, omega)
-    eps = default_eps_schedule(omega, z, r_max)[:0:-1]  # its five smallest tapers, ascending
-    devs = [
-        abs(missing_intensity_sigma(f, omega, z, e, r_max) - want) for e in eps
-    ]
+    eps = default_eps_schedule(omega, z)[:0:-1]  # its five smallest tapers, ascending
+    devs = [abs(missing_intensity_sigma(f, omega, z, e) - want) for e in eps]
     slope = np.polyfit(np.log(eps), np.log(devs), 1)[0]
     return 0.8 <= slope <= 1.2, f"fitted slope {slope:.3f}"
 
 
 def check_z_independence():
     f = 0.4 + 1.1j
-    results = []
-    for z in (1e4, 1e5):
-        schedule = default_eps_schedule(1.0, z, z / 10.0)
-        _, got = extrapolate_missing_intensity(f, 1.0, z, schedule, z / 10.0)
-        results.append(got)
+    results = [verify_optical_theorem(f, 1.0, z)["sigma_extrapolated"] for z in (1e4, 1e5)]
     gap = abs(results[0] - results[1]) / abs(results[1])
-    return gap <= 1e-3, f"relative gap {gap:.2e}"
+    return gap <= 1e-9, f"relative gap {gap:.2e}"
 
 
 def check_energy_bookkeeping():
@@ -432,8 +422,8 @@ def check_energy_bookkeeping():
     sigma = float(sigma_total_optical(alpha, omega))
     gap = abs(optical_theorem_sigma(f, omega) - sigma) / abs(sigma)
     z = 1e4
-    eps = default_eps_schedule(omega, z, z / 10.0)[-1]
-    deficit = missing_intensity_sigma(f, omega, z, eps, z / 10.0)
+    eps = default_eps_schedule(omega, z)[-1]
+    deficit = missing_intensity_sigma(f, omega, z, eps)
     # integral of (I - I0)/I0 is minus the deficit integral
     ok = -deficit > 0.0 and gap <= 1e-12
     return ok, f"screen surplus {-deficit:.3e} (sigma_tot < 0); amplitude gap {gap:.2e}"

@@ -9,13 +9,12 @@ from conftest import two_level_pair
 from gainscatter import (
     alpha_boundary,
     default_eps_schedule,
-    extrapolate_missing_intensity,
     missing_intensity_sigma,
     optical_theorem_sigma,
     screen_intensity,
     verify_optical_theorem,
 )
-from gainscatter import screen
+from gainscatter import screen, validate
 from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _radial_nodes, check_screen
 
 
@@ -74,69 +73,73 @@ def test_screen_grid_validates_paraxial():
 
 
 def test_missing_intensity_zero_amplitude():
-    assert missing_intensity_sigma(0.0, 1.0, 1e4, 1.0, 1e3) == 0.0
+    assert missing_intensity_sigma(0.0, 1.0, 1e4, 1.0) == 0.0
 
 
 def test_missing_intensity_analytic_kernel():
     # exact tapered value: sigma(eps) = -(4 pi/omega) Re[F/(eps - i)]
     f = 0.8 + 0.6j
     omega, z = 1.0, 1e4
-    r_max = z / 10.0
     for eps in (0.6, 1.2, 4.8):
-        got = missing_intensity_sigma(f, omega, z, eps, r_max)
+        got = missing_intensity_sigma(f, omega, z, eps)
         want = -(4.0 * np.pi / omega) * (f / (eps - 1j)).real
         assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_missing_intensity_pure_imaginary_convergence():
     # sigma(eps) = sigma(0)/(1+eps^2) for pure imaginary F: the schedule's
-    # smallest feasible eps plus extrapolation recovers 4 pi f0
+    # smallest feasible eps plus extrapolation recovers 4 pi f0 (at omega = 1, F = alpha)
     f0 = 0.7
-    omega, z = 1.0, 1e4
-    r_max = z / 10.0
-    schedule = default_eps_schedule(omega, z, r_max)
-    estimates, got = extrapolate_missing_intensity(1j * f0, omega, z, schedule, r_max)
+    report = verify_optical_theorem(1j * f0, 1.0)
+    schedule, got = report["eps_schedule"], report["sigma_extrapolated"]
     want = 4.0 * np.pi * f0
     assert got == pytest.approx(want, rel=1e-3)
-    smallest = estimates[-1]
+    smallest = report["sigma_estimates"][-1]
     assert smallest == pytest.approx(want / (1.0 + schedule[-1] ** 2), rel=1e-9)
 
 
 def test_missing_intensity_feasibility_errors():
     with pytest.raises(ValueError, match="taper_eps"):
-        missing_intensity_sigma(1.0j, 1.0, 1e4, 1e-3, 1e3)  # taper undecayed at r_max
-    with pytest.raises(ValueError, match="paraxial"):
-        missing_intensity_sigma(1.0j, 1.0, 1e4, 1.0, 2e3)
+        missing_intensity_sigma(1.0j, 1.0, 1e4, 1e-3)  # taper undecayed at r_max
     with pytest.raises(ValueError, match="far-field"):
-        missing_intensity_sigma(1.0j, 1.0, 500.0, 1.0, 10.0)
+        missing_intensity_sigma(1.0j, 1.0, 500.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
-        missing_intensity_sigma(1.0j, 1.0, 1e4, -1.0, 1e3)
+        missing_intensity_sigma(1.0j, 1.0, 1e4, -1.0)
 
 
 def test_check_screen_needs_a_finite_taper():
-    # a screen no finite taper can damp, or a taper that is not finite, is named, not computed
-    for r_max in (0.0, -1e3, 1e-200, 1e-152):  # the edge phase is 0, 50, 0 (underflow), 5e-309
-        with pytest.raises(ValueError, match=f"infeasible screen radius r_max = {r_max:g}: need r_max > 0"):
-            check_screen(1.0, 1e4, r_max)
+    # a taper that is not finite is named, not computed
     for eps in (np.inf, np.nan):
         with pytest.raises(ValueError, match="need a positive, finite taper_eps"):
-            check_screen(1.0, 1e4, 1e3, [20.0, eps])
-        with pytest.raises(ValueError, match="need a positive, finite taper_eps"):
-            missing_intensity_sigma(1.0j, 1.0, 1e4, eps, 1e3)
-    # the fit multiplies by 1 + eps^2: a taper whose square overflows is named, not fitted
-    for r_max in (1e-100, 1.41e-151):  # default tapers near 1e207, or overflowing to inf
-        with pytest.raises(ValueError, match=f"r_max = {r_max:g}: the edge phase .* is too small to fit"):
-            check_screen(1.0, 1e4, r_max)
-    check_screen(1.0, 1e4, 1e-70)  # the largest default taper, near 2e147, still squares to a finite value
-    with pytest.raises(ValueError, match="taper_eps 1e\\+160 is too large to fit"):
-        check_screen(1.0, 1e4, 1e3, [20.0, 1e160])
+            missing_intensity_sigma(1.0j, 1.0, 1e4, eps)
 
 
-def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, r_max, full=False):
+def test_screen_needs_a_finite_distance_and_edge_phase():
+    # z = nan or inf used to give a NaN intensity with no error; an edge phase
+    # omega (z/10)^2/(2 z) that overflows leaves no taper schedule to build
+    for z in (np.nan, np.inf):
+        for call in (
+            lambda: screen_intensity(1.0 + 0.5j, 1.0, z, [0.0, 1.0]),
+            lambda: missing_intensity_sigma(1.0 + 0.5j, 1.0, z, 1.0),
+            lambda: verify_optical_theorem(1.0 + 0.5j, 1.0, z),
+        ):
+            with pytest.raises(ValueError, match="z must be positive and finite"):
+                call()
+    for call in (
+        lambda: check_screen(1e300, 1e20),
+        lambda: screen_intensity(1.0 + 0.5j, 1e300, 1e20, [0.0, 1.0]),
+        lambda: missing_intensity_sigma(1.0 + 0.5j, 1e300, 1e20, 1.0),
+        lambda: verify_optical_theorem(1.0 + 0.5j, 1e300, 1e20),
+    ):
+        with pytest.raises(ValueError, match="edge phase overflows"):
+            call()
+
+
+def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, full=False):
     """Reference: the missing-intensity sum over every radial node at once, of the
     interference form or of the full form (|F|^2/r_d^2 added, true distance r_d)."""
     a = omega / z
-    r, w = _radial_nodes(omega, z, taper_eps, r_max)
+    r, w = _radial_nodes(omega, z, taper_eps)
     phase = 0.5 * a * r * r
     taper = np.exp(-taper_eps * phase)
     osc = (f_forward * np.exp(1j * phase)).real
@@ -153,14 +156,13 @@ def test_chunked_missing_intensity_matches_dense_sum(full):
     # the interference form, or the full form that verify sums in the same pass
     f, omega = 1.0 + 0.8j, 1.0
     for z, exact in ((1e4, True), (1e6, False)):
-        r_max = z / 10.0
-        for eps in default_eps_schedule(omega, z, r_max)[::2]:
-            assert (_radial_nodes(omega, z, eps, r_max)[0].size <= NODE_CHUNK) == exact
+        for eps in default_eps_schedule(omega, z)[::2]:
+            assert (_radial_nodes(omega, z, eps)[0].size <= NODE_CHUNK) == exact
             if full:
-                got = screen._deficit_sums(f, omega, z, eps, r_max, full=True)[1]
+                got = screen._deficit_sums(f, omega, z, eps, full=True)[1]
             else:
-                got = missing_intensity_sigma(f, omega, z, eps, r_max)
-            want = dense_missing_intensity_sigma(f, omega, z, eps, r_max, full)
+                got = missing_intensity_sigma(f, omega, z, eps)
+            want = dense_missing_intensity_sigma(f, omega, z, eps, full)
             if exact:  # one chunk: the same operations as the dense sum, bit for bit
                 assert got == want
             else:
@@ -171,12 +173,11 @@ def test_missing_intensity_memory_bounded_by_chunk():
     # z = 1e6 has about 153k radial nodes: the dense sum peaked at 9.3 MiB,
     # of which the node and weight arrays themselves are 2.3 MiB
     z, omega = 1e6, 1.0
-    r_max = z / 10.0
-    eps = default_eps_schedule(omega, z, r_max)[-1]  # the validate case's taper
-    missing_intensity_sigma(1.0 + 0.8j, omega, z, eps, r_max)  # warm the node cache
+    eps = default_eps_schedule(omega, z)[-1]  # the validate case's taper
+    missing_intensity_sigma(1.0 + 0.8j, omega, z, eps)  # warm the node cache
     tracemalloc.start()
     try:
-        missing_intensity_sigma(1.0 + 0.8j, omega, z, eps, r_max)
+        missing_intensity_sigma(1.0 + 0.8j, omega, z, eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,12 +192,8 @@ def test_optical_theorem_sigma_values():
 
 
 def test_z_independence_of_converged_estimate():
-    f = -0.6 + 1.3j
-    omega = 1.0
-    got = []
-    for z in (1e4, 1e5):
-        schedule = default_eps_schedule(omega, z, z / 10.0)
-        got.append(extrapolate_missing_intensity(f, omega, z, schedule, z / 10.0)[1])
+    f = -0.6 + 1.3j  # at omega = 1, F = alpha
+    got = [verify_optical_theorem(f, 1.0, z)["sigma_extrapolated"] for z in (1e4, 1e5)]
     assert abs(got[0] - got[1]) <= 1e-3 * abs(got[1])
 
 
@@ -269,20 +266,21 @@ def test_verify_passes_each_taper_once_with_single_variant_bits(monkeypatch):
     builds = []
     real = screen._radial_nodes
     monkeypatch.setattr(screen, "_radial_nodes", lambda *args: builds.append(args) or real(*args))
-    omega, r_max = 1.005, DEFAULT_Z / 10.0
+    omega = 1.005
     report = verify_optical_theorem(alpha_boundary(two_level_pair(1.0), omega), omega)
     schedule = report["eps_schedule"]
     assert len(builds) == len(schedule)  # both deficit forms from one pass per taper
     f = complex(*report["forward_amplitude"])
-    single = [missing_intensity_sigma(f, omega, DEFAULT_Z, eps, r_max) for eps in schedule]
+    single = [missing_intensity_sigma(f, omega, DEFAULT_Z, eps) for eps in schedule]
     assert report["sigma_estimates"] == single
-    _, extrapolated = extrapolate_missing_intensity(f, omega, DEFAULT_Z, schedule, r_max)
-    assert report["sigma_extrapolated"] == extrapolated
+    eps = np.array(schedule)
+    design = np.column_stack([np.ones_like(eps), eps])
+    coeffs, *_ = np.linalg.lstsq(design, np.array(single) * (1.0 + eps**2), rcond=None)
+    assert report["sigma_extrapolated"] == coeffs[0]
     # the full form is verify's alone: the default screen is one chunk, so each estimate is
     # the dense full-form sum bit for bit, and the intercept is the three-column fit's
-    full = [dense_missing_intensity_sigma(f, omega, DEFAULT_Z, eps, r_max, full=True) for eps in schedule]
+    full = [dense_missing_intensity_sigma(f, omega, DEFAULT_Z, eps, full=True) for eps in schedule]
     assert report["sigma_estimates_full"] == full
-    eps = np.array(schedule)
     design = np.column_stack([np.ones_like(eps), eps, (1.0 + eps**2) / eps])
     coeffs, *_ = np.linalg.lstsq(design, np.array(full) * (1.0 + eps**2), rcond=None)
     assert report["sigma_extrapolated_full"] == coeffs[0]
@@ -294,13 +292,17 @@ def test_verify_rejects_bad_omega():
         with pytest.raises(ValueError, match="omega"):
             verify_optical_theorem(alpha, omega)
         with pytest.raises(ValueError, match="omega"):
-            missing_intensity_sigma(1j, omega, 1e4, 1.0, 1e3)
+            missing_intensity_sigma(1j, omega, 1e4, 1.0)
         with pytest.raises(ValueError, match="omega"):
             screen_intensity(1j, omega, 1e4, [0.0, 10.0])
 
 
-def test_verify_rejects_a_schedule_too_short_for_the_full_form_fit():
-    # the full form fits three basis columns, so it needs three tapers before any pass runs
-    alpha = alpha_boundary(two_level_pair(1.0), 1.0)
-    with pytest.raises(ValueError, match=r"eps schedule too short to extrapolate: need 3 members \(got 2\)"):
-        verify_optical_theorem(alpha, 1.0, eps_schedule=[40.0, 80.0])
+
+def test_coarse_screen_quadrature_fails_the_screen_checks(monkeypatch):
+    # at Gauss-Legendre order 3 the screen gaps grow to about 4e-6, 4e-5 and 1e-5: far past
+    # the checks' 1e-9 bounds, though inside the 1e-3 of verify's converged verdict
+    monkeypatch.setattr(screen, "_GL_ORDER", 3)
+    checks = (validate.check_negative_sigma_routes, validate.check_screen_sign_blind, validate.check_z_independence)
+    for check in checks:
+        ok, detail = check()
+        assert not ok, detail
