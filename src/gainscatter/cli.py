@@ -33,14 +33,13 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import validate as validation_suite
-from .medium import extinction_dilute, intensity_profile, medium_response
+from .medium import DILUTE_THRESHOLD, extinction_dilute, intensity_profile, medium_response
 from .response import alpha_boundary, polarizability_curve
 from .scattering import BAND_LABELS, amplifier_bands, cross_sections, sigma_total_optical
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -387,7 +386,13 @@ def cmd_medium(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     scenario, curve = pipeline.scenario, pipeline.curve
     med = pipeline.medium
     sigma_tot = sigma_total_optical(curve.positive_alpha, curve.positive_grid)
-    h_dilute = extinction_dilute(scenario.medium_density, sigma_tot, med.dilute_ok)
+    h_dilute = extinction_dilute(scenario.medium_density, sigma_tot)
+    if not med.dilute_ok.all():  # one stderr line, --quiet or not; the exit code stays 0
+        print(
+            "warning: extinction_dilute called outside the dilute regime "
+            f"(|4 pi n alpha| >= {DILUTE_THRESHOLD:g} somewhere); first-order value returned anyway",
+            file=sys.stderr,
+        )
     # Slab profile at the frequency of strongest extinction, over two gain or loss
     # lengths 2/|h|, or over [0, 1] where 2/|h| is not finite (h = 0 too).
     idx = int(np.argmax(np.abs(med.h)))
@@ -444,11 +449,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
-    """``warnings.showwarning`` for a command: one ``warning: <message>`` line on stderr."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
 
@@ -466,12 +466,9 @@ def run(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         out_dir = Path(args.out) if args.out else Path(scenario.output_dir)
-        # a non-finite result is named by the writers' own checks, not by numpy warnings;
-        # any other warning (extinction_dilute outside the dilute regime) is one stderr line
-        with warnings.catch_warnings():
-            warnings.showwarning = _warning_line
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return handler(Pipeline(scenario), out_dir, args.quiet)
+        # a non-finite result is named by the writers' own checks, not by numpy warnings
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return handler(Pipeline(scenario), out_dir, args.quiet)
     except (ValueError, OSError, MemoryError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

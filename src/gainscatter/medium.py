@@ -13,7 +13,6 @@ Densities are in (omega_ref/c)^3, h and k in omega_ref/c.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,27 +66,20 @@ def extinction(k):
     return 2.0 * np.asarray(k, dtype=complex).imag
 
 
-def extinction_dilute(density_n: float, sigma_tot, dilute_flags=None):
+def extinction_dilute(density_n: float, sigma_tot):
     """Dilute-limit extinction h = n sigma_tot; sign inherited from sigma_tot.
 
-    If dilute flags are supplied and any sample fails the dilute test, a
-    warning is attached to the result rather than failing: the value is
-    still the first-order formula, just less trustworthy there.
+    The first-order formula, valid where ``MediumResponse.dilute_ok`` holds.
     """
     _check_positive("density_n", density_n)
-    if dilute_flags is not None and not np.all(dilute_flags):
-        warnings.warn(
-            "extinction_dilute called outside the dilute regime "
-            f"(|4 pi n alpha| >= {DILUTE_THRESHOLD:g} somewhere); "
-            "first-order value returned anyway",
-            stacklevel=2,
-        )
     return density_n * np.asarray(sigma_tot, dtype=float)
 
 
 def intensity_profile(h: float, z_samples):
-    """Intensity ratio I(z)/I(0) = exp(-h z) along the propagation axis."""
+    """Intensity ratio I(z)/I(0) = exp(-h z) at finite, non-negative, ascending z samples."""
     z = np.asarray(z_samples, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("z samples must be finite")
     if np.any(z < 0.0):
         raise ValueError("z samples must be non-negative")
     if z.size > 1 and not np.all(np.diff(z) > 0.0):

@@ -65,12 +65,7 @@ from .scattering import (
     sigma_total_spectral,
 )
 from .scenario import parse_scenario
-from .screen import (
-    default_eps_schedule,
-    missing_intensity_sigma,
-    optical_theorem_sigma,
-    verify_optical_theorem,
-)
+from .screen import optical_theorem_sigma, verify_optical_theorem
 from .spectral import (
     BROADEN_MARGIN,
     LineSpectrum,
@@ -401,8 +396,9 @@ def check_screen_convergence_order():
     z, omega = 1e6, 1.0
     f = 1.0 + 0.8j
     want = optical_theorem_sigma(f, omega)
-    eps = default_eps_schedule(omega, z)[:0:-1]  # its five smallest tapers, ascending
-    devs = [abs(missing_intensity_sigma(f, omega, z, e) - want) for e in eps]
+    report = verify_optical_theorem(f, omega, z)  # at omega = 1, F = alpha
+    eps = report["eps_schedule"][:0:-1]  # its five smallest tapers, ascending
+    devs = [abs(s - want) for s in report["sigma_estimates"][:0:-1]]
     slope = np.polyfit(np.log(eps), np.log(devs), 1)[0]
     return 0.8 <= slope <= 1.2, f"fitted slope {slope:.3f}"
 
@@ -421,9 +417,7 @@ def check_energy_bookkeeping():
     f = scattering_amplitude(alpha, omega, e, e)
     sigma = float(sigma_total_optical(alpha, omega))
     gap = abs(optical_theorem_sigma(f, omega) - sigma) / abs(sigma)
-    z = 1e4
-    eps = default_eps_schedule(omega, z)[-1]
-    deficit = missing_intensity_sigma(f, omega, z, eps)
+    deficit = verify_optical_theorem(alpha, omega)["sigma_estimates"][-1]  # the smallest taper
     # integral of (I - I0)/I0 is minus the deficit integral
     ok = -deficit > 0.0 and gap <= 1e-12
     return ok, f"screen surplus {-deficit:.3e} (sigma_tot < 0); amplitude gap {gap:.2e}"

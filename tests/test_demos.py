@@ -1,7 +1,9 @@
-"""Each narrative script in demos/ runs to completion, and every public name has a caller."""
+"""Each narrative script in demos/ and the README's library tour runs to completion, and every
+public name has a caller."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,14 @@ def test_demo_runs(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_runs():
+    # a name the package no longer has, left in the tour, fails here
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme, re.S | re.M)
+    assert tour is not None, "README has no Library tour python block"
+    exec(compile(tour.group(1), "README.md#library-tour", "exec"), {})
 
 
 def _public_names() -> set:

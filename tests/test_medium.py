@@ -99,11 +99,6 @@ def test_extinction_dilute_values():
     assert extinction_dilute(1e-6, 4.0 * np.pi) == pytest.approx(4.0 * np.pi * 1e-6)
 
 
-def test_extinction_dilute_warns_outside_regime():
-    with pytest.warns(UserWarning, match="dilute"):
-        extinction_dilute(1e-6, 1.0, dilute_flags=np.array([True, False]))
-
-
 def test_extinction_dilute_agrees_with_exact_chain():
     # branch-root chain vs first-order law across two decades of density
     pair = two_level_pair(0.0)
@@ -186,10 +181,17 @@ def test_intensity_profile_monotonicity():
 
 
 def test_intensity_profile_rejects_bad_z():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="z samples must be non-negative"):
         intensity_profile(0.1, np.array([-1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="z samples must be ascending"):
         intensity_profile(0.1, np.array([1.0, 0.5]))
+
+
+def test_intensity_profile_rejects_non_finite_z():
+    # NaN used to pass the non-negative test and give a NaN ratio, and inf gave exp(-inf h) = 0
+    for z in ([np.nan], [0.0, np.inf], [0.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="z samples must be finite"):
+            intensity_profile(0.1, z)
 
 
 # --- medium response composition ---------------------------------------------------

@@ -8,14 +8,12 @@ import pytest
 from conftest import two_level_pair
 from gainscatter import (
     alpha_boundary,
-    default_eps_schedule,
-    missing_intensity_sigma,
     optical_theorem_sigma,
     screen_intensity,
     verify_optical_theorem,
 )
 from gainscatter import screen, validate
-from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _radial_nodes, check_screen
+from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _deficit_sums, _eps_schedule, _radial_nodes, check_screen
 
 
 # --- screen intensity -----------------------------------------------------------
@@ -69,19 +67,31 @@ def test_screen_grid_validates_paraxial():
         screen_intensity(1.0, 1.0, 1e4, np.array([0.0, 1.5e3]))
 
 
+def test_screen_intensity_needs_finite_non_negative_radii():
+    # a NaN radius used to pass the paraxial test (nan > r_max is False) and give a NaN
+    # intensity, and r = -5 was silently the intensity at +5
+    for bad in (np.nan, -5.0, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"r_perp must be finite and non-negative \(got"):
+            screen_intensity(1.0 + 0.5j, 1.0, 1e4, [0.0, bad])
+    assert screen_intensity(1.0 + 0.5j, 1.0, 1e4, [0.0, 1e3]).shape == (2,)  # r_max itself is on the screen
+
+
 # --- missing intensity ------------------------------------------------------------
 
 
 def test_missing_intensity_zero_amplitude():
-    assert missing_intensity_sigma(0.0, 1.0, 1e4, 1.0) == 0.0
+    report = verify_optical_theorem(0.0, 1.0)
+    assert report["sigma_estimates"] == report["sigma_estimates_full"] == [0.0] * 6
+    assert report["sigma_extrapolated"] == 0.0 and report["converged"]
 
 
 def test_missing_intensity_analytic_kernel():
-    # exact tapered value: sigma(eps) = -(4 pi/omega) Re[F/(eps - i)]
+    # exact tapered value of the interference form: sigma(eps) = -(4 pi/omega) Re[F/(eps - i)],
+    # at every taper of the schedule (the edge taper is at most 1e-12 of the centre's)
     f = 0.8 + 0.6j
     omega, z = 1.0, 1e4
-    for eps in (0.6, 1.2, 4.8):
-        got = missing_intensity_sigma(f, omega, z, eps)
+    for eps in _eps_schedule(omega, z):
+        got = _deficit_sums(f, omega, z, eps)[0]
         want = -(4.0 * np.pi / omega) * (f / (eps - 1j)).real
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -99,19 +109,11 @@ def test_missing_intensity_pure_imaginary_convergence():
 
 
 def test_missing_intensity_feasibility_errors():
-    with pytest.raises(ValueError, match="taper_eps"):
-        missing_intensity_sigma(1.0j, 1.0, 1e4, 1e-3)  # taper undecayed at r_max
     with pytest.raises(ValueError, match="far-field"):
-        missing_intensity_sigma(1.0j, 1.0, 500.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        missing_intensity_sigma(1.0j, 1.0, 1e4, -1.0)
-
-
-def test_check_screen_needs_a_finite_taper():
-    # a taper that is not finite is named, not computed
-    for eps in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="need a positive, finite taper_eps"):
-            missing_intensity_sigma(1.0j, 1.0, 1e4, eps)
+        verify_optical_theorem(1.0j, 1.0, 500.0)
+    for z in (0.0, -1e4):
+        with pytest.raises(ValueError, match="z must be positive"):
+            verify_optical_theorem(1.0j, 1.0, z)
 
 
 def test_screen_needs_a_finite_distance_and_edge_phase():
@@ -120,7 +122,6 @@ def test_screen_needs_a_finite_distance_and_edge_phase():
     for z in (np.nan, np.inf):
         for call in (
             lambda: screen_intensity(1.0 + 0.5j, 1.0, z, [0.0, 1.0]),
-            lambda: missing_intensity_sigma(1.0 + 0.5j, 1.0, z, 1.0),
             lambda: verify_optical_theorem(1.0 + 0.5j, 1.0, z),
         ):
             with pytest.raises(ValueError, match="z must be positive and finite"):
@@ -128,7 +129,6 @@ def test_screen_needs_a_finite_distance_and_edge_phase():
     for call in (
         lambda: check_screen(1e300, 1e20),
         lambda: screen_intensity(1.0 + 0.5j, 1e300, 1e20, [0.0, 1.0]),
-        lambda: missing_intensity_sigma(1.0 + 0.5j, 1e300, 1e20, 1.0),
         lambda: verify_optical_theorem(1.0 + 0.5j, 1e300, 1e20),
     ):
         with pytest.raises(ValueError, match="edge phase overflows"):
@@ -153,15 +153,12 @@ def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, full=False):
 
 @pytest.mark.parametrize("full", [False, True])
 def test_chunked_missing_intensity_matches_dense_sum(full):
-    # the interference form, or the full form that verify sums in the same pass
+    # each of the two forms that one pass sums: the interference form, or the full form
     f, omega = 1.0 + 0.8j, 1.0
     for z, exact in ((1e4, True), (1e6, False)):
-        for eps in default_eps_schedule(omega, z)[::2]:
+        for eps in _eps_schedule(omega, z)[::2]:
             assert (_radial_nodes(omega, z, eps)[0].size <= NODE_CHUNK) == exact
-            if full:
-                got = screen._deficit_sums(f, omega, z, eps, full=True)[1]
-            else:
-                got = missing_intensity_sigma(f, omega, z, eps)
+            got = _deficit_sums(f, omega, z, eps)[int(full)]
             want = dense_missing_intensity_sigma(f, omega, z, eps, full)
             if exact:  # one chunk: the same operations as the dense sum, bit for bit
                 assert got == want
@@ -173,11 +170,11 @@ def test_missing_intensity_memory_bounded_by_chunk():
     # z = 1e6 has about 153k radial nodes: the dense sum peaked at 9.3 MiB,
     # of which the node and weight arrays themselves are 2.3 MiB
     z, omega = 1e6, 1.0
-    eps = default_eps_schedule(omega, z)[-1]  # the validate case's taper
-    missing_intensity_sigma(1.0 + 0.8j, omega, z, eps)  # warm the node cache
+    eps = _eps_schedule(omega, z)[-1]  # the convergence-order check's smallest taper
+    _deficit_sums(1.0 + 0.8j, omega, z, eps)  # warm the node cache
     tracemalloc.start()
     try:
-        missing_intensity_sigma(1.0 + 0.8j, omega, z, eps)
+        _deficit_sums(1.0 + 0.8j, omega, z, eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,20 +267,18 @@ def test_verify_passes_each_taper_once_with_single_variant_bits(monkeypatch):
     report = verify_optical_theorem(alpha_boundary(two_level_pair(1.0), omega), omega)
     schedule = report["eps_schedule"]
     assert len(builds) == len(schedule)  # both deficit forms from one pass per taper
+    assert schedule == _eps_schedule(omega, DEFAULT_Z).tolist()
+    # the default screen is one chunk, so each form's estimate is that form's dense sum
+    # bit for bit, as a pass of its own would give, and each intercept is its form's fit
     f = complex(*report["forward_amplitude"])
-    single = [missing_intensity_sigma(f, omega, DEFAULT_Z, eps) for eps in schedule]
-    assert report["sigma_estimates"] == single
     eps = np.array(schedule)
-    design = np.column_stack([np.ones_like(eps), eps])
-    coeffs, *_ = np.linalg.lstsq(design, np.array(single) * (1.0 + eps**2), rcond=None)
-    assert report["sigma_extrapolated"] == coeffs[0]
-    # the full form is verify's alone: the default screen is one chunk, so each estimate is
-    # the dense full-form sum bit for bit, and the intercept is the three-column fit's
-    full = [dense_missing_intensity_sigma(f, omega, DEFAULT_Z, eps, full=True) for eps in schedule]
-    assert report["sigma_estimates_full"] == full
-    design = np.column_stack([np.ones_like(eps), eps, (1.0 + eps**2) / eps])
-    coeffs, *_ = np.linalg.lstsq(design, np.array(full) * (1.0 + eps**2), rcond=None)
-    assert report["sigma_extrapolated_full"] == coeffs[0]
+    for full, basis in ((False, []), (True, [(1.0 + eps**2) / eps])):
+        single = [dense_missing_intensity_sigma(f, omega, DEFAULT_Z, e, full) for e in schedule]
+        suffix = "_full" if full else ""
+        assert report["sigma_estimates" + suffix] == single
+        design = np.column_stack([np.ones_like(eps), eps, *basis])
+        coeffs, *_ = np.linalg.lstsq(design, np.array(single) * (1.0 + eps**2), rcond=None)
+        assert report["sigma_extrapolated" + suffix] == coeffs[0]
 
 
 def test_verify_rejects_bad_omega():
@@ -292,10 +287,7 @@ def test_verify_rejects_bad_omega():
         with pytest.raises(ValueError, match="omega"):
             verify_optical_theorem(alpha, omega)
         with pytest.raises(ValueError, match="omega"):
-            missing_intensity_sigma(1j, omega, 1e4, 1.0)
-        with pytest.raises(ValueError, match="omega"):
             screen_intensity(1j, omega, 1e4, [0.0, 10.0])
-
 
 
 def test_coarse_screen_quadrature_fails_the_screen_checks(monkeypatch):
