@@ -45,7 +45,6 @@ __all__ = [
 
 _GL_ORDER = 24
 EDGE_DECAY_FRACTION = 1e-3  # |Im alpha| at the grid edges must be below this times the peak
-KK_EVAL_POINTS = 1024  # at most this many points of the Kramers-Kronig check
 
 
 def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, zeta):
@@ -254,55 +253,26 @@ def polarizability_curve(pair: SpectralPair) -> PolarizabilityCurve:
 
 
 def _pv_reconstruct(grid: np.ndarray, f: np.ndarray, eval_idx: np.ndarray) -> np.ndarray:
-    """Re alpha from Im alpha by the principal-value Hilbert transform.
+    """Re alpha from Im alpha by the principal-value Hilbert transform, Maclaurin's rule.
 
-    Odd reflection about the singular point: over the symmetric window the
-    integrand becomes [f(w+u) - f(w-u)]/u, smooth at u = 0 with limit
-    2 f'(w); the leftover one-sided stretches are ordinary trapezoids.  On
-    the uniform grid the trapezoid pieces of a pass at stride s add up to
-    the discrete Hilbert sum s * sum f[k+q]/q over q != 0 divisible by s,
-    whatever the window, plus the u = 0 term from a 4th-order derivative
-    stencil.  The grid ends carry trapezoid weights, as fractions of the
-    interior weight: half for s = 1; for s = 2, half where the end is an
-    even number of steps from k, otherwise 3/4 on the last even point and
-    1/4 on the end itself (the last interval is a half step).  Both sums
-    are correlations of f with a fixed kernel, done by FFT at every index
-    at once.  Richardson (h, 2h) extrapolation
-    removes the leading h^2 error; points 4 to 7 steps from an end get the
-    stride-1 pass alone, and points closer than 4 steps get 0.
+    On the uniform grid the transform at index k is (2/pi) * sum over odd q
+    of f[k+q]/q, with f = 0 beyond the grid (K. Ohta and H. Ishida, Appl.
+    Spectrosc. 42, 952 (1988)): nodes 2h apart with the pole midway
+    between two of them, so for a Lorentzian of width gamma the quadrature
+    error falls as exp(-pi gamma / h) and what remains is truncation at the
+    grid ends.  The sum is a correlation of f with a fixed odd kernel, done
+    by FFT at every index at once.
     """
     n = grid.size
-    k = np.asarray(eval_idx, dtype=np.intp)
-    reach = np.minimum(k, n - 1 - k)
-    out = np.zeros(k.size)
-    inner = reach >= 4
-    if not inner.any():
-        return out
-    k, reach = k[inner], reach[inner]
-    p = n - 1 - k  # steps to the right end
-
-    # kernels K[q] = 1/q and 2/q on even q, stored circularly; a length of at
-    # least 2n - 1 keeps the correlation free of wrap-around
+    # kernel K[q] = 1/q on odd q, stored circularly; a length of at least
+    # 2n - 1 keeps the correlation free of wrap-around
     size = 1 << (2 * n - 2).bit_length()
-    q = np.arange(1, n)
-    kernels = np.zeros((2, size))
-    kernels[0, q], kernels[0, -q] = 1.0 / q, -1.0 / q
-    even = q[1::2]
-    kernels[1, even], kernels[1, -even] = 2.0 / even, -2.0 / even
+    q = np.arange(1, n, 2)
+    kernel = np.zeros(size)
+    kernel[q], kernel[-q] = 1.0 / q, -1.0 / q
     # sum_q f[k+q] K[q] = -(f conv K)[k] because K is odd
-    spectrum = np.fft.rfft(f, size) * np.fft.rfft(kernels, axis=-1)
-    fine, coarse = -np.fft.irfft(spectrum, size)[:, k]
-
-    # end weights: the sums above give every point the interior weight
-    fine += 0.5 * (f[0] / k - f[-1] / p)
-    odd_k, odd_p = k % 2 == 1, p % 2 == 1
-    coarse += np.where(odd_k, 0.5 * (f[1] / (k - 1) - f[0] / k), f[0] / k)
-    coarse += np.where(odd_p, 0.5 * (f[-1] / p - f[-2] / (p - 1)), -f[-1] / p)
-
-    fine += (-f[k + 2] + 8 * f[k + 1] - 8 * f[k - 1] + f[k - 2]) / 12.0
-    coarse += (-f[k + 4] + 8 * f[k + 2] - 8 * f[k - 2] + f[k - 4]) / 12.0
-    out[inner] = np.where(reach >= 8, (4.0 * fine - coarse) / 3.0, fine)
-    return out / np.pi
+    total = np.fft.irfft(np.fft.rfft(f, size) * np.fft.rfft(kernel), size)
+    return total[np.asarray(eval_idx, dtype=np.intp)] * (-2.0 / np.pi)
 
 
 def kramers_kronig_residual(curve: PolarizabilityCurve) -> float:
@@ -312,10 +282,8 @@ def kramers_kronig_residual(curve: PolarizabilityCurve) -> float:
     to the peak |Re alpha| there (pointwise ratios are meaningless where
     Re alpha crosses zero).  Requires a near-uniform grid whose edges have
     |Im alpha| below ``EDGE_DECAY_FRACTION`` of its peak.  The transform is
-    taken at up to ``KK_EVAL_POINTS`` evenly strided points; it treats
-    the grid as uniform and computes the principal-value sums at every index
-    as FFT correlations with trapezoid weights at the grid ends (see
-    ``_pv_reconstruct``).
+    taken at every central index, by Maclaurin's odd-offset sum over the
+    grid treated as uniform (see ``_pv_reconstruct``).
     """
     grid = curve.grid
     spacing = np.diff(grid)
@@ -332,13 +300,9 @@ def kramers_kronig_residual(curve: PolarizabilityCurve) -> float:
             )
     n = grid.size
     k_lo, k_hi = int(0.1 * n), int(0.9 * n)
-    eval_idx = np.arange(k_lo, k_hi)
-    if eval_idx.size > KK_EVAL_POINTS:
-        stride = int(np.ceil(eval_idx.size / KK_EVAL_POINTS))
-        eval_idx = eval_idx[::stride]
-    reconstructed = _pv_reconstruct(grid, im, eval_idx)
-    re = curve.alpha.real[eval_idx]
-    scale = float(np.abs(curve.alpha.real[k_lo:k_hi]).max())
+    reconstructed = _pv_reconstruct(grid, im, np.arange(k_lo, k_hi))
+    re = curve.alpha.real[k_lo:k_hi]
+    scale = float(np.abs(re).max())
     if scale == 0.0:
-        return float(np.abs(reconstructed).max()) if reconstructed.size else 0.0
+        return float(np.abs(reconstructed).max())
     return float(np.abs(reconstructed - re).max() / scale)

@@ -81,7 +81,8 @@ def sigma_elastic(alpha, omega):
 
 
 def sigma_total_optical(alpha, omega):
-    """Optical-theorem total cross section 4 pi omega Im alpha (signed)."""
+    """Optical-theorem total cross section 4 pi omega Im alpha (signed), at omega > 0."""
+    _check_positive("omega", omega)
     return 4.0 * np.pi * np.asarray(omega, dtype=float) * np.asarray(alpha, dtype=complex).imag
 
 

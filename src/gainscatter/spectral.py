@@ -522,6 +522,8 @@ def noise_temperature(pair: SpectralPair, omega: float):
     omega = float(omega)
     if omega == 0.0:
         raise ValueError("noise temperature is undefined at zero frequency")
+    if not np.isfinite(omega):
+        raise ValueError(f"noise temperature needs a finite frequency (got {omega!r})")
     s_plus, s_minus = pair._sums_at(omega)
     value = float(noise_temperature_values(omega, s_plus, s_minus))
     return None if np.isnan(value) else value

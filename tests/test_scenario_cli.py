@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tarfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -799,6 +800,11 @@ def test_identity_chain_and_sign_theorem_fail_when_the_spectral_route_is_all_zer
         (validate.check_rayleigh_closure, "sigma_elastic"),
         (validate.check_identity_chain, "sigma_total_spectral"),
         (validate.check_screen_sign_blind, "optical_theorem_sigma"),
+        pytest.param(
+            partial(validate.check_kramers_kronig, p_excited=(0.0, 1.0)),
+            "kramers_kronig_residual",
+            id="check_kramers_kronig-kramers_kronig_residual",
+        ),
     ],
 )
 def test_a_nan_gap_after_the_first_sample_fails_its_check(monkeypatch, check, route):

@@ -607,9 +607,10 @@ def test_noise_temperature_one_sided_line_undefined():
     assert np.isnan(noise_temperature_values(lines.omega0, lines.absorb, lines.emit)).all()
 
 
-def test_noise_temperature_rejects_zero_frequency():
-    with pytest.raises(ValueError):
-        noise_temperature(two_level_pair(0.0), 0.0)
+@pytest.mark.parametrize("omega", [0.0, np.nan, np.inf])
+def test_noise_temperature_rejects_zero_frequency(omega):
+    with pytest.raises(ValueError, match="zero frequency" if omega == 0.0 else repr(omega)):
+        noise_temperature(two_level_pair(0.0), omega)
 
 
 def test_noise_temperature_negative_iff_inverted_broadened():
