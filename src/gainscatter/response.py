@@ -106,10 +106,9 @@ def _gl_nodes(order: int):
     return nodes, weights
 
 
-def _gl_panels(edges: np.ndarray, order: int):
-    """Nodes and weights of the ``order``-point Gauss-Legendre rule on each panel between ``edges``."""
+def _gl_panels(a: np.ndarray, b: np.ndarray, order: int):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on each panel [a, b]."""
     nodes, weights = _gl_nodes(order)
-    a, b = edges[:-1], edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = (mid[:, None] + half[:, None] * nodes).ravel()
@@ -182,7 +181,7 @@ def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
             value = value - d0 * inside / (w - zeta)
         return value
 
-    nodes, weights = _gl_panels(edges, _GL_ORDER)
+    nodes, weights = _gl_panels(edges[:-1], edges[1:], _GL_ORDER)
     total = complex(np.sum(integrand(nodes) * weights))
     if subtract and d0 != 0.0:
         # integral of 1/(w - zeta) over [x0 - W, x0 + W]

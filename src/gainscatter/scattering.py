@@ -76,7 +76,8 @@ def differential_elastic(alpha: complex, omega: float, theta):
 
 
 def sigma_elastic(alpha, omega):
-    """Elastic cross section (8 pi / 3) omega^4 |alpha|^2; never negative."""
+    """Elastic cross section (8 pi / 3) omega^4 |alpha|^2 at omega > 0; never negative."""
+    _check_positive("omega", omega)
     return (8.0 * np.pi / 3.0) * np.asarray(omega, dtype=float) ** 4 * np.abs(alpha) ** 2
 
 

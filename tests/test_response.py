@@ -345,12 +345,16 @@ def test_kramers_kronig_zero_curve():
 
 
 def looped_pv_reconstruct(grid, f, eval_idx):
-    """Reference: Maclaurin's sum (2/pi) sum over odd q of f[k+q]/q, one point at a time."""
+    """Reference: Maclaurin's sum (2/pi) sum over odd q of f[k+q]/q, one point at a time,
+    each a dot product with the odd kernel 1/q over every offset q = -(n-1) .. n-1."""
+    n = grid.size
+    q = np.arange(1 - n, n)
+    odd = q % 2 == 1
+    kernel = np.zeros(q.size)
+    kernel[odd] = 1.0 / q[odd]
     out = np.empty(len(eval_idx))
     for a, k in enumerate(eval_idx):
-        q = np.arange(grid.size) - int(k)
-        odd = q % 2 == 1
-        out[a] = 2.0 / np.pi * np.sum(f[odd] / q[odd])
+        out[a] = 2.0 / np.pi * np.dot(f, kernel[n - 1 - k : 2 * n - 1 - k])
     return out
 
 

@@ -95,6 +95,8 @@ def test_every_omega_rule_rejects_nonpositive_and_nonfinite_omega(omega):
         "scattering_amplitude": lambda: scattering_amplitude(1j, omega, e, e),
         "differential_elastic": lambda: differential_elastic(1j, omega, 0.3),
         "sigma_total_spectral": lambda: sigma_total_spectral(two_level_pair(0.5), [1.0, omega]),
+        "sigma_elastic": lambda: sigma_elastic(1j, omega),
+        "sigma_elastic of an array": lambda: sigma_elastic([1j, 1j], [1.0, omega]),
         "sigma_total_optical": lambda: sigma_total_optical(1j, omega),
         "sigma_total_optical of an array": lambda: sigma_total_optical([1j, 1j], [1.0, omega]),
         "optical_theorem_sigma": lambda: optical_theorem_sigma(1j, omega),

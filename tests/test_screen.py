@@ -13,7 +13,8 @@ from gainscatter import (
     verify_optical_theorem,
 )
 from gainscatter import screen, validate
-from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _deficit_sums, _eps_schedule, _radial_nodes, check_screen
+from gainscatter.response import _gl_panels
+from gainscatter.screen import DEFAULT_Z, NODE_CHUNK, _deficit_sums, _eps_schedule, check_screen
 
 
 # --- screen intensity -----------------------------------------------------------
@@ -90,8 +91,8 @@ def test_missing_intensity_analytic_kernel():
     # at every taper of the schedule (the edge taper is at most 1e-12 of the centre's)
     f = 0.8 + 0.6j
     omega, z = 1.0, 1e4
-    for eps in _eps_schedule(omega, z):
-        got = _deficit_sums(f, omega, z, eps)[0]
+    schedule = _eps_schedule(omega, z)
+    for eps, got in zip(schedule, _deficit_sums(f, omega, z, schedule)[0]):
         want = -(4.0 * np.pi / omega) * (f / (eps - 1j)).real
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -135,11 +136,28 @@ def test_screen_needs_a_finite_distance_and_edge_phase():
             call()
 
 
+def base_edges(omega, z):
+    """Reference: the screen's base panel edges, about pi/8 of phase each out to r_max = z/10."""
+    r_max = z / 10.0
+    n_panels = max(int(np.ceil(omega * r_max * r_max / (2.0 * z) / (np.pi / 8.0))), 4)
+    return r_max * np.sqrt(np.linspace(0.0, 1.0, n_panels + 1))
+
+
+def taper_nodes(omega, z, taper_eps):
+    """Reference: one taper's radial nodes and weights, built on their own: the base edges
+    and the taper's extra edges, every half e-folding radius out to 8 of them or r_max,
+    then 12-point Gauss-Legendre on every panel between them."""
+    r_taper = np.sqrt(2.0 * z / (taper_eps * omega))
+    extra = np.arange(0.0, min(8.0 * r_taper, z / 10.0), 0.5 * r_taper)
+    edges = np.unique(np.concatenate((base_edges(omega, z), extra)))
+    return _gl_panels(edges[:-1], edges[1:], 12)
+
+
 def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, full=False):
-    """Reference: the missing-intensity sum over every radial node at once, of the
+    """Reference: the missing-intensity sum over every node of one taper at once, of the
     interference form or of the full form (|F|^2/r_d^2 added, true distance r_d)."""
     a = omega / z
-    r, w = _radial_nodes(omega, z, taper_eps)
+    r, w = taper_nodes(omega, z, taper_eps)
     phase = 0.5 * a * r * r
     taper = np.exp(-taper_eps * phase)
     osc = (f_forward * np.exp(1j * phase)).real
@@ -151,30 +169,43 @@ def dense_missing_intensity_sigma(f_forward, omega, z, taper_eps, full=False):
     return float(2.0 * np.pi * np.sum(deficit * taper * r * w))
 
 
+ONE_CHUNK_SCREENS = [(omega, 1e4) for omega in (0.1, 0.3, 0.7, 1.0, 1.005, 1.7, 2.5)] + [(1.0, 1e5)]
+
+
+@pytest.mark.parametrize("f", [1.0 + 0.8j, -0.4 - 0.9j])
+@pytest.mark.parametrize("omega, z", ONE_CHUNK_SCREENS)
+def test_one_pass_equals_each_tapers_dense_sum_bit_for_bit(omega, z, f):
+    # every taper's nodes fit one chunk: each sum of the one pass is that taper's dense
+    # sum, with the same operations in the same order, for both forms and both signs of Im F
+    schedule = _eps_schedule(omega, z)
+    got = _deficit_sums(f, omega, z, schedule)
+    for k, eps in enumerate(schedule):
+        assert taper_nodes(omega, z, eps)[0].size <= NODE_CHUNK
+        for full in (False, True):
+            assert got[int(full), k] == dense_missing_intensity_sigma(f, omega, z, eps, full)
+
+
 @pytest.mark.parametrize("full", [False, True])
 def test_chunked_missing_intensity_matches_dense_sum(full):
-    # each of the two forms that one pass sums: the interference form, or the full form
-    f, omega = 1.0 + 0.8j, 1.0
-    for z, exact in ((1e4, True), (1e6, False)):
-        for eps in _eps_schedule(omega, z)[::2]:
-            assert (_radial_nodes(omega, z, eps)[0].size <= NODE_CHUNK) == exact
-            got = _deficit_sums(f, omega, z, eps)[int(full)]
-            want = dense_missing_intensity_sigma(f, omega, z, eps, full)
-            if exact:  # one chunk: the same operations as the dense sum, bit for bit
-                assert got == want
-            else:
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # z = 1e6 spans about ten chunks, so each form's sums regroup: they agree to rounding
+    f, omega, z = 1.0 + 0.8j, 1.0, 1e6
+    schedule = _eps_schedule(omega, z)
+    got = _deficit_sums(f, omega, z, schedule)[int(full)]
+    for eps, sigma in zip(schedule, got):
+        assert taper_nodes(omega, z, eps)[0].size > NODE_CHUNK
+        want = dense_missing_intensity_sigma(f, omega, z, eps, full)
+        assert sigma == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_missing_intensity_memory_bounded_by_chunk():
-    # z = 1e6 has about 153k radial nodes: the dense sum peaked at 9.3 MiB,
-    # of which the node and weight arrays themselves are 2.3 MiB
+    # z = 1e6 has about 153k base nodes: one dense taper peaked at 9.3 MiB, of which its
+    # node and weight arrays are 2.3 MiB; the one pass over the whole schedule stays chunked
     z, omega = 1e6, 1.0
-    eps = _eps_schedule(omega, z)[-1]  # the convergence-order check's smallest taper
-    _deficit_sums(1.0 + 0.8j, omega, z, eps)  # warm the node cache
+    schedule = _eps_schedule(omega, z)  # the convergence-order check's screen
+    _deficit_sums(1.0 + 0.8j, omega, z, schedule)  # warm the node cache
     tracemalloc.start()
     try:
-        _deficit_sums(1.0 + 0.8j, omega, z, eps)
+        _deficit_sums(1.0 + 0.8j, omega, z, schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,14 +291,28 @@ def test_verify_report_shape():
 
 
 def test_verify_passes_each_taper_once_with_single_variant_bits(monkeypatch):
-    builds = []
+    formed = []
     real = screen._radial_nodes
-    monkeypatch.setattr(screen, "_radial_nodes", lambda *args: builds.append(args) or real(*args))
+
+    def spy(*args):
+        result = real(*args)
+        formed.append(result[0])  # the nodes at which this call formed exp(i phase)
+        return result
+
+    monkeypatch.setattr(screen, "_radial_nodes", spy)
     omega = 1.005
     report = verify_optical_theorem(alpha_boundary(two_level_pair(1.0), omega), omega)
     schedule = report["eps_schedule"]
-    assert len(builds) == len(schedule)  # both deficit forms from one pass per taper
     assert schedule == _eps_schedule(omega, DEFAULT_Z).tolist()
+    # the oscillation is formed once at each base node, and once more only at the nodes of
+    # the panels a taper adds where its extra edges split a base panel
+    formed = np.concatenate(formed)
+    edges = base_edges(omega, DEFAULT_Z)
+    base = _gl_panels(edges[:-1], edges[1:], 12)[0]
+    added = [np.setdiff1d(taper_nodes(omega, DEFAULT_Z, e)[0], base) for e in schedule]
+    assert formed.size == base.size + sum(nodes.size for nodes in added)
+    for e in schedule:
+        assert np.isin(taper_nodes(omega, DEFAULT_Z, e)[0], formed).all()
     # the default screen is one chunk, so each form's estimate is that form's dense sum
     # bit for bit, as a pass of its own would give, and each intercept is its form's fit
     f = complex(*report["forward_amplitude"])
