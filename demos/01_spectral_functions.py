@@ -55,9 +55,6 @@ gamma = 0.01
 target = TargetLevels([0.0, omega_0], dipole_sq, [0.25, 0.75])  # pumped 3:1
 pair = broaden(line_spectrum(target), np.linspace(-3.0, 3.0, 2401), gamma)
 for w in (0.9, 1.0, 1.1):
-    tn = noise_temperature(pair, w)
-    print(
-        f"  omega = {w:.2f}: S+ = {pair.s_plus_at(w):9.4f}, S- = {pair.s_minus_at(w):9.4f}, "
-        f"T_n = {tn:+.4f}"
-    )
+    s_plus, s_minus = pair.sums_at(w)  # the line model at any frequency, both sums at once
+    print(f"  omega = {w:.2f}: S+ = {s_plus:9.4f}, S- = {s_minus:9.4f}, T_n = {noise_temperature(pair, w):+.4f}")
 print("  S- dominates near the line and T_n < 0: the target is an amplifier there.")

@@ -313,11 +313,13 @@ class Pipeline:
     samples are summed only when read, and only ``spectrum`` reads them.  So
     is the curve's alpha: ``response`` reads all of it, the cross sections and
     the medium only its omega > 0 half, and no row is summed twice.  Nor is a
-    value the run already has: S+ and S- of a sample share one Lorentzian row
-    (``spectral._pair_sums``), and an omega < 0 sample whose mirror sample is
-    its exact negation copies that sample's S-, S+ and conj(alpha), with the
-    bits of its own sums (``spectral._mirror_rows``).  ``verify`` reads the
-    pair's boundary polarizability at the screen frequency and nothing else.
+    value the run already has: S+ and S- of a sample come from one
+    ``spectral._pair_sums`` call, which shares one Lorentzian row when the
+    line set is its own reflection, and an omega < 0 sample whose mirror
+    sample is its exact negation copies that sample's S-, S+ and
+    conj(alpha), with the bits of its own sums (``spectral._mirror_rows``).
+    Every summed alpha row is an ``alpha_boundary`` value; ``verify`` reads
+    that value at the screen frequency and nothing else.
     """
 
     def __init__(self, scenario: Scenario):

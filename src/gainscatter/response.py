@@ -200,9 +200,9 @@ class PolarizabilityCurve:
     ``closed_form_lorentzian(lines, gamma, omega + 1j * eta)``.
     ``positive_alpha`` sums the lines over ``positive_grid`` only, the part
     cross sections and media tabulate; ``alpha`` adds the omega <= 0 rows to
-    it.  Either is cached, so each row is summed at most once, and a row -w
-    whose mirror row is w copies conj(alpha(w + i0+)) from it
-    (``spectral._mirror_rows``).
+    it.  Every summed row is an ``alpha_boundary`` value.  Either is cached,
+    so each row is summed at most once, and a row -w whose mirror row is w
+    copies conj(alpha(w + i0+)) from it (``spectral._mirror_rows``).
     """
 
     pair: SpectralPair
@@ -219,14 +219,10 @@ class PolarizabilityCurve:
         """The grid's omega > 0 samples, a view of its ascending tail."""
         return self.grid[np.searchsorted(self.grid, 0.0, side="right") :]
 
-    def _alpha_at(self, omega: np.ndarray) -> np.ndarray:
-        lines = self.pair.lines
-        return _alpha_line_sum(lines.omega, lines.weight, self.pair.gamma, omega + 0.0j)
-
     @cached_property
     def positive_alpha(self) -> np.ndarray:
         """alpha(omega + i0+) on ``positive_grid``, summed on first read."""
-        return _frozen(self._alpha_at(self.positive_grid), complex)
+        return _frozen(alpha_boundary(self.pair, self.positive_grid), complex)
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -242,7 +238,7 @@ class PolarizabilityCurve:
         copies = alpha[sources]
         np.subtract(0.0, copies.imag, out=copies.imag)  # the conjugate, with an exact 0 kept +0
         alpha[copied] = copies
-        alpha[summed] = self._alpha_at(grid[summed])
+        alpha[summed] = alpha_boundary(self.pair, grid[summed])
         return _frozen(alpha, complex)
 
 

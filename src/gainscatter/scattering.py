@@ -1,10 +1,11 @@
 """Dipole scattering amplitudes and cross sections.
 
-For a polarizable point target the elastic amplitude is F = (omega/c)^2
-(e_f* . e_i) alpha, giving sigma_el = (8 pi / 3) (omega/c)^4 |alpha|^2 and,
-through the optical theorem, sigma_tot = (4 pi omega / c) Im alpha.  Nothing
-in that chain fixes the sign of Im alpha: where the level populations are
-inverted, sigma_tot is negative and the target amplifies the beam.  The
+For a polarizable point target the forward elastic amplitude, in the
+incident polarization, is F = (omega/c)^2 alpha, giving sigma_el =
+(8 pi / 3) (omega/c)^4 |alpha|^2 and, through the optical theorem,
+sigma_tot = (4 pi omega / c) Im alpha.  Nothing in that chain fixes the
+sign of Im alpha: where the level populations are inverted, sigma_tot is
+negative and the target amplifies the beam.  The
 inelastic cross section is defined purely by the sum rule sigma_in =
 sigma_tot - sigma_el and may be negative.  A passive target has sigma_in >= 0
 only inside the unitarity bound Im alpha >= (2/3) omega^3 |alpha|^2, which
@@ -50,21 +51,11 @@ TOL_BAND = 1e-12  # |sigma_tot| below this counts as neutral for band classifica
 BAND_LABELS = ("neutral", "absorbing", "amplifying")
 
 
-def scattering_amplitude(alpha: complex, omega: float, e_i, e_f) -> complex:
-    """Elastic amplitude omega^2 (e_f* . e_i) alpha for unit polarizations.
-
-    Complex (circular) polarization vectors are fine; the forward amplitude
-    is obtained with e_f = e_i.
-    """
+def scattering_amplitude(alpha: complex, omega: float) -> complex:
+    """Forward elastic amplitude F = omega^2 alpha, scattered into the incident polarization."""
     _check_positive("omega", omega)
     omega = float(omega)
-    e_i = np.asarray(e_i, dtype=complex)
-    e_f = np.asarray(e_f, dtype=complex)
-    for name, e in (("e_i", e_i), ("e_f", e_f)):
-        norm = np.sqrt(np.vdot(e, e).real)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"{name} must be a unit vector (|{name}| = {norm!r})")
-    return omega * omega * complex(np.vdot(e_f, e_i)) * complex(alpha)
+    return omega * omega * complex(alpha)
 
 
 def differential_elastic(alpha: complex, omega: float, theta):
@@ -99,7 +90,7 @@ def sigma_total_spectral(pair: SpectralPair, omega):
     """
     _check_positive("omega", omega)
     omega_arr = np.asarray(omega, dtype=float)
-    s_plus, s_minus = pair._sums_at(omega_arr)
+    s_plus, s_minus = pair.sums_at(omega_arr)
     scalar = omega_arr.ndim == 0
     omega_arr, s_plus, s_minus = np.atleast_1d(omega_arr, s_plus, s_minus)
 

@@ -191,7 +191,8 @@ def _deficit_sums(f_forward, omega, z, schedule) -> np.ndarray:
     operations of a pass of its own.  A taper's sum over one chunk is one
     ``np.sum`` per form.  The caller checks the screen and builds the schedule.
     """
-    n_panels = max(int(np.ceil(_edge_phase(omega, z) / _PHASE_PER_PANEL)), 4)  # ~pi/8 of phase each
+    # ~pi/8 of phase each; check_screen's far field puts the edge phase at 5 or more, so 13 or more panels
+    n_panels = int(np.ceil(_edge_phase(omega, z) / _PHASE_PER_PANEL))
     edges = _r_max(z) * np.sqrt(np.linspace(0.0, 1.0, n_panels + 1))
     key, panels, lo, hi = _taper_panels(edges, omega, z, schedule)
     nodes = panels * _GL_ORDER
@@ -255,8 +256,7 @@ def verify_optical_theorem(alpha: complex, omega: float, z: float = DEFAULT_Z) -
     naming it.
     """
     check_screen(omega, z)
-    e = np.array([1.0, 0.0, 0.0])
-    f_forward = scattering_amplitude(alpha, omega, e, e)
+    f_forward = scattering_amplitude(alpha, omega)
     eps_schedule = _eps_schedule(omega, z)
 
     sigma_closed = optical_theorem_sigma(f_forward, omega)
@@ -272,7 +272,7 @@ def verify_optical_theorem(alpha: complex, omega: float, z: float = DEFAULT_Z) -
         "r_max": float(_r_max(z)),
         "forward_amplitude": [f_forward.real, f_forward.imag],
         "sigma_closed_form": sigma_closed,
-        "eps_schedule": [float(e_) for e_ in eps_schedule],
+        "eps_schedule": [float(eps) for eps in eps_schedule],
         "sigma_estimates": [float(s) for s in estimates],
         "sigma_extrapolated": float(extrapolated),
         "sigma_estimates_full": [float(s) for s in estimates_full],

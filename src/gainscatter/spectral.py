@@ -49,11 +49,12 @@ BROADEN_MARGIN = 20.0     # grid must span the line set by this many gamma
 # Bytes of scratch per line sum, split evenly across the usable CPUs, so memory
 # stays O(points + budget) whatever the line count.  On two CPUs a worker's
 # 1 MiB holds 32768 points x lines elements of the complex alpha sum's two
-# 16-byte arrays, or 131072 of the one 8-byte S+/S- array.  A worker that finds
-# the GIL held when its ufunc returns sleeps until it is free, so blocks must
-# be large next to that hand-off: on a 2-vCPU VM (numpy 2.4.6), two workers
-# sharing 512 KiB were no faster than one on the 30-level ladder's alpha sum,
-# while sharing 2 MiB they were 15-45% faster, as host load allowed.
+# 16-byte arrays, or 65536 of the S+/S- sum's two 8-byte arrays.  A worker
+# that finds the GIL held when its ufunc returns sleeps until it is free, so
+# blocks must be large next to that hand-off: on a 2-vCPU VM (numpy 2.4.6),
+# two workers sharing 512 KiB were no faster than one on the 30-level
+# ladder's alpha sum, while sharing 2 MiB they were 15-45% faster, as host
+# load allowed.
 LINE_SUM_BYTES = 1 << 21
 
 POPULATION_SUM_TOL = 1e-12
@@ -209,17 +210,16 @@ class SpectralPair:
     """The broadened line model: Lorentzian S+ and S- of ``lines`` over a grid.
 
     Construction checks a strictly ascending grid spanning the lines
-    (``check_grid_span``) and a positive, finite gamma.
-    ``s_plus_at``/``s_minus_at`` evaluate the model exactly at any frequency.
-    The grid samples ``s_plus``/``s_minus`` (the export/CSV view) are built
-    together on first read and cached; of the CLI stages only ``spectrum``
-    reads them, while the curve, the cross sections and the medium need only
-    ``grid``, ``gamma`` and ``lines``.
+    (``check_grid_span``) and a positive, finite gamma.  ``sums_at``
+    evaluates the model exactly at any frequency, and ``difference_at``
+    reads it.  The grid samples ``s_plus``/``s_minus`` (the export/CSV view)
+    are built together on first read and cached; of the CLI stages only
+    ``spectrum`` reads them, while the curve, the cross sections and the
+    medium need only ``grid``, ``gamma`` and ``lines``.
 
-    Each sample's S+ and S- come from one ``_pair_sums`` row, except that a
-    sample -w whose mirror sample is w copies S-(w) and S+(w) from it
-    (``_mirror_rows``).  ``difference_at`` takes both sums from one row per
-    point too; ``s_plus_at``/``s_minus_at`` stay one-sided.
+    Every S+/S- value comes from ``_pair_sums``, except that a grid sample
+    -w whose mirror sample is w copies S-(w) and S+(w) from it
+    (``_mirror_rows``).
     """
 
     grid: np.ndarray
@@ -261,21 +261,13 @@ class SpectralPair:
         """S- on the grid."""
         return self._samples[1]
 
-    def s_plus_at(self, omega):
-        """S+ at arbitrary frequencies, summed exactly over the lines."""
-        return _broadened_sum(self.lines.omega, self.lines.weight, self.gamma, omega)
-
-    def s_minus_at(self, omega):
-        """S- at arbitrary frequencies; equals S+ mirrored through omega = 0."""
-        return _broadened_sum(-self.lines.omega, self.lines.weight, self.gamma, omega)
-
-    def _sums_at(self, omega) -> np.ndarray:
-        """S+ and S- at arbitrary frequencies of any shape, stacked: one Lorentzian row per point."""
+    def sums_at(self, omega) -> np.ndarray:
+        """S+ and S- at frequencies of any shape, summed exactly over the lines: a (2, *shape) array."""
         return _pair_sums(self.lines, self.gamma, omega)
 
     def difference_at(self, omega):
         """S+(omega) - S-(omega), the dissipative weight (signed)."""
-        s_plus, s_minus = self._sums_at(omega)
+        s_plus, s_minus = self.sums_at(omega)
         difference = s_plus - s_minus
         return float(difference) if np.ndim(difference) == 0 else difference
 
@@ -384,41 +376,29 @@ def _lorentzian(points: np.ndarray, columns: np.ndarray, gamma: float, out: np.n
 def _pair_sums(lines: LineSpectrum, gamma: float, omega) -> np.ndarray:
     """S+ and S- of the broadened ``lines`` at ``omega`` (any shape), as a (2, *shape) array.
 
-    S-(q) = sum_l w_l L(q + w_l).  When the lines are their own reflection
-    (every thermal target), -w_l = w_{n-1-l}, so L(q + w_l) is column n-1-l
-    of the Lorentzian row L(q - w_{n-1-l}) that S+(q) sums: one row per
-    point gives both sums.  Otherwise S-(q) is the one-sided S+(-q).  Each
-    sum multiplies its terms into an array in line order, and negation is
-    exact (-q - w_l and q + w_l have equal squares), so every value keeps
-    the bits of a one-sided ``_broadened_sum``.
+    S+(q) = sum_l w_l L(q - w_l) and S-(q) = sum_l w_l L(q + w_l), each
+    multiplying its terms into an array in line order.  When the lines are
+    their own reflection (every thermal target), -w_l = w_{n-1-l}, so
+    L(q + w_l) is column n-1-l of the Lorentzian row that S+(q) sums: one
+    row per point gives both sums.  Otherwise S-(q) sums a row of its own at
+    -q, which has the bits of S+(-q) (negation is exact, and -q - w_l and
+    q + w_l have equal squares).
     """
     omega = np.asarray(omega, dtype=float)
     line_omega, weight = lines.omega, lines.weight
-    if not lines._self_reflected:
-        flat = omega.reshape(-1)
-        both = _broadened_sum(line_omega, weight, gamma, np.concatenate((flat, -flat)))
-        return both.reshape((2,) + omega.shape)
 
     def row_sum(points, out, lorentz, terms):
         _lorentzian(points, line_omega, gamma, lorentz)
-        np.multiply(lorentz[:, ::-1], weight, out=terms)  # S-: the columns reversed
+        if lines._self_reflected:
+            np.multiply(lorentz[:, ::-1], weight, out=terms)  # S-: the columns reversed
+        else:
+            _lorentzian(-points, line_omega, gamma, terms)  # S-: a row of its own at -q
+            np.multiply(terms, weight, out=terms)
         terms.sum(axis=-1, out=out[1])
         np.multiply(lorentz, weight, out=lorentz)
         lorentz.sum(axis=-1, out=out[0])
 
     return _line_sum_blocks(row_sum, omega, line_omega.size, 2, n_out=2)
-
-
-def _broadened_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, omega):
-    omega_arr = np.asarray(omega, dtype=float)
-
-    def row_sum(points, out, x):
-        _lorentzian(points, line_omega, gamma, x)
-        np.multiply(x, line_weight, out=x)
-        x.sum(axis=-1, out=out)
-
-    out = _line_sum_blocks(row_sum, omega_arr, line_omega.size, 1)
-    return float(out) if np.isscalar(omega) or omega_arr.ndim == 0 else out
 
 
 def _check_positive(name: str, value) -> None:
@@ -524,7 +504,7 @@ def noise_temperature(pair: SpectralPair, omega: float):
         raise ValueError("noise temperature is undefined at zero frequency")
     if not np.isfinite(omega):
         raise ValueError(f"noise temperature needs a finite frequency (got {omega!r})")
-    s_plus, s_minus = pair._sums_at(omega)
+    s_plus, s_minus = pair.sums_at(omega)
     value = float(noise_temperature_values(omega, s_plus, s_minus))
     return None if np.isnan(value) else value
 

@@ -110,7 +110,7 @@ def check_population_conservation():
         energies, _ = _random_ladder(rng)
         t = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-3, 12)
         p = thermal_populations(energies, t)
-        worst = max(worst, abs(p.sum() - 1.0), -min(p.min(), 0.0))
+        worst = np.max([abs(p.sum() - 1.0), -p.min()], initial=worst)
     return worst <= 1e-12, f"max deviation {worst:.2e}"
 
 
@@ -126,8 +126,9 @@ def check_reflection_symmetry():
         span = lines.max_abs_omega + BROADEN_MARGIN * gamma
         pair = broaden(lines, [-span, span], gamma)
         w = draws.uniform(-span, span, 16)
-        # S-(w) = S+(-w) bit for bit: negation is exact, so both sum the same squares
-        if not np.array_equal(pair.s_minus_at(w), pair.s_plus_at(-w)):
+        # S-(w) = S+(-w) bit for bit: negation is exact, so both sum the same squares (each target
+        # is its own reflection: S-(w) sums the row at w reversed, S+(-w) the row at -w)
+        if not np.array_equal(pair.sums_at(w)[1], pair.sums_at(-w)[0]):
             return False, "S-(w) differs from S+(-w)"
         if widest is None or lines.n_lines > widest.lines.n_lines:
             widest = pair
@@ -137,9 +138,8 @@ def check_reflection_symmetry():
     span = widest.grid[-1]
     grid = np.linspace(-span, span, 201)
     sampled = broaden(widest.lines, grid, gamma)
-    one_sided = sampled.s_plus_at(grid), sampled.s_minus_at(grid)
-    if not (np.array_equal(sampled.s_plus, one_sided[0]) and np.array_equal(sampled.s_minus, one_sided[1])):
-        return False, "grid samples differ from the one-sided S+/S- sums"
+    if not np.array_equal(np.stack((sampled.s_plus, sampled.s_minus)), sampled.sums_at(grid)):
+        return False, "grid samples differ from the direct S+/S- sums"
     if not np.array_equal(polarizability_curve(sampled).alpha, alpha_boundary(sampled, grid)):
         return False, "curve alpha differs from the direct boundary-value sums"
     return True, (
@@ -309,7 +309,7 @@ def check_sign_theorem(ratios=(0.0, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0, np.inf), omeg
         p_e = 1.0 if np.isinf(r) else r / (1.0 + r)
         pair = _two_level(p_e)
         sigma = sigma_total_spectral(pair, omegas)
-        tn = noise_temperature_values(omegas, pair.s_plus_at(omegas), pair.s_minus_at(omegas))
+        tn = noise_temperature_values(omegas, *pair.sums_at(omegas))
         both = ~np.isnan(tn) & (sigma != 0.0)
         compared += int(both.sum())
         mismatch = both & (np.sign(sigma) != np.sign(tn))
@@ -322,7 +322,7 @@ def check_equal_population_null():
     pair = _two_level(0.5)
     omegas = np.linspace(0.2, 2.0, 181)
     sigma = sigma_total_spectral(pair, omegas)
-    scale = 4.0 * np.pi**2 * float(pair.s_plus_at(1.0))
+    scale = 4.0 * np.pi**2 * float(pair.sums_at(1.0)[0])
     ok = np.abs(sigma).max() <= 1e-10 * scale
     return ok, f"max |sigma_tot| {np.abs(sigma).max():.2e} vs scale {scale:.2e}"
 
@@ -418,8 +418,7 @@ def check_z_independence():
 def check_energy_bookkeeping():
     omega = 1.005  # inside the line, and off 1, where omega^2 alpha and omega^3 alpha differ
     alpha = complex(alpha_boundary(_two_level(1.0), omega))
-    e = np.array([1.0, 0.0, 0.0])
-    f = scattering_amplitude(alpha, omega, e, e)
+    f = scattering_amplitude(alpha, omega)
     sigma = float(sigma_total_optical(alpha, omega))
     gap = abs(optical_theorem_sigma(f, omega) - sigma) / abs(sigma)
     deficit = verify_optical_theorem(alpha, omega)["sigma_estimates"][-1]  # the smallest taper

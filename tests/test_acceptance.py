@@ -100,8 +100,7 @@ def test_criterion_3_identity_chain(monkeypatch):
         # exp form vs tanh form, reimplemented here as the property check;
         # omega/T_n needs the log1p branch near the crossover or its own
         # rounding noise swamps the identity
-        s_plus = pair.s_plus_at(omegas)
-        s_minus = pair.s_minus_at(omegas)
+        s_plus, s_minus = pair.sums_at(omegas)
         defined = (np.minimum(s_plus, s_minus) > 0.0) & (sigma != 0.0)
         sp, sm, om = s_plus[defined], s_minus[defined], omegas[defined]
         near = (sp < 2.0 * sm) & (sm < 2.0 * sp)
@@ -223,8 +222,8 @@ def test_battery_catches_route_preserving_mutations(monkeypatch):
         lines = line_spectrum(target)
         return LineSpectrum(lines.omega0, lines.emit, lines.absorb)
 
-    def amplitude_omega_cubed(alpha, omega, e_i, e_f):  # F = omega^3 alpha in place of omega^2 alpha
-        return omega * amplitude(alpha, omega, e_i, e_f)
+    def amplitude_omega_cubed(alpha, omega):  # F = omega^3 alpha in place of omega^2 alpha
+        return omega * amplitude(alpha, omega)
 
     for original, mutant, check in (
         (line_spectrum, line_weight_over_1_5, validate.check_sign_rule),

@@ -4,7 +4,9 @@
 ``response.polarizability_curve`` from their results (``grid``, ``lines``,
 ``pair.lines``, ``provenance``).  A refactor of ``SpectralPair`` or
 ``PolarizabilityCurve`` that drops what it reads breaks ``bench/run.py
---trace 1``; this test fails first.
+--trace 1``; this test fails first.  ``workloads.Validate`` binds
+``cli.cmd_*`` and every ``validate.check_*`` by name, so a rename breaks
+``bench/run.py --workload validate``; one of its batches runs here too.
 """
 
 import sys
@@ -16,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "bench") not in sys.path:
     sys.path.insert(0, str(ROOT / "bench"))
 import layers  # noqa: E402
+import workloads  # noqa: E402
 
 SUBCOMMANDS = ("spectrum", "response", "cross-sections", "medium", "verify")
 
@@ -33,3 +36,10 @@ def test_tracer_counts_on_the_canonical_scenarios(tmp_path):
     assert metrics["spectral.broaden_calls"] == 15
     # one pair per subcommand run, verify included
     assert metrics["spectral.pair_builds_per_scenario"] == 5
+
+
+def test_validate_workload_binds_every_check_and_subcommand(tmp_path):
+    items = workloads.Validate(tmp_path, 1, ROOT).run_batch()
+    assert items and all(item.ok for item in items), [item.command for item in items if not item.ok]
+    assert sum(item.counted for item in items) == 24  # one item per check
+    assert set(SUBCOMMANDS) <= {item.command for item in items if not item.counted}

@@ -794,6 +794,7 @@ def test_identity_chain_and_sign_theorem_fail_when_the_spectral_route_is_all_zer
 @pytest.mark.parametrize(
     "check, route",
     [
+        (validate.check_population_conservation, "thermal_populations"),
         (validate.check_detailed_balance, "detailed_balance_residual"),
         (validate.check_oracle_agreement, "polarizability_dispersion"),
         (validate.check_sign_rule, "im_alpha"),

@@ -238,6 +238,19 @@ def test_scattered_term_variant_converges_too():
         assert abs(got - want) <= max(1e-3 * abs(want), 1e-4 * scale)
 
 
+@pytest.mark.parametrize("f", [1.0 + 0.8j, 1.0 - 0.8j, -0.5 + 2.0j])
+@pytest.mark.parametrize("omega", [0.3, 1.0, 2.5])
+def test_smallest_admissible_screen_converges(omega, f):
+    # z = FAR_FIELD_MIN/omega puts the edge phase at 5, so the screen has its fewest base panels
+    z = screen.FAR_FIELD_MIN / omega
+    check_screen(omega, z)
+    assert int(np.ceil(screen._edge_phase(omega, z) / screen._PHASE_PER_PANEL)) == 13
+    report = verify_optical_theorem(f / omega**2, omega, z)
+    assert report["converged"]
+    gap = abs(report["sigma_extrapolated"] - report["sigma_closed_form"])
+    assert gap <= 1e-9 * abs(report["sigma_closed_form"])
+
+
 # --- full pipeline -----------------------------------------------------------------
 
 

@@ -181,16 +181,16 @@ def test_broaden_peak_value():
     gamma = 0.01
     pair = two_level_pair(0.0, gamma=gamma, points=6001)
     w = 1.0 / 3.0
-    assert np.isclose(pair.s_plus_at(1.0), w / (np.pi * gamma), rtol=1e-4)
+    assert np.isclose(pair.sums_at(1.0)[0], w / (np.pi * gamma), rtol=1e-4)
 
 
 def test_broaden_half_width():
     gamma = 0.01
     pair = two_level_pair(0.0, gamma=gamma)
-    peak = pair.s_plus_at(1.0)
+    peak, above, below = pair.sums_at([1.0, 1.0 + gamma, 1.0 - gamma])[0]
     # the mirrored line's tail breaks exact halving at the 1e-5 level
-    assert np.isclose(pair.s_plus_at(1.0 + gamma), peak / 2.0, rtol=1e-4)
-    assert np.isclose(pair.s_plus_at(1.0 - gamma), peak / 2.0, rtol=1e-4)
+    assert np.isclose(above, peak / 2.0, rtol=1e-4)
+    assert np.isclose(below, peak / 2.0, rtol=1e-4)
 
 
 def test_broaden_total_weight_trapezoid_oracle():
@@ -242,38 +242,34 @@ def test_blocked_line_sums_bitwise_equal_dense_reference():
     assert np.array_equal(pair.s_plus, dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
     assert np.array_equal(pair.s_minus, dense_broadened_sum(-lines.omega, lines.weight, gamma, grid))
     two_rows = np.stack((grid, grid[::-1] + 0.001))
-    assert np.array_equal(pair.s_plus_at(two_rows), dense_broadened_sum(lines.omega, lines.weight, gamma, two_rows))
-    assert np.array_equal(pair.s_minus_at(two_rows), dense_broadened_sum(-lines.omega, lines.weight, gamma, two_rows))
+    s_plus, s_minus = pair.sums_at(two_rows)
+    assert np.array_equal(s_plus, dense_broadened_sum(lines.omega, lines.weight, gamma, two_rows))
+    assert np.array_equal(s_minus, dense_broadened_sum(-lines.omega, lines.weight, gamma, two_rows))
     for w in (1.0, np.float64(-0.7), np.array(0.3)):
-        got = pair.s_plus_at(w)
-        assert isinstance(got, float)
-        assert got == float(dense_broadened_sum(lines.omega, lines.weight, gamma, w))
-        assert pair.s_minus_at(w) == float(dense_broadened_sum(-lines.omega, lines.weight, gamma, w))
+        got = pair.sums_at(w)
+        assert got.shape == (2,)
+        assert got[0] == dense_broadened_sum(lines.omega, lines.weight, gamma, w)
+        assert got[1] == dense_broadened_sum(-lines.omega, lines.weight, gamma, w)
 
 
 def test_line_sums_of_empty_line_set():
     empty = LineSpectrum(np.empty(0), np.empty(0), np.empty(0))
     pair = broaden(empty, np.linspace(-1.0, 1.0, 11), 0.01)
     assert np.array_equal(pair.s_plus, np.zeros(11)) and np.array_equal(pair.s_minus, np.zeros(11))
-    assert np.array_equal(pair.s_plus_at(np.ones((2, 3))), np.zeros((2, 3)))
-    assert pair.s_minus_at(0.5) == 0.0
+    assert np.array_equal(pair.sums_at(np.ones((2, 3))), np.zeros((2, 2, 3)))
+    assert np.array_equal(pair.sums_at(0.5), np.zeros(2))
 
 
 def spy_line_sums(monkeypatch):
-    """The kernel and point count of every later S+/S- line sum, in order."""
+    """The point count of every later S+/S- line sum, in order."""
     sizes = []
-    one_sided, pair_sums = spectral._broadened_sum, spectral._pair_sums
+    pair_sums = spectral._pair_sums
 
-    def spying_one_sided(line_omega, line_weight, gamma, omega):
-        sizes.append(("one-sided", np.size(omega)))
-        return one_sided(line_omega, line_weight, gamma, omega)
-
-    def spying_pair(lines, gamma, omega):
-        sizes.append(("pair", np.size(omega)))
+    def spying(lines, gamma, omega):
+        sizes.append(np.size(omega))
         return pair_sums(lines, gamma, omega)
 
-    monkeypatch.setattr(spectral, "_broadened_sum", spying_one_sided)
-    monkeypatch.setattr(spectral, "_pair_sums", spying_pair)
+    monkeypatch.setattr(spectral, "_pair_sums", spying)
     return sizes
 
 
@@ -288,8 +284,8 @@ def test_curve_cross_sections_and_medium_sum_no_grid_samples(monkeypatch):
     (band,) = amplifier_bands(curve)
     assert curve.grid[0] < band[0] < band[1] < curve.grid[-1]
     medium_response(curve, 1e-6)
-    # the band-edge bisection reads the pair kernel one point at a time, and nothing else sums S+/S-
-    assert sizes and all(size == ("pair", 1) for size in sizes)
+    # the band-edge bisection reads the line sums one point at a time, and nothing else sums S+/S-
+    assert sizes and all(size == 1 for size in sizes)
 
 
 def test_samples_summed_once_on_first_read(monkeypatch):
@@ -311,7 +307,7 @@ def test_samples_summed_once_on_first_read(monkeypatch):
         second = pair.s_plus, pair.s_minus
         # one row per sample w >= 0 and per sample w < 0 whose mirror sample is not -w
         rows = np.count_nonzero(grid >= 0.0) + np.count_nonzero((grid[::-1] != -grid) & (grid < 0.0))
-        assert sizes == [("pair", rows)] and rows in expected_rows
+        assert sizes == [rows] and rows in expected_rows
         assert first[0] is second[0] and first[1] is second[1]
         assert not first[0].flags.writeable and not first[1].flags.writeable
         assert np.array_equal(first[0], dense_broadened_sum(lines.omega, lines.weight, gamma, grid))
@@ -665,7 +661,7 @@ def test_symmetric_spectrum_inverted_peak():
     pair = two_level_pair(1.0, gamma=gamma)
     at_line = 3200  # the grid sample omega = 1.0
     assert pair.grid[at_line] == 1.0
-    assert np.isclose(symmetric_spectrum(pair)[at_line], 0.5 * pair.s_minus_at(1.0), rtol=1e-4)
+    assert np.isclose(symmetric_spectrum(pair)[at_line], 0.5 * pair.sums_at(1.0)[1], rtol=1e-4)
 
 
 def test_symmetric_spectrum_nonnegative_property():
