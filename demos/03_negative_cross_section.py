@@ -60,11 +60,9 @@ target = TargetLevels(
     [0.55, 0.15, 0.30],
 )
 pair = broaden(line_spectrum(target), np.linspace(-2.5, 2.5, 8001), gamma)
-curve = polarizability_curve(pair)
-bands = amplifier_bands(curve)
-for lo, hi in bands:
+xs = cross_sections(polarizability_curve(pair))
+for lo, hi in amplifier_bands(xs, pair):
     print(f"  sigma_tot < 0 for omega in [{lo:.4f}, {hi:.4f}]  (centered on the inverted line)")
-xs = cross_sections(curve)
 labels = np.array(BAND_LABELS)[xs.band_flags]  # each code's label, as cross_sections.csv writes it
 flagged = np.flatnonzero(labels == "amplifying")
 print(f"  {flagged.size} of {xs.grid.size} tabulated frequencies flagged amplifying")

@@ -36,7 +36,6 @@ from .response import (
 )
 from .scattering import (
     BAND_LABELS,
-    TOL_BAND,
     CrossSectionSet,
     amplifier_bands,
     cross_sections,

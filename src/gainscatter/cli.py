@@ -372,7 +372,7 @@ def cmd_response(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
 
 def cmd_cross_sections(pipeline: Pipeline, out_dir: Path, quiet: bool) -> int:
     xs = pipeline.xs
-    bands = amplifier_bands(pipeline.curve)
+    bands = amplifier_bands(xs, pipeline.pair)
     header = ["omega", "sigma_el", "sigma_tot", "sigma_in", "band_flag"]
     columns = [xs.grid, xs.sigma_el, xs.sigma_tot, xs.sigma_in, (xs.band_flags, BAND_LABELS)]
     _write_all(

@@ -76,7 +76,9 @@ def extinction_dilute(density_n: float, sigma_tot):
 
 
 def intensity_profile(h: float, z_samples):
-    """Intensity ratio I(z)/I(0) = exp(-h z) at finite, non-negative, ascending z samples."""
+    """Intensity ratio I(z)/I(0) = exp(-h z) for a finite h, at finite, non-negative, ascending z samples."""
+    if not np.isfinite(h):
+        raise ValueError(f"h must be finite (got {float(h)!r})")
     z = np.asarray(z_samples, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("z samples must be finite")

@@ -33,7 +33,6 @@ from .response import PolarizabilityCurve, im_alpha
 from .spectral import SpectralPair, _check_positive, _defined_log_ratio, _frozen
 
 __all__ = [
-    "TOL_BAND",
     "BAND_LABELS",
     "scattering_amplitude",
     "differential_elastic",
@@ -45,7 +44,7 @@ __all__ = [
     "cross_sections",
 ]
 
-TOL_BAND = 1e-12  # |sigma_tot| below this counts as neutral for band classification
+_NEUTRAL_FRACTION = 1e-12  # of the lines' summed peak |sigma_tot|: at or below it a row is neutral
 # The band label of each code of ``CrossSectionSet.band_flags``, indexed as a
 # sequence is: 0 neutral, +1 absorbing, -1 (the last) amplifying.
 BAND_LABELS = ("neutral", "absorbing", "amplifying")
@@ -118,22 +117,20 @@ def sigma_total_spectral(pair: SpectralPair, omega):
     return float(sigma[0]) if scalar else sigma
 
 
-def amplifier_bands(curve: PolarizabilityCurve):
-    """Maximal positive-frequency intervals where sigma_tot < -TOL_BAND.
+def amplifier_bands(xs: CrossSectionSet, pair: SpectralPair):
+    """The runs of amplifying rows of ``xs`` (band flag -1) as (lo, hi) frequency intervals.
 
-    The curve should resolve the line shape (at least ~8 samples per
-    gamma).  Band edges inside the grid are refined by bisection on the sign
-    of the pair's Im alpha to float resolution: the edge and one of its
-    neighbouring floats bracket the sign change.  An edge at the end of the
-    positive grid stays the sample.
+    ``xs`` should resolve the line shape (at least ~8 samples per gamma).
+    Band edges inside the grid are refined by bisection on the sign of Im
+    alpha of ``pair``, the model ``xs`` was built from, to float resolution:
+    the edge and one of its neighbouring floats bracket the sign change.  An
+    edge at the end of the positive grid stays the sample.
     """
-    grid = curve.positive_grid
-    sigma = sigma_total_optical(curve.positive_alpha, grid)
-    amplifying = sigma < -TOL_BAND
+    grid = xs.grid
 
     def refine(lo: float, hi: float) -> float:
         # sign change of Im alpha bracketed in (lo, hi)
-        f = lambda w: float(im_alpha(curve.pair, w))
+        f = lambda w: float(im_alpha(pair, w))
         f_lo, f_hi = f(lo), f(hi)
         if f_lo == 0.0:
             return lo
@@ -151,7 +148,7 @@ def amplifier_bands(curve: PolarizabilityCurve):
         return mid
 
     n = grid.size
-    padded = np.concatenate(([False], amplifying, [False]))
+    padded = np.concatenate(([False], xs.band_flags < 0, [False]))
     starts, stops = np.flatnonzero(np.diff(padded)).reshape(-1, 2).T  # runs are [start, stop)
     bands = []
     for i, j in zip(starts.tolist(), (stops - 1).tolist()):
@@ -166,9 +163,10 @@ class CrossSectionSet:
     """Elastic/total/inelastic cross sections with per-sample band flags.
 
     sigma_in is stored as the sum-rule difference sigma_tot - sigma_el and
-    may be negative; band_flags is an int8 code, -1 where sigma_tot <
-    -TOL_BAND, +1 where sigma_tot > +TOL_BAND and 0 between, whose label
-    ("amplifying", "absorbing", "neutral") is ``BAND_LABELS[code]``.
+    may be negative; band_flags is an int8 code, -1 where sigma_tot < -b,
+    +1 where sigma_tot > b and 0 between, whose label ("amplifying",
+    "absorbing", "neutral") is ``BAND_LABELS[code]``.  b is 1e-12 of the
+    lines' summed peak |sigma_tot|, so no flag depends on the dipole unit.
     """
 
     grid: np.ndarray
@@ -193,5 +191,7 @@ def cross_sections(curve: PolarizabilityCurve) -> CrossSectionSet:
     sig_el = sigma_elastic(alpha, grid)
     sig_tot = sigma_total_optical(alpha, grid)
     sig_in = sig_tot - sig_el
-    flags = (sig_tot > TOL_BAND).view(np.int8) - (sig_tot < -TOL_BAND).view(np.int8)
+    lines, gamma = curve.pair.lines, curve.pair.gamma  # a line's peak: 4 pi omega0 |absorb - emit| / gamma
+    bound = _NEUTRAL_FRACTION * 4.0 * np.pi * ((lines.absorb + lines.emit) * lines.omega0).sum() / gamma
+    flags = (sig_tot > bound).view(np.int8) - (sig_tot < -bound).view(np.int8)
     return CrossSectionSet(grid, sig_el, sig_tot, sig_in, flags)

@@ -99,17 +99,14 @@ class Scenario:
         return np.linspace(self.grid_min, self.grid_max, self.grid_points)
 
 
+# ``json.loads`` makes exact ``int``, ``float`` and ``bool`` values, and a bool is no number.
 _NUMBER_TYPES = frozenset((int, float))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _number(key: str, value, integer: bool = False):
     """``value`` as a finite float, or an int when ``integer``; else a ValueError."""
     number = math.nan
-    if _is_number(value):
+    if type(value) in _NUMBER_TYPES:
         number = float(value) if abs(value) <= sys.float_info.max else math.inf  # huge ints overflow
     if not math.isfinite(number):
         raise ValueError(f"{key} must be a finite number (got {value!r})")
@@ -119,11 +116,7 @@ def _number(key: str, value, integer: bool = False):
 
 
 def _numbers(key: str, value) -> list:
-    """``value`` if a list of numbers or of equal-length lists of numbers; else a ValueError.
-
-    ``json.loads`` makes exact ``int``, ``float`` and ``bool`` values, so one
-    type pass per row is ``_is_number``'s rule.
-    """
+    """``value`` if a list of numbers or of equal-length lists of numbers; else a ValueError."""
     rows = value if isinstance(value, list) and all(isinstance(row, list) for row in value) else [value]
     for row in rows:
         if not (isinstance(row, list) and len(row) == len(rows[0]) and _NUMBER_TYPES.issuperset(map(type, row))):

@@ -125,7 +125,8 @@ def thermal_populations(energies, temperature: float) -> np.ndarray:
 
     Negative temperatures are accepted and produce inverted populations, the
     standard device for describing pumped (amplifying) ensembles.  T = 0 is
-    rejected; assign populations explicitly for that degenerate limit.
+    rejected; assign populations explicitly for that degenerate limit.  T =
+    +-inf is the uniform limit; NaN is rejected.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
@@ -133,6 +134,8 @@ def thermal_populations(energies, temperature: float) -> np.ndarray:
     temperature = float(temperature)
     if temperature == 0.0:
         raise ValueError("temperature 0 is degenerate; pass explicit populations instead")
+    if np.isnan(temperature):
+        raise ValueError("temperature must be a number or +-inf (got nan)")
     # Shift by the dominant (extremal) energy so every exponent is <= 0.
     shift = energies.min() if temperature > 0.0 else energies.max()
     weights = np.exp(-(energies - shift) / temperature)
@@ -441,8 +444,8 @@ def detailed_balance_residual(lines: LineSpectrum, temperature: float) -> float:
     exp(-omega0/T) underflows to 0.  One whose emit and absorb exp(-omega0/T)
     are both exactly 0 agrees: its residual is 0.
     """
-    if temperature <= 0.0:
-        raise ValueError("detailed balance is defined against a positive temperature")
+    if not temperature > 0.0:  # NaN too
+        raise ValueError(f"detailed balance needs a positive temperature (got {float(temperature)!r})")
     active = (lines.absorb > 0.0) | (lines.emit > 0.0)
     absorb, emit = lines.absorb[active], lines.emit[active]
     if np.any(absorb == 0.0):

@@ -59,6 +59,7 @@ from .response import (
 )
 from .scattering import (
     amplifier_bands,
+    cross_sections,
     differential_elastic,
     scattering_amplitude,
     sigma_elastic,
@@ -93,8 +94,8 @@ def _random_ladder(rng, n_max=6):
     return energies, d2
 
 
-def _two_level(p_excited: float, gamma=0.01, span=3.0, points=2):
-    target = TargetLevels([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [1.0 - p_excited, p_excited])
+def _two_level(p_excited: float, gamma=0.01, span=3.0, points=2, dipole_sq=1.0):
+    target = TargetLevels([0.0, 1.0], [[0.0, dipole_sq], [dipole_sq, 0.0]], [1.0 - p_excited, p_excited])
     return broaden(line_spectrum(target), np.linspace(-span, span, points), gamma)
 
 
@@ -328,12 +329,13 @@ def check_equal_population_null():
 
 
 def check_bands_both_signs():
-    pair_g = _two_level(0.0, points=4801)
-    pair_e = _two_level(1.0, points=4801)
-    bands_g = amplifier_bands(polarizability_curve(pair_g))
-    bands_e = amplifier_bands(polarizability_curve(pair_e))
-    ok = bands_g == [] and len(bands_e) == 1 and bands_e[0][0] < 1.0 < bands_e[0][1]
-    return ok, f"absorber {bands_g}, amplifier {bands_e}"
+    found = []  # the absorber, the amplifier, and the amplifier in a unit where every |sigma_tot| < 1e-12
+    for p_excited, dipole_sq in ((0.0, 1.0), (1.0, 1.0), (1.0, 1e-15)):
+        pair = _two_level(p_excited, points=4801, dipole_sq=dipole_sq)
+        found.append(amplifier_bands(cross_sections(polarizability_curve(pair)), pair))
+    bands_g, bands_e, bands_t = found
+    ok = bands_g == [] and len(bands_e) == 1 and bands_e[0][0] < 1.0 < bands_e[0][1] and bands_t == bands_e
+    return ok, f"absorber {bands_g}, amplifier {bands_e}, amplifier at d^2 = 1e-15 {bands_t}"
 
 
 def check_medium_first_order():

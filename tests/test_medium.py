@@ -194,6 +194,13 @@ def test_intensity_profile_rejects_non_finite_z():
             intensity_profile(0.1, z)
 
 
+def test_intensity_profile_rejects_non_finite_h():
+    # exp(-inf * 0) is NaN, so an infinite h would give a NaN ratio at z = 0
+    for h in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="h must be finite"):
+            intensity_profile(h, [0.0, 1.0])
+
+
 # --- medium response composition ---------------------------------------------------
 
 

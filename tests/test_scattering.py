@@ -6,7 +6,6 @@ import pytest
 from conftest import two_level_pair
 from gainscatter import (
     BAND_LABELS,
-    TOL_BAND,
     alpha_boundary,
     amplifier_bands,
     broaden,
@@ -22,7 +21,7 @@ from gainscatter import (
     sigma_total_spectral,
     wavevector,
 )
-from gainscatter.spectral import TargetLevels
+from gainscatter.spectral import TargetLevels, thermal_populations
 
 
 def gl_solid_angle_integral(alpha, omega, order=40):
@@ -171,7 +170,7 @@ def test_sigma_in_negative_at_inversion_crossing():
     lines = line_spectrum(three_level_amplifier())
     pair = broaden(lines, np.linspace(-2.5, 2.5, 8001), 0.01)
     curve = polarizability_curve(pair)
-    (_, hi), = amplifier_bands(curve)  # upper band edge = the sign crossing
+    (_, hi), = amplifier_bands(cross_sections(curve), pair)  # upper band edge = the sign crossing
     alpha = alpha_boundary(pair, hi)
     sig_el = float(sigma_elastic(alpha, hi))
     sig_tot = float(sigma_total_optical(alpha, hi))
@@ -185,12 +184,12 @@ def test_sigma_in_negative_at_inversion_crossing():
 
 def test_amplifier_bands_ground_state_empty():
     curve = polarizability_curve(two_level_pair(0.0))
-    assert amplifier_bands(curve) == []
+    assert amplifier_bands(cross_sections(curve), curve.pair) == []
 
 
 def test_amplifier_bands_inverted_contains_line():
     curve = polarizability_curve(two_level_pair(1.0))
-    bands = amplifier_bands(curve)
+    bands = amplifier_bands(cross_sections(curve), curve.pair)
     assert len(bands) == 1
     lo, hi = bands[0]
     assert lo < 1.0 < hi
@@ -203,7 +202,7 @@ def test_amplifier_bands_three_level_single_band():
     grid = np.linspace(-2.5, 2.5, 8001)
     pair = broaden(lines, grid, gamma)
     curve = polarizability_curve(pair)
-    bands = amplifier_bands(curve)
+    bands = amplifier_bands(cross_sections(curve), pair)
     assert len(bands) == 1
     lo, hi = bands[0]
     # oracle: dense scan of the sign of Im alpha
@@ -218,7 +217,7 @@ def test_amplifier_bands_three_level_single_band():
 
 def test_band_edges_refined_to_tolerance():
     curve = polarizability_curve(two_level_pair(1.0))
-    (lo, hi), = amplifier_bands(curve)
+    (lo, hi), = amplifier_bands(cross_sections(curve), curve.pair)
     # refined edges sit where Im alpha changes sign
     assert abs(float(im_alpha(curve.pair, lo))) <= abs(float(im_alpha(curve.pair, lo + 1e-4)))
     grid_step = float(curve.grid[1] - curve.grid[0])
@@ -229,7 +228,7 @@ def test_band_edges_refined_to_float_resolution():
     # each inner edge and one of its neighbouring floats bracket the sign change of
     # Im alpha: opposite signs, or an exact zero
     pair = broaden(line_spectrum(three_level_amplifier()), np.linspace(-2.5, 2.5, 8001), 0.01)
-    (lo, hi), = amplifier_bands(polarizability_curve(pair))
+    (lo, hi), = amplifier_bands(cross_sections(polarizability_curve(pair)), pair)
     for edge in (lo, hi):
         at = float(im_alpha(pair, edge))
         beside = [float(im_alpha(pair, np.nextafter(edge, way))) for way in (-np.inf, np.inf)]
@@ -245,10 +244,41 @@ def test_cross_section_set_invariants():
     assert xs.band_flags.dtype == np.int8 and not xs.band_flags.flags.writeable
     labels = np.array(BAND_LABELS)[xs.band_flags]  # as cross_sections.csv writes them
     amplifying, absorbing = labels == "amplifying", labels == "absorbing"
-    assert np.all(xs.sigma_tot[amplifying] < -TOL_BAND)
-    assert np.all(xs.sigma_tot[absorbing] > TOL_BAND)
-    assert np.all(np.abs(xs.sigma_tot[labels == "neutral"]) <= TOL_BAND)
+    assert np.all(xs.sigma_tot[amplifying] < 0.0)
+    assert np.all(xs.sigma_tot[absorbing] > 0.0)
+    assert np.array_equal(xs.band_flags, np.sign(xs.sigma_tot))  # no row is near 0, so none is neutral
     assert np.any(amplifying)  # p_e = 0.9 inverts the line
+
+
+THREE_LEVEL_DIPOLE_SQ = [[0.0, 1.0, 0.4], [1.0, 0.0, 0.7], [0.4, 0.7, 0.0]]
+THERMAL_POPULATIONS = thermal_populations([0.0, 1.0, 2.5], 1.0)
+
+
+@pytest.mark.parametrize(
+    "energies, dipole_sq, populations, span, points, labels",
+    [
+        ([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0], 3.0, 4801, {"amplifying"}),
+        ([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], 3.0, 4801, {"neutral"}),
+        ([0.0, 1.0, 2.5], THREE_LEVEL_DIPOLE_SQ, THERMAL_POPULATIONS, 4.0, 6401, {"absorbing"}),
+        # the 1 -> 2 line is inverted: one band, both edges inside the grid
+        ([0.0, 1.0, 2.5], THREE_LEVEL_DIPOLE_SQ, [0.5, 0.1, 0.4], 4.0, 6401, {"absorbing", "amplifying"}),
+    ],
+    ids=["amplifier", "equal", "thermal", "three-level"],
+)
+def test_bands_and_flags_do_not_depend_on_the_dipole_unit(energies, dipole_sq, populations, span, points, labels):
+    # sigma_tot is linear in d^2, and so is the neutral bound
+    found = []
+    for scale in (1.0, 1e-13, 1e-15, 1e-30):
+        target = TargetLevels(energies, np.multiply(dipole_sq, scale), populations)
+        pair = broaden(line_spectrum(target), np.linspace(-span, span, points), 0.01)
+        xs = cross_sections(polarizability_curve(pair))
+        found.append((amplifier_bands(xs, pair), xs.band_flags))
+    (bands, flags), *scaled = found
+    assert set(np.array(BAND_LABELS)[flags]) == labels
+    assert len(bands) == ("amplifying" in labels)
+    for scaled_bands, scaled_flags in scaled:
+        assert scaled_bands == bands
+        assert np.array_equal(scaled_flags, flags)
 
 
 def test_cross_section_set_positive_grid_only():

@@ -149,6 +149,7 @@ def test_parse_rejects_infeasible_screen():
         ("gamma = 0.01", "gamma = 0.0", "gamma"),
         ("gamma = 0.01", "gamma = -0.01", "gamma"),
         ("gamma = 0.01", "gamma = 0.01\neta = true", "unknown key 'eta'"),
+        ("gamma = 0.01", "gamma = true", "gamma must be a finite number (got True)"),
         ("medium.density_n = 1e-6", "medium.density_n = 1e999", "medium.density_n"),
         ("grid.points = 2401", "grid.points = 2401.7", "grid.points"),
         ("populations = [1.0, 0.0]", "temperature = [1]", "temperature"),
@@ -163,6 +164,7 @@ def test_parse_rejects_infeasible_screen():
         "gamma-zero",
         "gamma-negative",
         "eta-bool",
+        "gamma-bool",
         "density-inf",
         "points-fraction",
         "temperature-list",
@@ -395,6 +397,19 @@ def test_cmd_cross_sections_equal_populations_null(tmp_path):
     scale = 4.0 * np.pi * 1.0 / (3.0 * 0.01)  # peak optical sigma of one line
     assert np.abs(sigma_tot).max() <= 1e-10 * scale
     assert np.all(sigma_el == 0.0)  # alpha vanishes identically here
+
+
+def test_amplifier_in_a_tiny_dipole_unit_keeps_its_band(tmp_path):
+    # at d^2 = 1e-15 every |sigma_tot| is below 1e-12, and every row still amplifies
+    tiny = INVERTED.replace("[[0.0, 1.0], [1.0, 0.0]]", "[[0.0, 1e-15], [1e-15, 0.0]]")
+    path = write_scenario(tmp_path, tiny)
+    out = tmp_path / "out"
+    for command in ("cross-sections", "verify"):
+        assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "bands.json").read_text())
+    assert set(read_csv(out / "cross_sections.csv")["band_flag"]) == {"amplifying"}
+    report = json.loads((out / "verify.json").read_text())
+    assert report["converged"] and report["sigma_closed_form"] < 0.0
 
 
 # --- medium -----------------------------------------------------------------------

@@ -62,6 +62,16 @@ def test_thermal_zero_temperature_rejected():
         thermal_populations([0.0, 1.0], 0.0)
 
 
+def test_nan_temperature_is_named():
+    # NaN passes a <= 0 test and would give NaN populations and a NaN residual
+    with pytest.raises(ValueError, match="temperature .*nan"):
+        thermal_populations([0.0, 1.0], np.nan)
+    with pytest.raises(ValueError, match="temperature .*nan"):
+        detailed_balance_residual(line_spectrum(two_level(0.0)), np.nan)
+    for t in (np.inf, -np.inf):  # the uniform limit
+        assert thermal_populations([0.0, 1.0], t).tolist() == [0.5, 0.5]
+
+
 def test_thermal_conservation_across_scales():
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -280,8 +290,7 @@ def test_curve_cross_sections_and_medium_sum_no_grid_samples(monkeypatch):
     dipole_sq = [[0.0, 1.0, 0.4], [1.0, 0.0, 0.7], [0.4, 0.7, 0.0]]
     lines = line_spectrum(TargetLevels([0.0, 1.0, 2.5], dipole_sq, [0.5, 0.1, 0.4]))
     curve = polarizability_curve(broaden(lines, block_spanning_grid(lines, gamma), gamma))
-    cross_sections(curve)
-    (band,) = amplifier_bands(curve)
+    (band,) = amplifier_bands(cross_sections(curve), curve.pair)
     assert curve.grid[0] < band[0] < band[1] < curve.grid[-1]
     medium_response(curve, 1e-6)
     # the band-edge bisection reads the line sums one point at a time, and nothing else sums S+/S-
