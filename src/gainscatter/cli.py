@@ -7,10 +7,16 @@ boundary polarizability alpha(omega + i0+) on the scenario file's grid.
 
 Outputs are deterministic: numbers are written with 17 significant digits
 in scientific notation, lines end with \\n, and files are written to a
-temporary name and renamed into place so a failing run never leaves a
-partial artifact.  A file's mode is 0o666 less the umask, as for any file
-the process creates.  A non-finite number (NaN in JSON, +-inf anywhere) is
-a validation error, never an artifact; NaN in a CSV is the blank
+temporary name and moved into place so a failing run never leaves a
+partial artifact: a first write renames it into place, and a rewrite of a
+regular file exchanges the two names (Linux ``renameat2`` with
+``RENAME_EXCHANGE``) and unlinks the previous version, or renames over it
+where there is no exchange.  A reader sees the old or the new complete
+file.  No artifact is fsynced, so after a power loss a rewritten file may
+be empty until the command is rerun (ext4 flushes a file renamed over
+another, not one exchanged in).  A file's mode is 0o666 less the umask, as
+for any file the process creates.  A non-finite number (NaN in JSON, +-inf
+anywhere) is a validation error, never an artifact; NaN in a CSV is the blank
 "undefined" cell.  A command checks every one of its outputs before it
 writes the first, so a failing check leaves none of them.  CSV files are
 formatted and streamed in blocks of about ``CSV_BLOCK_CELLS`` cells (whole
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -203,12 +210,63 @@ def _block_bytes(block: list[np.ndarray]) -> bytearray:
     return raw.translate(None, b"\0")
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write the byte ``chunks`` to a temporary file and rename it into place.
+@cache
+def _renameat2():
+    """``exchange(a, b)``, which swaps two names in one step; None off Linux or without ``renameat2``.
 
-    The temporary is created 0o666 and the kernel applies the umask, so its
-    mode is that of any file the process creates; the process umask is never
-    changed, so no other thread's file can be created in a window without it.
+    Resolved through ctypes on the first rewrite of the process, not at
+    import.  ``exchange`` raises OSError with the call's errno (EINVAL where
+    the filesystem cannot exchange, ENOENT where a name has gone).
+    """
+    if sys.platform != "linux":  # AT_FDCWD and RENAME_EXCHANGE below are Linux's values
+        return None
+    import ctypes
+
+    try:
+        renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    except (OSError, AttributeError):
+        return None
+    renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    at_fdcwd, rename_exchange = -100, 2
+
+    def exchange(a, b) -> None:
+        # ctypes cuts a path at its first NUL where os raises ValueError, so the caller
+        # passes only paths that os calls have already accepted
+        if renameat2(at_fdcwd, os.fsencode(a), at_fdcwd, os.fsencode(b), rename_exchange) != 0:
+            err = ctypes.get_errno()
+            raise OSError(err, os.strerror(err), str(b))
+
+    return exchange
+
+
+def _exchanged(tmp: Path, path: Path) -> bool:
+    """Whether ``tmp`` swapped names with a regular file at ``path``: False where none is there or it failed."""
+    try:
+        exchange = _renameat2() if stat.S_ISREG(os.lstat(path).st_mode) else None
+        if exchange is not None:
+            exchange(tmp, path)
+            return True
+    except OSError:  # no file at path (a first write), or no exchange on this filesystem
+        pass
+    return False
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the byte ``chunks`` to a temporary file beside ``path`` and move it into place.
+
+    Where ``path`` holds a regular file (``os.lstat``: a symlink is not
+    followed), the temporary and ``path`` exchange names and the temporary
+    name, which now holds the previous version, is unlinked; otherwise, or
+    where the exchange is unavailable or fails, ``os.replace`` renames the
+    temporary over ``path``.  Either way a reader sees the old or the new
+    complete file, a hard link to the previous version keeps its bytes, and
+    a failing write leaves the previous version as it was.  Nothing is
+    fsynced, and ext4 flushes a file renamed over another but not one
+    exchanged in, so after a power loss a rewritten file may be empty until
+    the command is rerun.  The temporary is created 0o666 and the
+    kernel applies the umask, so its mode is that of any file the process
+    creates; the process umask is never changed, so no other thread's file
+    can be created in a window without it.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
@@ -221,7 +279,10 @@ def _atomic_write(path: Path, chunks) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)  # each chunk is released before the next is made
-        os.replace(tmp, path)
+        if _exchanged(tmp, path):
+            os.unlink(tmp)  # the previous version
+        else:
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -47,24 +47,34 @@ _GL_ORDER = 24
 EDGE_DECAY_FRACTION = 1e-3  # |Im alpha| at the grid edges must be below this times the peak
 
 
-def _alpha_line_sum(line_omega: np.ndarray, line_weight: np.ndarray, gamma: float, zeta):
-    """Analytic alpha(zeta) for Lorentzian-broadened lines; valid for Im zeta >= 0."""
+def _alpha_line_sum(lines: LineSpectrum, gamma: float, zeta):
+    """Analytic alpha(zeta) for Lorentzian-broadened lines; valid for Im zeta >= 0.
+
+    Each point sums weight / (pole - z) - weight / (mirror - z) in line
+    order.  When the lines are their own reflection (every thermal target),
+    mirror = pole[::-1] exactly, so the mirror denominators are the pole
+    denominators' columns reversed, with the same bits, and are not formed
+    again.
+    """
     zeta_arr = np.asarray(zeta, dtype=complex)
-    pole = line_omega - 1j * gamma
-    mirror = -line_omega - 1j * gamma
-    weight = line_weight.astype(complex)  # cast once, not in every block's divide
+    pole = lines.omega - 1j * gamma
+    mirror = -lines.omega - 1j * gamma
+    weight = lines.weight.astype(complex)  # cast once, not in every block's divide
 
     def row_sum(points, out, near, far):
         # (weight / (pole - z) - weight / (mirror - z)), in place
         z = points[:, None]
         np.subtract(pole, z, out=near)
+        if lines._self_reflected:
+            np.divide(weight, near[:, ::-1], out=far)
+        else:
+            np.subtract(mirror, z, out=far)
+            np.divide(weight, far, out=far)
         np.divide(weight, near, out=near)
-        np.subtract(mirror, z, out=far)
-        np.divide(weight, far, out=far)
         np.subtract(near, far, out=near)
         near.sum(axis=-1, out=out)
 
-    out = _line_sum_blocks(row_sum, zeta_arr, line_omega.size, 2)
+    out = _line_sum_blocks(row_sum, zeta_arr, lines.n_lines, 2)
     if np.isscalar(zeta) or zeta_arr.ndim == 0:
         return complex(out)
     return out
@@ -79,7 +89,7 @@ def closed_form_lorentzian(lines: LineSpectrum, gamma: float, zeta):
     """
     _check_positive("gamma", gamma)
     _check_positive("Im zeta", np.imag(zeta))  # retarded response only
-    return _alpha_line_sum(lines.omega, lines.weight, gamma, zeta)
+    return _alpha_line_sum(lines, gamma, zeta)
 
 
 def alpha_boundary(pair: SpectralPair, omega):
@@ -89,7 +99,7 @@ def alpha_boundary(pair: SpectralPair, omega):
     width acts as the retarded regulator, so no explicit offset is needed.
     Satisfies Im alpha = pi * (S+ - S-) identically.
     """
-    return _alpha_line_sum(pair.lines.omega, pair.lines.weight, pair.gamma, np.asarray(omega, dtype=float) + 0.0j)
+    return _alpha_line_sum(pair.lines, pair.gamma, np.asarray(omega, dtype=float) + 0.0j)
 
 
 def im_alpha(pair: SpectralPair, omega):

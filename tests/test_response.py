@@ -79,19 +79,25 @@ def dense_alpha_line_sum(line_omega, line_weight, gamma, zeta):
 
 def test_blocked_alpha_sum_bitwise_equals_dense_reference():
     gamma = 0.01
-    lines = line_spectrum(thermal_ladder(30))
-    args = (lines.omega, lines.weight, gamma)
-    grid = block_spanning_grid(lines, gamma)
-    for zeta in (grid + 0.0j, grid + 0.002j, np.stack((grid, grid[::-1] + 0.001)) + 0.0j):
-        assert np.array_equal(_alpha_line_sum(*args, zeta), dense_alpha_line_sum(*args, zeta))
-    pair = broaden(lines, grid, gamma)
-    assert np.array_equal(polarizability_curve(pair).alpha, dense_alpha_line_sum(*args, grid + 0.0j))
-    for zeta in (1.0 + 0.0j, np.complex128(-0.7 + 0.1j), np.array(0.3 + 0.0j)):
-        got = _alpha_line_sum(*args, zeta)
-        assert isinstance(got, complex)
-        assert got == complex(dense_alpha_line_sum(*args, zeta))
-    empty = np.empty(0)
-    assert np.array_equal(_alpha_line_sum(empty, empty, gamma, np.ones((2, 3), complex)), np.zeros((2, 3)))
+    ladder = thermal_ladder(30)
+    # a thermal ladder's lines are their own reflection; with its top level emptied, no line leaves it
+    empty_top = np.append(ladder.populations[:-1], 0.0)
+    one_way = TargetLevels(ladder.energies, ladder.dipole_sq, empty_top / empty_top.sum())
+    for target, reflected in ((ladder, True), (one_way, False)):
+        lines = line_spectrum(target)
+        assert lines._self_reflected == reflected
+        args = (lines.omega, lines.weight, gamma)
+        grid = block_spanning_grid(lines, gamma)
+        for zeta in (grid + 0.0j, grid + 0.002j, np.stack((grid, grid[::-1] + 0.001)) + 0.0j):
+            assert np.array_equal(_alpha_line_sum(lines, gamma, zeta), dense_alpha_line_sum(*args, zeta))
+        pair = broaden(lines, grid, gamma)
+        assert np.array_equal(polarizability_curve(pair).alpha, dense_alpha_line_sum(*args, grid + 0.0j))
+        for zeta in (1.0 + 0.0j, np.complex128(-0.7 + 0.1j), np.array(0.3 + 0.0j)):
+            got = _alpha_line_sum(lines, gamma, zeta)
+            assert isinstance(got, complex)
+            assert got == complex(dense_alpha_line_sum(*args, zeta))
+    empty = LineSpectrum(np.empty(0), np.empty(0), np.empty(0))
+    assert np.array_equal(_alpha_line_sum(empty, gamma, np.ones((2, 3), complex)), np.zeros((2, 3)))
 
 
 def test_positive_half_bitwise_equals_the_dense_reference_across_a_block_boundary_at_zero():
@@ -255,7 +261,7 @@ def test_curve_crossing_symmetry():
     assert gap <= 1e-10 * np.abs(curve.alpha).max()
     # what the curve's mirrored rows rest on: the direct sums are conjugates bit for bit, on the
     # boundary and off it
-    args = (pair.lines.omega, pair.lines.weight, pair.gamma)
+    args = (pair.lines, pair.gamma)
     for eta in (0.0, 1e-3):
         assert np.array_equal(_alpha_line_sum(*args, -w + 1j * eta), np.conj(_alpha_line_sum(*args, w + 1j * eta)))
 
@@ -299,7 +305,7 @@ def test_mirrored_rows_bitwise_equal_the_direct_sums(seed):
             lines = line_spectrum(target)
             pair = broaden(lines, grid, 0.01)
             assert np.array_equal(bits(np.stack((pair.s_plus, pair.s_minus))), bits(pair.sums_at(grid)))
-            direct = _alpha_line_sum(lines.omega, lines.weight, pair.gamma, grid + 0j)
+            direct = _alpha_line_sum(lines, pair.gamma, grid + 0j)
             assert np.array_equal(bits(polarizability_curve(pair).alpha), bits(direct))
 
 

@@ -1,5 +1,6 @@
 """The CSV/JSON artifact writer: byte format, streaming and atomic replacement."""
 
+import errno
 import os
 import stat
 import subprocess
@@ -188,17 +189,17 @@ def test_write_csv_takes_float_bool_and_labelled_columns_only(tmp_path):
 
 
 def test_import_builds_no_writer_tables():
-    # the formatter's tables are a first-write cost, kept out of the package's import time
+    # the formatter's tables and the renameat2 lookup are first-write costs, kept out of import time
     code = (
         "import sys, gainscatter; from gainscatter import cli; "
         "print(*[m in sys.modules for m in ('fractions', 'decimal', 'numpy.char')]); "
-        "print(cli._decimal_tables.cache_info().currsize)"
+        "print(cli._decimal_tables.cache_info().currsize, cli._renameat2.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["False", "False", "False", "0"]
+    assert result.stdout.split() == ["False", "False", "False", "0", "0"]
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
@@ -222,6 +223,48 @@ def test_unequal_columns_exit_2_without_artifact(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
+def _einval(a, b):
+    raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(b))
+
+
+@pytest.fixture
+def replacement(request, monkeypatch, tmp_path_factory):
+    """How a rewrite replaces its file: ``request.param`` names the path, None leaves the writer as it is.
+
+    "exchange" is the ``renameat2`` exchange (skipped where the C library or
+    the filesystem lacks it), "rename" and "einval" the ``os.replace`` path
+    taken where the resolver finds no ``renameat2`` or the exchange fails
+    with EINVAL.  Returns the list of names the exchange path swapped a file
+    into, which the exchange appends to, or None on the other paths.
+    """
+    exchanged = None
+    kind = getattr(request, "param", None)
+    if kind == "exchange":
+        real = cli._renameat2()
+        probe = tmp_path_factory.mktemp("probe")
+        (probe / "a").write_text("a")
+        (probe / "b").write_text("b")
+        try:
+            if real is None:
+                raise OSError("no renameat2 in the C library")
+            real(probe / "a", probe / "b")
+        except OSError as exc:
+            pytest.skip(f"no exchange here: {exc}")
+        exchanged = []
+
+        def exchange(a, b):
+            real(a, b)
+            exchanged.append(Path(b))
+
+        monkeypatch.setattr(cli, "_renameat2", lambda: exchange)
+    elif kind is not None:
+        monkeypatch.setattr(cli, "_renameat2", {"rename": lambda: None, "einval": lambda: _einval}[kind])
+    return exchanged
+
+
+REPLACEMENTS = pytest.mark.parametrize("replacement", ["exchange", "rename", "einval"], indirect=True)
+
+
 def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
     real = cli._block_bytes
     calls = []
@@ -239,6 +282,61 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
         write_csv(path, ["a", "b"], [np.arange(3.0 * rows), np.ones(3 * rows)])
     assert calls == [[rows, rows]] * 2  # the first block was streamed
     assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
+
+
+@REPLACEMENTS
+def test_failing_rewrite_keeps_the_previous_artifact(tmp_path, monkeypatch, replacement):
+    path = tmp_path / "t.csv"
+    rows = CSV_BLOCK_CELLS // 2  # a block of the two columns
+    write_csv(path, ["a", "b"], [np.zeros(3 * rows), np.ones(3 * rows)])
+    before, inode = path.read_bytes(), path.stat().st_ino
+    real, calls = cli._block_bytes, []
+
+    def failing(block):
+        calls.append(len(block[0]))
+        if len(calls) > 1:  # the second block
+            raise RuntimeError("formatting failed")
+        return real(block)
+
+    monkeypatch.setattr(cli, "_block_bytes", failing)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_csv(path, ["a", "b"], [np.arange(3.0 * rows), np.ones(3 * rows)])
+    assert calls == [rows, rows]  # the first block was streamed
+    assert (path.read_bytes(), path.stat().st_ino) == (before, inode)
+    assert list(tmp_path.iterdir()) == [path]  # no .t.csv.* temp file
+    assert not replacement
+
+
+@REPLACEMENTS
+def test_both_replacement_paths_give_the_same_file(tmp_path, replacement):
+    path, report = tmp_path / "out" / "t.csv", tmp_path / "out" / "t.json"
+    write_csv(path, ["a"], [np.zeros(3)])
+    write_json(report, {"a": 0.0})
+    previous = path.read_bytes()
+    os.link(path, tmp_path / "previous.csv")
+    header, columns = ["x", "flag"], [np.linspace(-1.0, 1.0, 7), np.arange(7) % 2 == 0]
+    write_csv(path, header, columns)
+    write_json(report, {"a": 1.0})
+    assert path.read_bytes() == per_value_csv(header, columns).encode()
+    assert report.read_text() == '{\n  "a": 1.0\n}\n'
+    # the name is replaced: the previous inode is never written into
+    assert (tmp_path / "previous.csv").read_bytes() == previous
+    assert sorted(p.name for p in path.parent.iterdir()) == ["t.csv", "t.json"]
+    if replacement is not None:  # the exchange path: the two rewrites were exchanged in
+        assert replacement == [path, report]
+
+
+def test_directory_at_an_artifact_name_exits_2_and_stays(tmp_path, capsys):
+    # an exchange would swap the directory out to the temporary's name; the rename fails instead
+    out = tmp_path / "out"
+    (out / "spectrum.csv").mkdir(parents=True)
+    (out / "spectrum.csv" / "notes.txt").write_text("kept\n")
+    amplifier = next(f for f in validate._scenario_files() if f.name == "amplifier.txt")
+    assert run(["spectrum", "--scenario", str(amplifier), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in out.iterdir()] == ["spectrum.csv"]
+    assert [p.name for p in (out / "spectrum.csv").iterdir()] == ["notes.txt"]
+    assert (out / "spectrum.csv" / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -295,8 +393,22 @@ def test_failing_check_on_a_later_file_leaves_no_earlier_file(tmp_path, monkeypa
     assert not out.exists() or list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
-def test_artifacts_get_the_umask_file_mode(tmp_path, umask, mode):
+@pytest.mark.parametrize(
+    "umask, previous, mode, replacement",
+    [
+        (0o022, None, 0o644, None),
+        (0o077, None, 0o600, None),
+        *[(0o022, 0o600, 0o644, kind) for kind in ("exchange", "rename", "einval")],
+    ],
+    ids=["umask-022", "umask-077", "rewrite-600-exchange", "rewrite-600-rename", "rewrite-600-einval"],
+    indirect=["replacement"],
+)
+def test_artifacts_get_the_umask_file_mode(tmp_path, umask, previous, mode, replacement):
+    # a rewrite's mode is that of a new file, not the previous version's
+    if previous is not None:
+        for name in ("t.csv", "t.json"):
+            (tmp_path / name).write_text("previous\n")
+            (tmp_path / name).chmod(previous)
     old = os.umask(umask)
     try:
         write_csv(tmp_path / "t.csv", ["a"], [np.zeros(3)])
