@@ -7,29 +7,24 @@ boundary polarizability alpha(omega + i0+) on the scenario file's grid.
 
 Outputs are deterministic: numbers are written with 17 significant digits
 in scientific notation, lines end with \\n, and files are written to a
-temporary name and moved into place so a failing run never leaves a
-partial artifact: a first write renames it into place, and a rewrite of a
-regular file exchanges the two names (Linux ``renameat2`` with
-``RENAME_EXCHANGE``) and unlinks the previous version, or renames over it
-where there is no exchange.  A reader sees the old or the new complete
-file.  No artifact is fsynced, so after a power loss a rewritten file may
-be empty until the command is rerun (ext4 flushes a file renamed over
-another, not one exchanged in).  A file's mode is 0o666 less the umask, as
-for any file the process creates.  A non-finite number (NaN in JSON, +-inf
-anywhere) is a validation error, never an artifact; NaN in a CSV is the blank
-"undefined" cell.  A command checks every one of its outputs before it
-writes the first, so a failing check leaves none of them.  CSV files are
-formatted and streamed in blocks of about ``CSV_BLOCK_CELLS`` cells (whole
-rows, at least one), so the writer's memory is O(block) whatever the row
-count.  A column is float, bool or labelled: a labelled column
-``(codes, labels)`` writes ``labels[code]`` in each row, so a text column
-is a few labels and a code per row (``cross_sections.csv``'s ``band_flag``
-is ``(CrossSectionSet.band_flags, scattering.BAND_LABELS)``); any other
+temporary name and moved into place, so a reader sees the previous file,
+no file, or the new complete file, never a partial one.  A file's mode is
+0o666 less the umask, as for any file the process creates.  A non-finite
+number (NaN in JSON, +-inf anywhere) is a validation error, never an
+artifact; NaN in a CSV is the blank "undefined" cell.  A command checks
+every one of its outputs before it writes the first, so a failing check
+leaves none of them.  CSV files are formatted and streamed in blocks of
+about ``CSV_BLOCK_CELLS`` cells (whole rows, at least one), so the
+writer's memory is O(block) whatever the row count.  A column is float,
+bool or labelled: a labelled column ``(codes, labels)`` writes
+``labels[code]`` in each row, so a text column is a few labels and a code
+per row (``cross_sections.csv``'s ``band_flag`` is
+``(CrossSectionSet.band_flags, scattering.BAND_LABELS)``); any other
 column is a TypeError.  A block is one (rows x row-width) byte buffer with
 a fixed-width slot per cell: a float cell gets the digits and exponent of
-``"%.16e"``, computed in numpy for the whole block, a bool 1/0, a label its
-UTF-8.  A cell shorter than its slot (no sign, a 2-digit exponent, a blank
-NaN, a short label) is NUL-filled, and the fill is removed from the
+``"%.16e"``, computed in numpy for the whole block, a bool 1/0, a label
+its UTF-8.  A cell shorter than its slot (no sign, a 2-digit exponent, a
+blank NaN, a short label) is NUL-filled, and the fill is removed from the
 finished block.
 """
 
@@ -38,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import stat
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -210,63 +204,21 @@ def _block_bytes(block: list[np.ndarray]) -> bytearray:
     return raw.translate(None, b"\0")
 
 
-@cache
-def _renameat2():
-    """``exchange(a, b)``, which swaps two names in one step; None off Linux or without ``renameat2``.
-
-    Resolved through ctypes on the first rewrite of the process, not at
-    import.  ``exchange`` raises OSError with the call's errno (EINVAL where
-    the filesystem cannot exchange, ENOENT where a name has gone).
-    """
-    if sys.platform != "linux":  # AT_FDCWD and RENAME_EXCHANGE below are Linux's values
-        return None
-    import ctypes
-
-    try:
-        renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
-    except (OSError, AttributeError):
-        return None
-    renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
-    at_fdcwd, rename_exchange = -100, 2
-
-    def exchange(a, b) -> None:
-        # ctypes cuts a path at its first NUL where os raises ValueError, so the caller
-        # passes only paths that os calls have already accepted
-        if renameat2(at_fdcwd, os.fsencode(a), at_fdcwd, os.fsencode(b), rename_exchange) != 0:
-            err = ctypes.get_errno()
-            raise OSError(err, os.strerror(err), str(b))
-
-    return exchange
-
-
-def _exchanged(tmp: Path, path: Path) -> bool:
-    """Whether ``tmp`` swapped names with a regular file at ``path``: False where none is there or it failed."""
-    try:
-        exchange = _renameat2() if stat.S_ISREG(os.lstat(path).st_mode) else None
-        if exchange is not None:
-            exchange(tmp, path)
-            return True
-    except OSError:  # no file at path (a first write), or no exchange on this filesystem
-        pass
-    return False
-
-
 def _atomic_write(path: Path, chunks) -> None:
     """Write the byte ``chunks`` to a temporary file beside ``path`` and move it into place.
 
-    Where ``path`` holds a regular file (``os.lstat``: a symlink is not
-    followed), the temporary and ``path`` exchange names and the temporary
-    name, which now holds the previous version, is unlinked; otherwise, or
-    where the exchange is unavailable or fails, ``os.replace`` renames the
-    temporary over ``path``.  Either way a reader sees the old or the new
-    complete file, a hard link to the previous version keeps its bytes, and
-    a failing write leaves the previous version as it was.  Nothing is
-    fsynced, and ext4 flushes a file renamed over another but not one
-    exchanged in, so after a power loss a rewritten file may be empty until
-    the command is rerun.  The temporary is created 0o666 and the
-    kernel applies the umask, so its mode is that of any file the process
-    creates; the process umask is never changed, so no other thread's file
-    can be created in a window without it.
+    Once the temporary is complete, the file at ``path`` is unlinked (a
+    symlink itself, not its target; a name that has vanished by then is no
+    error), and ``os.replace`` renames the temporary to ``path``.  So a
+    reader sees the previous file, no file, or the new complete file, never
+    a partial one; a hard link to the previous version keeps its bytes, and
+    a failing write leaves the previous version as it was.  Any failure
+    removes the temporary, so a rename that fails after the unlink leaves
+    no file at ``path``.  Unlinking first also spares ext4 the writeback it
+    starts for a file renamed over another.  The temporary is created 0o666
+    and the kernel applies the umask, so its mode is that of any file the
+    process creates; the process umask is never changed, so no other
+    thread's file can be created in a window without it.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
@@ -279,13 +231,13 @@ def _atomic_write(path: Path, chunks) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)  # each chunk is released before the next is made
-        if _exchanged(tmp, path):
-            os.unlink(tmp)  # the previous version
-        else:
-            os.replace(tmp, path)
+        try:
+            os.unlink(path)  # a directory at path is an error here, as it would be for the rename
+        except FileNotFoundError:  # a first write, or the name vanished since
+            pass
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

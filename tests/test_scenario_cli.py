@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from conftest import thermal_ladder
 from gainscatter import alpha_boundary, cli, response, scenario as scenario_module, spectral, validate
 from gainscatter.cli import run
+from gainscatter.scattering import BAND_LABELS
 from gainscatter.scenario import ScenarioError, load_scenario, parse_scenario
 
 GROUND = """
@@ -529,14 +531,24 @@ def test_cmd_verify_converges_at_every_accepted_screen_frequency(tmp_path, capsy
 @pytest.mark.parametrize("command", ["spectrum", "response", "cross-sections", "medium", "verify"])
 @pytest.mark.parametrize(
     "line, message",
-    [("screen.omega = 0", "omega must be positive and finite (got 0.0)")],
-    ids=["zero-omega"],
+    [
+        ("screen.omega = 0", "omega must be positive and finite (got 0.0)"),
+        # 1.27e8 panels, a GiB and hours of verify, without the edge-phase bound
+        (
+            "screen.omega = 1e6",
+            "edge phase too large: omega*r_max^2/(2 z) with r_max = z/10 is 5e+07 > 50000 "
+            "at omega = 1e+06, z = 10000",
+        ),
+    ],
+    ids=["zero-omega", "huge-omega"],
 )
 def test_infeasible_screen_exits_2_at_parse(tmp_path, capsys, command, line, message):
     # the screen frequency is checked against verify's screen at parse, whatever the command
     path = write_scenario(tmp_path, GROUND + line + "\n")
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert run([command, "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
 
@@ -714,6 +726,61 @@ def test_scenario_files_reproduce_the_recorded_reference(tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+BANDS = {"absorber": 0, "amplifier": 1, "thermal_three_level": 0}  # bands.json entries
+# numpy's AVX-512 dispatch targets that this machine has: disabling one it lacks is not allowed
+AVX512 = [feature for feature in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if __cpu_features__.get(feature)]
+
+
+def check_claims(root):
+    """The canonical artifacts under ``root`` state the claim and agree with each other.
+
+    Read back with ``json`` and this module's CSV reader, they relate values
+    of the files alone, so they hold at any SIMD dispatch level.
+    """
+    for name, n_bands in BANDS.items():
+        xs, alpha, spectrum = (read_csv(root / name / f"{f}.csv") for f in ("cross_sections", "response", "spectrum"))
+        omega, sigma_tot = as_floats(xs["omega"]), as_floats(xs["sigma_tot"])
+        rows = [as_floats(table["omega"]) > 0.0 for table in (alpha, spectrum)]  # the cross sections' rows
+        assert all(np.array_equal(as_floats(t["omega"])[r], omega) for t, r in zip((alpha, spectrum), rows))
+        # the optical theorem cell for cell, and the spectral route within 16 ulp of its term scale
+        assert np.array_equal(sigma_tot, 4.0 * np.pi * omega * as_floats(alpha["im_alpha"])[rows[0]]), name
+        s_plus, s_minus = as_floats(spectrum["s_plus"])[rows[1]], as_floats(spectrum["s_minus"])[rows[1]]
+        gap = np.abs(sigma_tot - 4.0 * np.pi**2 * omega * (s_plus - s_minus))
+        assert np.all(gap <= 16.0 * np.spacing(4.0 * np.pi**2 * omega * (s_plus + s_minus))), name
+        assert list(xs["band_flag"]) == [BAND_LABELS[code] for code in np.sign(sigma_tot).astype(int)], name
+        # bands.json is the runs of amplifying rows: an edge inside the grid lies between the run's
+        # end row and the row beyond it, an edge at a grid end is that row
+        bands = json.loads((root / name / "bands.json").read_text())
+        runs = np.flatnonzero(np.diff(np.concatenate(([0], xs["band_flag"] == "amplifying", [0]))))
+        assert len(bands) == len(runs) // 2 == n_bands, name
+        for band, i, j in zip(bands, runs[::2], runs[1::2] - 1):
+            assert band["lo"] == omega[i] if i == 0 else omega[i - 1] < band["lo"] <= omega[i], name
+            assert band["hi"] == omega[j] if j == omega.size - 1 else omega[j] <= band["hi"] < omega[j + 1], name
+        # the screen's sigmas have the sign of the band list at the screen frequency
+        report = json.loads((root / name / "verify.json").read_text())
+        sign = -1.0 if any(band["lo"] <= report["omega"] <= band["hi"] for band in bands) else 1.0
+        assert np.sign(report["sigma_closed_form"]) == np.sign(report["sigma_extrapolated"]) == sign, name
+
+
+def test_artifacts_state_the_claim_at_both_dispatch_levels(tmp_path):
+    # a child with numpy's AVX-512 kernels off checks these files, then writes and checks its
+    # own, whose last digits may differ (README: byte identity is per host)
+    validate._write_artifacts(tmp_path / "default")
+    check_claims(tmp_path / "default")
+    code = (
+        "import sys; from pathlib import Path; from gainscatter import validate; "
+        "from test_scenario_cli import AVX512, __cpu_features__, check_claims; "
+        "assert not any(__cpu_features__[feature] for feature in AVX512); "
+        "validate._write_artifacts(Path(sys.argv[2])); "
+        "check_claims(Path(sys.argv[1])); check_claims(Path(sys.argv[2]))"
+    )
+    paths = os.pathsep.join([str(Path(validate.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512), PYTHONPATH=paths)
+    argv = [sys.executable, "-c", code, str(tmp_path / "default"), str(tmp_path / "no_avx512")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_write_artifacts_broadens_once_per_scenario(tmp_path, monkeypatch):

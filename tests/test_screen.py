@@ -134,6 +134,14 @@ def test_screen_needs_a_finite_distance_and_edge_phase():
     ):
         with pytest.raises(ValueError, match="edge phase overflows"):
             call()
+    # the base panels number edge phase/(pi/8): omega = 1e6 at z = 1e4 would be 1.27e8 of them
+    with pytest.raises(ValueError, match="edge phase too large: .* is 5e[+]07 > 50000"):
+        verify_optical_theorem(1j, 1e6)
+    check_screen(1.0, 1e6)  # the convergence-order check's screen, edge phase 5e3
+    omega = screen.MAX_EDGE_PHASE / (DEFAULT_Z / 200.0)  # 1e3: edge phase omega z/200 at the bound
+    check_screen(omega, DEFAULT_Z)
+    with pytest.raises(ValueError, match="edge phase too large"):
+        check_screen(np.nextafter(omega, np.inf), DEFAULT_Z)
 
 
 def base_edges(omega, z):

@@ -1,6 +1,5 @@
 """The CSV/JSON artifact writer: byte format, streaming and atomic replacement."""
 
-import errno
 import os
 import stat
 import subprocess
@@ -189,17 +188,17 @@ def test_write_csv_takes_float_bool_and_labelled_columns_only(tmp_path):
 
 
 def test_import_builds_no_writer_tables():
-    # the formatter's tables and the renameat2 lookup are first-write costs, kept out of import time
+    # the formatter's tables are a first-write cost, kept out of import time
     code = (
         "import sys, gainscatter; from gainscatter import cli; "
         "print(*[m in sys.modules for m in ('fractions', 'decimal', 'numpy.char')]); "
-        "print(cli._decimal_tables.cache_info().currsize, cli._renameat2.cache_info().currsize)"
+        "print(cli._decimal_tables.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["False", "False", "False", "0", "0"]
+    assert result.stdout.split() == ["False", "False", "False", "0"]
 
 
 def test_write_csv_rejects_unequal_columns(tmp_path):
@@ -223,51 +222,9 @@ def test_unequal_columns_exit_2_without_artifact(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
-def _einval(a, b):
-    raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(b))
-
-
-@pytest.fixture
-def replacement(request, monkeypatch, tmp_path_factory):
-    """How a rewrite replaces its file: ``request.param`` names the path, None leaves the writer as it is.
-
-    "exchange" is the ``renameat2`` exchange (skipped where the C library or
-    the filesystem lacks it), "rename" and "einval" the ``os.replace`` path
-    taken where the resolver finds no ``renameat2`` or the exchange fails
-    with EINVAL.  Returns the list of names the exchange path swapped a file
-    into, which the exchange appends to, or None on the other paths.
-    """
-    exchanged = None
-    kind = getattr(request, "param", None)
-    if kind == "exchange":
-        real = cli._renameat2()
-        probe = tmp_path_factory.mktemp("probe")
-        (probe / "a").write_text("a")
-        (probe / "b").write_text("b")
-        try:
-            if real is None:
-                raise OSError("no renameat2 in the C library")
-            real(probe / "a", probe / "b")
-        except OSError as exc:
-            pytest.skip(f"no exchange here: {exc}")
-        exchanged = []
-
-        def exchange(a, b):
-            real(a, b)
-            exchanged.append(Path(b))
-
-        monkeypatch.setattr(cli, "_renameat2", lambda: exchange)
-    elif kind is not None:
-        monkeypatch.setattr(cli, "_renameat2", {"rename": lambda: None, "einval": lambda: _einval}[kind])
-    return exchanged
-
-
-REPLACEMENTS = pytest.mark.parametrize("replacement", ["exchange", "rename", "einval"], indirect=True)
-
-
-def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
-    real = cli._block_bytes
-    calls = []
+def write_failing_at_the_second_block(monkeypatch, path):
+    """Write three blocks of two columns to ``path``, failing in the second once the first is streamed."""
+    real, calls = cli._block_bytes, []
 
     def failing(block):
         calls.append([len(column) for column in block])
@@ -276,58 +233,61 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
         return real(block)
 
     monkeypatch.setattr(cli, "_block_bytes", failing)
-    path = tmp_path / "table.csv"
     rows = CSV_BLOCK_CELLS // 2  # a block of the two columns
     with pytest.raises(RuntimeError, match="formatting failed"):
         write_csv(path, ["a", "b"], [np.arange(3.0 * rows), np.ones(3 * rows)])
     assert calls == [[rows, rows]] * 2  # the first block was streamed
+
+
+def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    write_failing_at_the_second_block(monkeypatch, tmp_path / "table.csv")
     assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
 
 
-@REPLACEMENTS
-def test_failing_rewrite_keeps_the_previous_artifact(tmp_path, monkeypatch, replacement):
+def test_failing_rewrite_keeps_the_previous_artifact(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
-    rows = CSV_BLOCK_CELLS // 2  # a block of the two columns
-    write_csv(path, ["a", "b"], [np.zeros(3 * rows), np.ones(3 * rows)])
-    before, inode = path.read_bytes(), path.stat().st_ino
-    real, calls = cli._block_bytes, []
-
-    def failing(block):
-        calls.append(len(block[0]))
-        if len(calls) > 1:  # the second block
-            raise RuntimeError("formatting failed")
-        return real(block)
-
-    monkeypatch.setattr(cli, "_block_bytes", failing)
-    with pytest.raises(RuntimeError, match="formatting failed"):
-        write_csv(path, ["a", "b"], [np.arange(3.0 * rows), np.ones(3 * rows)])
-    assert calls == [rows, rows]  # the first block was streamed
-    assert (path.read_bytes(), path.stat().st_ino) == (before, inode)
-    assert list(tmp_path.iterdir()) == [path]  # no .t.csv.* temp file
-    assert not replacement
-
-
-@REPLACEMENTS
-def test_both_replacement_paths_give_the_same_file(tmp_path, replacement):
-    path, report = tmp_path / "out" / "t.csv", tmp_path / "out" / "t.json"
     write_csv(path, ["a"], [np.zeros(3)])
-    write_json(report, {"a": 0.0})
+    before, inode = path.read_bytes(), path.stat().st_ino
+    write_failing_at_the_second_block(monkeypatch, path)
+    assert (path.read_bytes(), path.stat().st_ino) == (before, inode)  # the write ends before the unlink
+    assert list(tmp_path.iterdir()) == [path]  # no .t.csv.* temp file
+
+
+def test_rewrite_replaces_the_name_not_the_file(tmp_path):
+    path, report, target = tmp_path / "out" / "t.csv", tmp_path / "out" / "t.json", tmp_path / "target.json"
+    write_csv(path, ["a"], [np.zeros(3)])
     previous = path.read_bytes()
     os.link(path, tmp_path / "previous.csv")
+    target.write_text("target\n")
+    report.symlink_to(target)
     header, columns = ["x", "flag"], [np.linspace(-1.0, 1.0, 7), np.arange(7) % 2 == 0]
     write_csv(path, header, columns)
     write_json(report, {"a": 1.0})
     assert path.read_bytes() == per_value_csv(header, columns).encode()
-    assert report.read_text() == '{\n  "a": 1.0\n}\n'
-    # the name is replaced: the previous inode is never written into
+    assert not report.is_symlink() and report.read_text() == '{\n  "a": 1.0\n}\n'
+    # the previous inode is never written into, and a symlink at the name is not followed
     assert (tmp_path / "previous.csv").read_bytes() == previous
+    assert target.read_text() == "target\n"
     assert sorted(p.name for p in path.parent.iterdir()) == ["t.csv", "t.json"]
-    if replacement is not None:  # the exchange path: the two rewrites were exchanged in
-        assert replacement == [path, report]
+
+
+def test_rename_failing_after_the_unlink_leaves_no_file(tmp_path, monkeypatch):
+    # the previous version is gone by then, and the new one is removed with its temporary
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [np.zeros(3)])
+
+    def replace(src, dst):
+        assert not os.path.lexists(dst)  # the rename comes after the unlink
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_csv(path, ["a"], [np.ones(3)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_directory_at_an_artifact_name_exits_2_and_stays(tmp_path, capsys):
-    # an exchange would swap the directory out to the temporary's name; the rename fails instead
+    # unlinking a directory at the name fails, so nothing is renamed and the temporary goes
     out = tmp_path / "out"
     (out / "spectrum.csv").mkdir(parents=True)
     (out / "spectrum.csv" / "notes.txt").write_text("kept\n")
@@ -394,16 +354,11 @@ def test_failing_check_on_a_later_file_leaves_no_earlier_file(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
-    "umask, previous, mode, replacement",
-    [
-        (0o022, None, 0o644, None),
-        (0o077, None, 0o600, None),
-        *[(0o022, 0o600, 0o644, kind) for kind in ("exchange", "rename", "einval")],
-    ],
-    ids=["umask-022", "umask-077", "rewrite-600-exchange", "rewrite-600-rename", "rewrite-600-einval"],
-    indirect=["replacement"],
+    "umask, previous, mode",
+    [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o600, 0o644)],
+    ids=["umask-022", "umask-077", "rewrite-600"],
 )
-def test_artifacts_get_the_umask_file_mode(tmp_path, umask, previous, mode, replacement):
+def test_artifacts_get_the_umask_file_mode(tmp_path, umask, previous, mode):
     # a rewrite's mode is that of a new file, not the previous version's
     if previous is not None:
         for name in ("t.csv", "t.json"):
