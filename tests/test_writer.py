@@ -222,6 +222,45 @@ def test_unequal_columns_exit_2_without_artifact(tmp_path, monkeypatch, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
+@pytest.fixture
+def replacement(request, monkeypatch):
+    """What a rewrite finds at the artifact's name when it unlinks it; None leaves the writer as it is.
+
+    The ids are those of the three replacement paths the writer once had;
+    the one path now meets each as a state of the name: "rename" leaves the
+    previous version there, "exchange" first renames another file over it
+    (as a concurrent rewrite would) and "einval" first removes it, so the
+    writer's unlink finds no file.  Returns the list of names a temporary
+    was renamed to, each checked to be free at the rename, or None.
+    """
+    kind = getattr(request, "param", None)
+    if kind is None:
+        return None
+    unlink, replace, renamed = os.unlink, os.replace, []
+
+    def unlinking(path, *args, **kwargs):
+        if not (args or kwargs or Path(path).name.startswith(".")):  # the artifact's name, not a temporary
+            if kind == "exchange":
+                other = Path(path).with_name("other")
+                other.write_text("other\n")
+                replace(other, path)
+            elif kind == "einval":
+                unlink(path)
+        unlink(path, *args, **kwargs)
+
+    def replacing(src, dst):
+        assert not os.path.lexists(dst)  # never renamed over a file
+        replace(src, dst)
+        renamed.append(Path(dst))
+
+    monkeypatch.setattr(os, "unlink", unlinking)
+    monkeypatch.setattr(os, "replace", replacing)
+    return renamed
+
+
+REPLACEMENTS = pytest.mark.parametrize("replacement", ["exchange", "rename", "einval"], indirect=True)
+
+
 def write_failing_at_the_second_block(monkeypatch, path):
     """Write three blocks of two columns to ``path``, failing in the second once the first is streamed."""
     real, calls = cli._block_bytes, []
@@ -244,16 +283,19 @@ def test_failure_mid_stream_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # neither table.csv nor a .table.csv.* temp file
 
 
-def test_failing_rewrite_keeps_the_previous_artifact(tmp_path, monkeypatch):
+@REPLACEMENTS
+def test_failing_rewrite_keeps_the_previous_artifact(tmp_path, monkeypatch, replacement):
     path = tmp_path / "t.csv"
     write_csv(path, ["a"], [np.zeros(3)])
     before, inode = path.read_bytes(), path.stat().st_ino
     write_failing_at_the_second_block(monkeypatch, path)
     assert (path.read_bytes(), path.stat().st_ino) == (before, inode)  # the write ends before the unlink
     assert list(tmp_path.iterdir()) == [path]  # no .t.csv.* temp file
+    assert replacement == [path]  # the first write's rename only
 
 
-def test_rewrite_replaces_the_name_not_the_file(tmp_path):
+@REPLACEMENTS
+def test_both_replacement_paths_give_the_same_file(tmp_path, replacement):
     path, report, target = tmp_path / "out" / "t.csv", tmp_path / "out" / "t.json", tmp_path / "target.json"
     write_csv(path, ["a"], [np.zeros(3)])
     previous = path.read_bytes()
@@ -269,6 +311,7 @@ def test_rewrite_replaces_the_name_not_the_file(tmp_path):
     assert (tmp_path / "previous.csv").read_bytes() == previous
     assert target.read_text() == "target\n"
     assert sorted(p.name for p in path.parent.iterdir()) == ["t.csv", "t.json"]
+    assert replacement == [path, path, report]  # the first write and the two rewrites
 
 
 def test_rename_failing_after_the_unlink_leaves_no_file(tmp_path, monkeypatch):
@@ -354,11 +397,16 @@ def test_failing_check_on_a_later_file_leaves_no_earlier_file(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
-    "umask, previous, mode",
-    [(0o022, None, 0o644), (0o077, None, 0o600), (0o022, 0o600, 0o644)],
-    ids=["umask-022", "umask-077", "rewrite-600"],
+    "umask, previous, mode, replacement",
+    [
+        (0o022, None, 0o644, None),
+        (0o077, None, 0o600, None),
+        *[(0o022, 0o600, 0o644, kind) for kind in ("exchange", "rename", "einval")],
+    ],
+    ids=["umask-022", "umask-077", "rewrite-600-exchange", "rewrite-600-rename", "rewrite-600-einval"],
+    indirect=["replacement"],
 )
-def test_artifacts_get_the_umask_file_mode(tmp_path, umask, previous, mode):
+def test_artifacts_get_the_umask_file_mode(tmp_path, umask, previous, mode, replacement):
     # a rewrite's mode is that of a new file, not the previous version's
     if previous is not None:
         for name in ("t.csv", "t.json"):
