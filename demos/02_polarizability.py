@@ -22,11 +22,10 @@ from gainscatter import (
 gamma = 0.01
 target = TargetLevels([0.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])
 lines = line_spectrum(target)
-pair = broaden(lines, [-60.0, 60.0], gamma)
 
 print("=== quadrature vs closed form ===")
 for zeta in (1.0 + 0.01j, 0.5 + 0.1j, 2.0 + 1.0j):
-    quad = polarizability_dispersion(pair, zeta)
+    quad = polarizability_dispersion(lines, gamma, zeta)
     closed = closed_form_lorentzian(lines, gamma, zeta)
     rel = abs(quad - closed) / abs(closed)
     print(f"  zeta = {zeta}: quadrature {quad:+.6e}, closed {closed:+.6e}, gap {rel:.1e}")

@@ -14,14 +14,15 @@ on that boundary Im alpha(w) = pi * [S+(w) - S-(w)] exactly, which is what
 the cross-section module consumes.  Im alpha < 0 (an amplifier band) is a
 perfectly good outcome.
 
-``polarizability_dispersion`` is the quadrature route, kept independent of
-the closed form so the two can cross-check each other.  It integrates the
-line model S+ - S- over the grid's span [grid[0], grid[-1]] and reads no
-grid sample.  It uses fixed Gauss-Legendre panels on geometric ladders
-around every line and around Re zeta, with the pole subtracted analytically
-when Re zeta lies inside the integration range; node placement never
-depends on the line weights, so the quadrature is exactly linear in the
-spectrum.
+``polarizability_dispersion(lines, gamma, zeta)`` is the quadrature route,
+kept independent of the closed form so the two can cross-check each other;
+it takes the closed form's inputs.  It integrates the line model S+ - S-
+over the real line, cut at 1e5 times the features' reach, where the
+Lorentzian tails leave rounding error.  It uses fixed Gauss-Legendre panels
+on geometric ladders around every line and around Re zeta, then one shared
+ladder out to the cut, with the pole subtracted analytically; node
+placement never depends on the line weights, so the quadrature is exactly
+linear in the spectrum.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import LineSpectrum, SpectralPair, _check_positive, _frozen, _line_sum_blocks, _mirror_rows
+from .spectral import LineSpectrum, SpectralPair, _check_positive, _frozen, _line_sum_blocks, _mirror_rows, _pair_sums
 
 __all__ = [
     "PolarizabilityCurve",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _GL_ORDER = 24
+_SPAN_FACTOR = 1e5  # polarizability_dispersion integrates over +-this times its features' reach
 EDGE_DECAY_FRACTION = 1e-3  # |Im alpha| at the grid edges must be below this times the peak
 
 
@@ -80,15 +82,25 @@ def _alpha_line_sum(lines: LineSpectrum, gamma: float, zeta):
     return out
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` (a scalar or an array) is finite throughout."""
+    values = np.asarray(value, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{name} must be finite (got {float(values[bad][0])!r})")
+
+
 def closed_form_lorentzian(lines: LineSpectrum, gamma: float, zeta):
     """Closed-form polarizability of a broadened line set (test oracle).
 
     Each line adds weight/(w_line - i*gamma - zeta) minus the same term for
     the reflected line; see the module docstring for the contour derivation.
-    Requires a positive, finite Im zeta like the dispersion route it checks.
+    Requires a positive, finite Im zeta and a finite Re zeta, like the
+    dispersion route it checks.
     """
     _check_positive("gamma", gamma)
     _check_positive("Im zeta", np.imag(zeta))  # retarded response only
+    _check_finite("Re zeta", np.real(zeta))
     return _alpha_line_sum(lines, gamma, zeta)
 
 
@@ -107,7 +119,8 @@ def im_alpha(pair: SpectralPair, omega):
 
     Negative values mark amplifier bands; no clipping is applied.
     """
-    return np.pi * pair.difference_at(omega)
+    s_plus, s_minus = pair.sums_at(omega)
+    return np.pi * (s_plus - s_minus)
 
 
 @lru_cache(maxsize=None)
@@ -126,77 +139,62 @@ def _gl_panels(a: np.ndarray, b: np.ndarray, order: int):
     return x, w
 
 
-def _panel_edges(lo: float, hi: float, centers, scales) -> np.ndarray:
-    """Panel edges: geometric ladders (step doubling) around each feature."""
-    edges = [lo, hi]
+def _panel_edges(centers, scales, inner: float, span: float) -> np.ndarray:
+    """Panel edges on [-span, span]: a geometric ladder (step doubling) around each feature out to +-inner, then one about 0.
+
+    A feature's ladder starts at half its scale; the shared ladder is
+    +-inner * 2**k out to +-span.  Edges less than 1e-9 of the smallest
+    scale apart (ladders of nearby features can collide) are merged; no
+    ladder step is that small.
+    """
+    edges = list(centers)
     for c, s in zip(centers, scales):
-        if not (lo < c < hi):
-            continue
-        edges.append(c)
         step = 0.5 * s
-        while True:
-            left, right = c - step, c + step
-            if left > lo:
-                edges.append(left)
-            if right < hi:
-                edges.append(right)
-            if left <= lo and right >= hi:
-                break
+        while c - step > -inner or c + step < inner:
+            edges += (c - step, c + step)
             step *= 2.0
-    edges = np.unique(np.asarray(edges, dtype=float))
-    # Drop near-coincident edges (ladders from nearby features can collide).
-    keep = np.concatenate(([True], np.diff(edges) > 1e-12 * (hi - lo)))
+    edges = np.asarray(edges, dtype=float)
+    shared = inner * 2.0 ** np.arange(np.ceil(np.log2(span / inner)))
+    edges = np.unique(np.concatenate((edges[np.abs(edges) < inner], shared, -shared, [-span, span])))
+    keep = np.concatenate(([True], np.diff(edges) > 1e-9 * min(scales)))
     keep[-1] = True
     return edges[keep]
 
 
-def polarizability_dispersion(pair: SpectralPair, zeta) -> complex:
-    """Quadrature evaluation of the dispersion integral over [grid[0], grid[-1]].
+def polarizability_dispersion(lines: LineSpectrum, gamma: float, zeta) -> complex:
+    """Quadrature evaluation of the dispersion integral over the real line, for a scalar zeta.
 
-    Requires a positive, finite Im zeta.  The integrand is the pair's line
-    model S+ - S-, summed at the quadrature's own nodes; no grid sample is
-    read, only the grid's two ends, which span the lines (``SpectralPair``
-    checks that).  When Re zeta lies inside that span the integrand's
-    near-pole part is subtracted analytically (the constant D(Re zeta) over
-    a symmetric window integrates to a logarithm), so accuracy is uniform
-    down to vanishing Im zeta.
+    Takes what ``closed_form_lorentzian`` takes and requires the same
+    positive, finite gamma and Im zeta, and a finite Re zeta.  The
+    integrand is the line model S+ - S-, summed at the quadrature's own
+    nodes on [-M, M], M = ``_SPAN_FACTOR`` * (max(|lines|, |Re zeta|) +
+    gamma); the Lorentzian tails beyond fall as 1/w^3.  The ladders start
+    at gamma / 2 about each line and at Im zeta / 2 about Re zeta.  The
+    integrand's near-pole part D(Re zeta) / (w - zeta) is subtracted over
+    the widest window about Re zeta inside [-M, M] and added back as a
+    logarithm, so accuracy is uniform down to vanishing Im zeta.
     """
+    _check_positive("gamma", gamma)
     zeta = complex(zeta)
     eta = zeta.imag
     _check_positive("Im zeta", eta)  # retarded response only
-    lo, hi = float(pair.grid[0]), float(pair.grid[-1])
-    lines = pair.lines
-    gamma = pair.gamma
     x0 = zeta.real
-    centers = list(np.concatenate((lines.omega, -lines.omega)))
-    scales = [gamma] * len(centers)
-    subtract = lo < x0 < hi
-    window = 0.0
-    d0 = 0.0
-    if subtract:
-        centers.append(x0)
-        scales.append(max(gamma, eta))
-        window = min(hi - x0, x0 - lo)
-        d0 = float(pair.difference_at(x0))
-
-    edges = [lo, hi]
-    if subtract:
-        edges += [x0 - window, x0 + window]  # the subtracted window's jump points
-    edges = np.unique(np.concatenate((_panel_edges(lo, hi, centers, scales), edges)))
-
-    def integrand(w):
-        value = pair.difference_at(w) / (w - zeta)
-        if subtract and d0 != 0.0:
-            inside = np.abs(w - x0) <= window
-            value = value - d0 * inside / (w - zeta)
-        return value
-
+    _check_finite("Re zeta", x0)  # a feature at infinity would never end its ladder
+    gamma = float(gamma)
+    reach = max(lines.max_abs_omega, abs(x0)) + gamma
+    span = _SPAN_FACTOR * reach
+    window = span - abs(x0)
+    centers = [*lines.omega, *-lines.omega, x0]
+    scales = [gamma] * (2 * lines.n_lines) + [eta]
+    edges = _panel_edges(centers, scales, 4.0 * reach, span)
+    edges = np.unique(np.concatenate((edges, [x0 - window, x0 + window])))  # the window's jump points
     nodes, weights = _gl_panels(edges[:-1], edges[1:], _GL_ORDER)
-    total = complex(np.sum(integrand(nodes) * weights))
-    if subtract and d0 != 0.0:
-        # integral of 1/(w - zeta) over [x0 - W, x0 + W]
-        total += d0 * np.log((window - 1j * eta) / (-window - 1j * eta))
-    return total
+    s_plus, s_minus = _pair_sums(lines, gamma, np.append(x0, nodes))
+    difference = s_plus - s_minus
+    d0, inside = difference[0], np.abs(nodes - x0) <= window
+    total = np.sum((difference[1:] - d0 * inside) / (nodes - zeta) * weights)
+    # plus the integral of d0 / (w - zeta) over [x0 - window, x0 + window]
+    return complex(total + d0 * np.log((window - 1j * eta) / (-window - 1j * eta)))
 
 
 @dataclass(frozen=True)

@@ -214,11 +214,11 @@ class SpectralPair:
 
     Construction checks a strictly ascending grid spanning the lines
     (``check_grid_span``) and a positive, finite gamma.  ``sums_at``
-    evaluates the model exactly at any frequency, and ``difference_at``
-    reads it.  The grid samples ``s_plus``/``s_minus`` (the export/CSV view)
-    are built together on first read and cached; of the CLI stages only
-    ``spectrum`` reads them, while the curve, the cross sections and the
-    medium need only ``grid``, ``gamma`` and ``lines``.
+    evaluates the model exactly at any frequency.  The grid samples
+    ``s_plus``/``s_minus`` (the export/CSV view) are built together on
+    first read and cached; of the CLI stages only ``spectrum`` reads them,
+    while the curve, the cross sections and the medium need only ``grid``,
+    ``gamma`` and ``lines``.
 
     Every S+/S- value comes from ``_pair_sums``, except that a grid sample
     -w whose mirror sample is w copies S-(w) and S+(w) from it
@@ -267,12 +267,6 @@ class SpectralPair:
     def sums_at(self, omega) -> np.ndarray:
         """S+ and S- at frequencies of any shape, summed exactly over the lines: a (2, *shape) array."""
         return _pair_sums(self.lines, self.gamma, omega)
-
-    def difference_at(self, omega):
-        """S+(omega) - S-(omega), the dissipative weight (signed)."""
-        s_plus, s_minus = self.sums_at(omega)
-        difference = s_plus - s_minus
-        return float(difference) if np.ndim(difference) == 0 else difference
 
 
 def _mirror_rows(grid: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,10 +14,14 @@ visible with -s).
 """
 
 import filecmp
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gainscatter import (
     LineSpectrum,
@@ -35,6 +39,7 @@ from gainscatter import (
 )
 from gainscatter.spectral import TargetLevels
 from gainscatter.validate import run_validation
+from test_scenario_cli import AVX512
 
 
 def report(number, detail):
@@ -91,7 +96,7 @@ def test_criterion_3_identity_chain(monkeypatch):
     for pair, omegas, sigma in compared:
         # spot-check the quadrature route through the dispersion integral
         for w in rng.uniform(0.1, pair.lines.max_abs_omega, size=2):
-            alpha = polarizability_dispersion(pair, complex(w, 1e-12))
+            alpha = polarizability_dispersion(pair.lines, pair.gamma, complex(w, 1e-12))
             s_o = float(sigma_total_optical(alpha, w))
             s_s = float(sigma_total_spectral(pair, w))
             if s_s != 0.0:
@@ -160,7 +165,7 @@ def test_criterion_6_rayleigh_closure():
 
 
 def test_criterion_7_dispersion_oracle_and_kramers_kronig():
-    # quadrature alpha vs closed form within 1e-6 on >= 100 random
+    # quadrature alpha vs closed form within 1e-10 on >= 100 random
     # (lines, zeta); Kramers-Kronig reconstruction residual <= 1e-4, which
     # is 170x the 5.9e-7 that Maclaurin's sum reads on all three curves
     oracle_ok, oracle = validate.check_oracle_agreement(samples=100, seed=104)
@@ -168,6 +173,31 @@ def test_criterion_7_dispersion_oracle_and_kramers_kronig():
     assert oracle_ok, oracle
     assert kk_ok, kk
     report(7, f"100 oracle pairs, worst {oracle.removeprefix('max ')}; KK {kk}")
+
+
+@pytest.mark.parametrize("attr, value", [("_SPAN_FACTOR", 1e2), ("_GL_ORDER", 6)])
+def test_oracle_bound_catches_a_route_error_the_old_bound_missed(monkeypatch, attr, value):
+    # tails cut at 100 times the features' reach, or 6-point panels, leave the route 3e-8 to
+    # 7e-8 off the closed form on the check's own draws: inside the old 1e-6 bound, outside 1e-10
+    monkeypatch.setattr(response, attr, value)
+    ok, detail = validate.check_oracle_agreement()
+    assert not ok and float(detail.rpartition(" ")[2]) <= 1e-6, detail
+
+
+def test_criterion_7_rounding_bounds_hold_at_the_other_dispatch_level():
+    # the oracle and linearity bounds are set by rounding, so they hold with numpy's AVX-512
+    # kernels off too
+    code = (
+        "from gainscatter import validate; "
+        "from test_scenario_cli import AVX512, __cpu_features__; "
+        "assert not any(__cpu_features__[feature] for feature in AVX512); "
+        "results = [validate.check_oracle_agreement(samples=100, seed=104), validate.check_linearity()]; "
+        "assert all(ok for ok, _ in results), results"
+    )
+    paths = os.pathsep.join([str(Path(validate.__file__).parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512), PYTHONPATH=paths)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_criterion_8_dilute_medium_law():

@@ -135,83 +135,65 @@ def test_closed_form_rejects_lower_half_plane():
 
 @pytest.mark.parametrize("offset", [np.nan, np.inf])
 def test_both_routes_reject_a_non_finite_offset(offset):
-    pair = two_level_pair(0.0, points=2)
+    lines = line_spectrum(two_level(0.0))
     zeta = 0.5 + 1j * offset  # 1j * inf has a NaN real part, so zeta is nan + inf j there
-    with pytest.raises(ValueError, match=r"^Im zeta must be positive and finite \(got (nan|inf)\)$"):
-        closed_form_lorentzian(pair.lines, pair.gamma, np.array([zeta, 1.0 + 0.1j]))
-    with pytest.raises(ValueError, match=r"^Im zeta must be positive and finite \(got (nan|inf)\)$"):
-        polarizability_dispersion(pair, zeta)
+    # the closed form takes an array of zeta, the quadrature one zeta
+    for route, zetas in ((closed_form_lorentzian, np.array([zeta, 1.0 + 0.1j])), (polarizability_dispersion, zeta)):
+        with pytest.raises(ValueError, match=r"^Im zeta must be positive and finite \(got (nan|inf)\)$"):
+            route(lines, 0.01, zetas)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -0.01, np.nan, np.inf, -np.inf])
 def test_closed_form_rejects_bad_gamma(gamma):
+    # and so does the quadrature route, with the same message
     lines = LineSpectrum([1.0], [1.0], [0.0])
-    for value in (gamma, np.array([gamma])):
-        with pytest.raises(ValueError) as raised:
-            closed_form_lorentzian(lines, value, 1.0 + 0.1j)
-        assert str(raised.value) == f"gamma must be positive and finite (got {gamma!r})"
+    for route in (closed_form_lorentzian, polarizability_dispersion):
+        for value in (gamma, np.array([gamma])):
+            with pytest.raises(ValueError) as raised:
+                route(lines, value, 1.0 + 0.1j)
+            assert str(raised.value) == f"gamma must be positive and finite (got {gamma!r})"
 
 
 # --- dispersion quadrature ------------------------------------------------------
 
 
 def test_dispersion_zero_for_symmetric_populations():
-    pair = two_level_pair(0.5, points=2)
+    lines = line_spectrum(two_level(0.5))
     for zeta in (1.0 + 0.05j, 0.2 + 0.5j, 2.0j):
-        alpha = polarizability_dispersion(pair, zeta)
+        alpha = polarizability_dispersion(lines, 0.01, zeta)
         assert abs(alpha) <= 1e-13
 
 
 def test_dispersion_far_field_bound():
     lines = LineSpectrum([1.0], [0.4], [0.0])
-    pair = broaden(lines, [-30.0, 30.0], 0.01)
     lam = 1e6
-    alpha = polarizability_dispersion(pair, 1j * lam)
+    alpha = polarizability_dispersion(lines, 0.01, 1j * lam)
     assert abs(alpha) <= lines.weight.sum() / lam * (1.0 + 1e-6)
 
 
 def test_dispersion_matches_closed_form_ground_state():
     gamma = 0.01
     lines = line_spectrum(two_level(0.0))
-    pair = broaden(lines, [-60.0, 60.0], gamma)
     zeta = 1.0 + 0.01j
-    got = polarizability_dispersion(pair, zeta)
+    got = polarizability_dispersion(lines, gamma, zeta)
     want = closed_form_lorentzian(lines, gamma, zeta)
-    assert abs(got - want) / abs(want) <= 1e-6
+    assert abs(got - want) / abs(want) <= 1e-12
 
 
 def test_dispersion_rejects_real_axis():
-    pair = two_level_pair(0.0, points=2)
-    with pytest.raises(ValueError):
-        polarizability_dispersion(pair, 1.0 + 0.0j)
-    with pytest.raises(ValueError):
-        polarizability_dispersion(pair, 1.0 - 0.2j)
+    lines = line_spectrum(two_level(0.0))
+    for zeta in (1.0 + 0.0j, 1.0 - 0.2j):
+        with pytest.raises(ValueError, match=r"^Im zeta must be positive and finite"):
+            polarizability_dispersion(lines, 0.01, zeta)
 
 
-def test_dispersion_reads_only_the_grid_ends():
-    # the route integrates the line model over [grid[0], grid[-1]]: a two-sample pair and a
-    # dense pair with the same ends give the same bits, with Im zeta below and above gamma
-    gamma = 0.01
-    lines = line_spectrum(two_level(0.3))
-    sparse = broaden(lines, [-4.0, 5.0], gamma)
-    dense = broaden(lines, np.linspace(-4.0, 5.0, 9001), gamma)
-    for zeta in (1.0 + 0.001j, -0.7 + 0.004j, 0.5 + 0.05j, 2.0 + 1.0j, 4.9 + 0.3j):
-        got = polarizability_dispersion(sparse, zeta)
-        assert got != 0.0
-        assert got == polarizability_dispersion(dense, zeta)
-
-
-def test_dispersion_linearity_in_line_sets():
-    gamma = 0.01
-    a = LineSpectrum([0.8], [0.5], [0.0])
-    b = LineSpectrum([1.6], [0.25], [0.0])
-    union = LineSpectrum([0.8, 1.6], [0.5, 0.25], [0.0, 0.0])
-    grid = [-40.0, 40.0]
-    zeta = 1.1 + 0.02j
-    total = polarizability_dispersion(broaden(union, grid, gamma), zeta)
-    parts = polarizability_dispersion(broaden(a, grid, gamma), zeta)
-    parts += polarizability_dispersion(broaden(b, grid, gamma), zeta)
-    assert abs(total - parts) <= 1e-13 * abs(total)
+@pytest.mark.parametrize("real", [np.nan, np.inf, -np.inf])
+def test_both_routes_reject_a_non_finite_real_part(real):
+    lines = line_spectrum(two_level(0.0))
+    zeta = complex(real, 0.1)
+    for route, zetas in ((closed_form_lorentzian, np.array([1.0 + 0.1j, zeta])), (polarizability_dispersion, zeta)):
+        with pytest.raises(ValueError, match=rf"^Re zeta must be finite \(got {real!r}\)$"):
+            route(lines, 0.01, zetas)
 
 
 # --- boundary values -------------------------------------------------------------
@@ -318,14 +300,13 @@ def test_curve_tail_decay():
 
 
 def test_dispersion_matches_closed_form_at_curve_points():
-    # wide support: the quadrature truncates at the pair grid's ends, so they
-    # must lie far enough out to carry the 1/omega^3 tails of the dissipative density
+    # Im zeta from far below gamma up to half of it: the ladder about Re zeta starts at Im zeta
     lines = line_spectrum(two_level(0.0))
-    pair = broaden(lines, [-60.0, 60.0], 0.01)
-    zeta = np.linspace(-2.0, 2.0, 9) + 0.005j
-    via_quad = np.array([polarizability_dispersion(pair, z) for z in zeta])
-    via_closed = closed_form_lorentzian(lines, pair.gamma, zeta)
-    assert np.allclose(via_quad, via_closed, rtol=1e-6)
+    for eta in (1e-12, 1e-6, 0.005):
+        zeta = np.linspace(-2.0, 2.0, 9) + 1j * eta
+        via_quad = np.array([polarizability_dispersion(lines, 0.01, z) for z in zeta])
+        via_closed = closed_form_lorentzian(lines, 0.01, zeta)
+        assert np.allclose(via_quad, via_closed, rtol=1e-12, atol=0.0), eta
 
 
 def test_curve_eta_validation():
